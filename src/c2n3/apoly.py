@@ -41,27 +41,39 @@ def apoly_theorem(n: int) -> APolyResult:
     range, so denominators never actually appear.  The result of the sum is
     already unit-normal; both facts are asserted.
     """
-    acc = ZERO
     if n >= 0:
         base_num = (mono(1, l=1, m=4 * n) - 1) * (1 - mono(1, m=2))
         x_num = ONE + mono(1, l=1, m=6 + 4 * n)
         den_base = ONE + mono(1, l=1, m=2 + 4 * n)
-        for i in range(2 * n + 1):
-            j = (1 + i) // 2
-            agg = 3 * n - i - j
-            assert agg >= 0, "aggregate denominator exponent went negative"
-            coeff = binom_z(n + i // 2, i)
-            acc = acc + mono(coeff, m=-2 * n - 2 * j) * base_num**i * x_num**j * den_base**agg
+        indices = range(2 * n + 1)
+        top_agg = 3 * n
     else:
         base_num = (1 - mono(1, m=2)) * (mono(1, m=-4 * n) - mono(1, l=1))
         x_num = mono(1, l=1, m=6) + mono(1, m=-4 * n)
         den_base = mono(1, l=1, m=2) + mono(1, m=-4 * n)
-        for i in range(-2 * n):
-            j = (1 + i) // 2
+        indices = range(-2 * n)
+        top_agg = -3 * n - 1
+    # agg falls as i grows, so its value at i = 0 bounds every power needed.
+    den_pow = [ONE]
+    for _ in range(top_agg):
+        den_pow.append(den_pow[-1] * den_base)
+    acc = ZERO
+    base_pow = ONE
+    x_pow = ONE
+    for i in indices:
+        j = (1 + i) // 2
+        if i:
+            base_pow = base_pow * base_num
+        if i % 2:
+            x_pow = x_pow * x_num
+        if n >= 0:
+            agg = 3 * n - i - j
+            term = mono(binom_z(n + i // 2, i), m=-2 * n - 2 * j)
+        else:
             agg = -3 * n - 1 - i - j
-            assert agg >= 0, "aggregate denominator exponent went negative"
-            coeff = binom_z(-n + (i - 1) // 2, i)
-            acc = acc + mono(coeff, m=8 * n + 6 - 2 * j) * base_num**i * x_num**j * den_base**agg
+            term = mono(binom_z(-n + (i - 1) // 2, i), m=8 * n + 6 - 2 * j)
+        assert agg >= 0, "aggregate denominator exponent went negative"
+        acc = acc + term * base_pow * x_pow * den_pow[agg]
     normalized, unit, sign = acc.normalize_unit()
     assert unit == UNIT_MONOMIAL and sign == 1, "closed-form A-polynomial was not unit-normal"
     return APolyResult(n, normalized, "theorem")

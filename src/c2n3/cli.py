@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .apoly import apoly_substitution, apoly_theorem, newton_polygon
@@ -120,7 +121,7 @@ def _cmd_verify(args, out) -> int:
             }
         )
     doc = {"seed": args.seed, "samples": args.samples, "tol": args.tol, "results": results}
-    out.write(json.dumps(doc, separators=(",", ":")) + "\n")
+    out.write(json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n")
     return 0 if all_passed else 1
 
 
@@ -180,8 +181,8 @@ def main(argv=None, out=None) -> int:
     if args.command == "verify":
         if args.samples < 1:
             parser.error("--samples must be at least 1")
-        if args.tol <= 0:
-            parser.error("--tol must be positive")
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            parser.error("--tol must be a finite positive number")
     handlers = {
         "compute": _cmd_compute,
         "rm": _cmd_rm,

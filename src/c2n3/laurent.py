@@ -10,8 +10,11 @@ convention of unit normalization.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress, repeat
 from typing import Iterable, Mapping, NamedTuple
 
 VARIABLES = ("L", "M", "x")
@@ -160,6 +163,8 @@ class LaurentPoly:
         other = LaurentPoly._coerce(other)
         if other is None:
             return NotImplemented
+        if _row_packing_pays(self._terms, other._terms):
+            return LaurentPoly._raw(_mul_packed(self._terms, other._terms))
         out: dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -345,6 +350,118 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_text()!r})"
+
+
+def _row_count(terms: dict[Monomial, int]) -> int:
+    return len({(m[0], m[2]) for m in terms})
+
+
+def _row_packing_pays(a: dict[Monomial, int], b: dict[Monomial, int]) -> bool:
+    """Whether a * b should take the row-packed path rather than the schoolbook loop.
+
+    Packing pays when the (expL, expX) rows hold several terms each, so that
+    one big-int product per row pair replaces many term products.  The
+    choice depends on the operands' shapes alone.
+    """
+    small, large = sorted((len(a), len(b)))
+    if small < 2 or large < 8:
+        return False
+    return 4 * _row_count(a) * _row_count(b) <= small * large
+
+
+def _slot_bias(count: int, width: int) -> int:
+    # 2^(8 * width - 1) in each of count slots of width bytes
+    return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * count, "little")
+
+
+def _pack(coeffs: list[int], width: int) -> int:
+    """sum_k coeffs[k] * 2^(8 * width * k), for |coeffs[k]| < 2^(8 * width - 1)."""
+    half = 1 << (8 * width - 1)
+    data = b"".join(map(int.to_bytes, map(half.__add__, coeffs), repeat(width), repeat("little")))
+    return int.from_bytes(data, "little") - _slot_bias(len(coeffs), width)
+
+
+def _unpack(value: int, count: int, width: int) -> list[int]:
+    """The count slot values of a packed int; the inverse of _pack.
+
+    Adding half a slot to every slot makes each one a nonnegative
+    width-byte digit, so the int splits with to_bytes.
+    """
+    half = 1 << (8 * width - 1)
+    data = (value + _slot_bias(count, width)).to_bytes(count * width, "little")
+    return [int.from_bytes(data[at:at + width], "little") - half for at in range(0, len(data), width)]
+
+
+def _pack_rows(terms: dict[Monomial, int], stride: int, width: int) -> dict:
+    """(expL, expX) -> (lowest expM, highest expM, packed int) for each row of terms.
+
+    Slot k of a row's int holds the coefficient of M^(lowest + k * stride).
+    """
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    for m, c in terms.items():
+        row = rows.get((m[0], m[2]))
+        if row is None:
+            rows[(m[0], m[2])] = {m[1]: c}
+        else:
+            row[m[1]] = c
+    packed = {}
+    for key, row in rows.items():
+        lo = min(row)
+        hi = max(row)
+        coeffs = [0] * ((hi - lo) // stride + 1)
+        for e, c in row.items():
+            coeffs[(e - lo) // stride] = c
+        packed[key] = (lo, hi, _pack(coeffs, width))
+    return packed
+
+
+_new_monomial = partial(tuple.__new__, Monomial)
+
+
+def _mul_packed(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
+    """Canonical term dict of a * b by Kronecker substitution in M, row by row.
+
+    Each (expL, expX) row of each operand becomes one int with a slot per
+    M-exponent, so a row-pair product is one big-int multiplication.  The
+    slot stride is the gcd of all M-exponent differences within each whole
+    operand: a per-row stride would misalign rows whose lowest M-exponents
+    differ by a non-multiple of it when they land in the same output row.
+    Slots are wide enough for any product coefficient, which is a sum of at
+    most min(|a|, |b|) products of input coefficients.
+    """
+    first_a = next(iter(a))[1]
+    first_b = next(iter(b))[1]
+    stride = math.gcd(*(m[1] - first_a for m in a), *(m[1] - first_b for m in b)) or 1
+    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
+    width = (bound.bit_length() + 2 + 7) // 8  # a sign bit and a spare bit, in whole bytes
+    bits = 8 * width
+    rows_a = _pack_rows(a, stride, width)
+    rows_b = _pack_rows(b, stride, width)
+
+    spans: dict[tuple[int, int], list[int]] = {}
+    for (la, xa), (lo_a, hi_a, _) in rows_a.items():
+        for (lb, xb), (lo_b, hi_b, _) in rows_b.items():
+            key = (la + lb, xa + xb)
+            span = spans.get(key)
+            if span is None:
+                spans[key] = [lo_a + lo_b, hi_a + hi_b]
+            else:
+                span[0] = min(span[0], lo_a + lo_b)
+                span[1] = max(span[1], hi_a + hi_b)
+    sums = dict.fromkeys(spans, 0)
+    for (la, xa), (lo_a, _, va) in rows_a.items():
+        for (lb, xb), (lo_b, _, vb) in rows_b.items():
+            key = (la + lb, xa + xb)
+            shift = (lo_a + lo_b - spans[key][0]) // stride * bits
+            sums[key] += (va * vb) << shift
+
+    out: dict[Monomial, int] = {}
+    for (l, x), total in sums.items():
+        lo, hi = spans[(l, x)]
+        coeffs = _unpack(total, (hi - lo) // stride + 1, width)
+        keys = map(_new_monomial, zip(repeat(l), range(lo, hi + 1, stride), repeat(x)))
+        out.update(compress(zip(keys, coeffs), coeffs))  # zero slots are not terms
+    return out
 
 
 def _horner(items, axis, values):

@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -136,6 +137,36 @@ def test_verify_unreachable_tolerance_exits_nonzero():
     assert code == 1
     doc = json.loads(out)
     assert doc["results"][0]["status"] == "failed"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "1e400"])
+def test_verify_rejects_non_finite_tolerance(tol, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["verify", "--n", "1", "--samples", "1", "--tol", tol], out=io.StringIO())
+    assert excinfo.value.code == 2
+    assert "--tol must be a finite positive number" in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_verify_output_is_strict_json(monkeypatch):
+    code, out = run(["verify", "--n", "1", "--samples", "1", "--tol", "1e-8"])
+    assert code == 0
+    json.loads(out, parse_constant=_reject_constant)
+
+    # a non-finite residual must never reach stdout as NaN
+    real_verify_family = cli.verify_family
+
+    def nan_residuals(n, samples, tol):
+        return [replace(r, apoly_residual=float("nan")) for r in real_verify_family(n, samples, tol)]
+
+    monkeypatch.setattr(cli, "verify_family", nan_residuals)
+    buf = io.StringIO()
+    with pytest.raises(ValueError):
+        cli.main(["verify", "--n", "1", "--samples", "1"], out=buf)
+    assert buf.getvalue() == ""
 
 
 def test_newton_lines():

@@ -13,6 +13,8 @@ from c2n3.laurent import (
     LaurentPoly,
     Monomial,
     RationalExpr,
+    _mul_packed,
+    _row_packing_pays,
     mono,
 )
 from oracles import as_dict, naive_add, naive_mul, naive_neg, naive_pow
@@ -29,6 +31,30 @@ monomials_x_nonneg = st.tuples(
 polys_x_nonneg = st.dictionaries(monomials_x_nonneg, coefficients, max_size=4).map(
     LaurentPoly
 )
+
+# Coefficients of about 3, 70 and 130 bits, mixed within one operand.
+wide_coefficients = st.sampled_from([3, 70, 130]).flatmap(
+    lambda bits: st.integers(-(2**bits), 2**bits)
+)
+
+
+@st.composite
+def row_dense_polys(draw):
+    """Polynomials whose (expL, expX) rows hold several terms each.
+
+    Each row starts at its own M-offset with its own step, so rows of one
+    operand may differ in parity, and every exponent may be negative.
+    """
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        l = draw(st.integers(-3, 3))
+        x = draw(st.integers(-2, 2))
+        start = draw(st.integers(-6, 6))
+        step = draw(st.sampled_from([1, 2, 4]))
+        for k in range(draw(st.integers(4, 9))):
+            terms[(l, start + step * k, x)] = draw(wide_coefficients)
+    return LaurentPoly(terms)
+
 
 moduli = st.floats(min_value=0.5, max_value=2.0, allow_nan=False)
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False)
@@ -137,10 +163,74 @@ def test_pow_rejects_negative():
         (ONE + mono(1, x=1)) ** -1
 
 
-@given(p=polys, q=polys)
+@given(p=st.one_of(polys, row_dense_polys()), q=st.one_of(polys, row_dense_polys()))
 def test_add_and_mul_match_naive_oracle(p, q):
+    # operands on both sides of the multiply dispatch
     assert as_dict(p + q) == naive_add(as_dict(p), as_dict(q))
-    assert as_dict(p * q) == naive_mul(as_dict(p), as_dict(q))
+    expected = naive_mul(as_dict(p), as_dict(q))
+    assert as_dict(p * q) == expected
+    if p and q:
+        assert as_dict(_packed(p, q)) == expected
+
+
+def _packed(p, q):
+    out = _mul_packed(p._terms, q._terms)
+    assert all(type(m) is Monomial and c for m, c in out.items())
+    return LaurentPoly._raw(out)
+
+
+@given(p=row_dense_polys(), q=row_dense_polys())
+def test_row_packed_mul_matches_naive_oracle(p, q):
+    assume(_row_packing_pays(p._terms, q._terms))
+    expected = naive_mul(as_dict(p), as_dict(q))
+    assert as_dict(_packed(p, q)) == expected
+    assert as_dict(p * q) == expected
+
+
+def test_dispatch_follows_row_shape():
+    rows_of_six = LaurentPoly({(l, m, 0): 1 for l in range(3) for m in range(6)})
+    one_per_row = LaurentPoly({(k, 0, k): 1 for k in range(8)})
+    assert _row_packing_pays(rows_of_six._terms, rows_of_six._terms)
+    assert _row_packing_pays(rows_of_six._terms, (ONE + mono(1, m=1))._terms)
+    assert not _row_packing_pays(one_per_row._terms, one_per_row._terms)
+    assert not _row_packing_pays(mono(5, m=3)._terms, rows_of_six._terms)
+    rows_of_three = LaurentPoly({(l, m, 0): 1 for l in range(3) for m in range(3)})
+    assert not _row_packing_pays((ONE + mono(1, l=1))._terms, rows_of_three._terms)
+
+
+def test_row_packed_stride_is_taken_over_whole_operands():
+    # rows of a start at M-offsets of both parities; a per-row stride of 2
+    # would misplace half of the product
+    a = LaurentPoly({(l, 2 * k + l, 0): 1 for l in range(3) for k in range(4)})
+    b = LaurentPoly({(l, 2 * k, 0): k + 1 for l in range(4) for k in range(5)})
+    assert _row_packing_pays(a._terms, b._terms)
+    expected = naive_mul(as_dict(a), as_dict(b))
+    assert as_dict(_packed(a, b)) == expected
+    assert as_dict(a * b) == expected
+
+
+def test_row_packed_slots_hold_the_largest_possible_coefficient():
+    # the M^0 coefficient is 8 * 2^30 * 2^30 = 2^63, exactly min(|a|, |b|) * max|c_a| * max|c_b|
+    ramp = LaurentPoly({(0, k, 0): 2**30 for k in range(8)})
+    mirror = LaurentPoly({(0, -k, 0): 2**30 for k in range(8)})
+    assert _row_packing_pays(ramp._terms, mirror._terms)
+    for a, b in ((ramp, mirror), (-ramp, mirror)):
+        expected = naive_mul(as_dict(a), as_dict(b))
+        assert abs(expected[(0, 0, 0)]) == 2**63
+        assert as_dict(_packed(a, b)) == expected
+        assert as_dict(a * b) == expected
+
+
+def test_row_packed_mul_drops_cancelled_slots():
+    geometric = LaurentPoly({(-1, k - 3, 2): 1 for k in range(8)})
+    factor = ONE - mono(1, m=1)
+    assert _row_packing_pays(geometric._terms, factor._terms)
+    assert geometric * factor == mono(1, l=-1, m=-3, x=2) - mono(1, l=-1, m=5, x=2)
+    big = 2**130 + 1
+    assert _packed(mono(big, m=-2) + mono(-big, x=-1), geometric * factor) == (
+        mono(big, l=-1, m=-5, x=2) - mono(big, l=-1, m=3, x=2)
+        - mono(big, l=-1, m=-3, x=1) + mono(big, l=-1, m=5, x=1)
+    )
 
 
 @given(p=polys, q=polys, r=polys)

@@ -1,0 +1,22 @@
+"""A_2n checks over a wider n range than the pinned acceptance criteria."""
+
+from functools import cache
+
+import pytest
+
+from c2n3.apoly import apoly_substitution, apoly_theorem
+
+
+@cache
+def theorem_poly(n):
+    return apoly_theorem(n).poly
+
+
+@pytest.mark.parametrize("n", [15, 16, 17, 18, -15, -16, -17, -18])
+def test_theorem_and_substitution_routes_agree(n):
+    assert theorem_poly(n) == apoly_substitution(n).poly
+
+
+@pytest.mark.parametrize("n", range(-20, 21))
+def test_only_even_powers_of_m(n):
+    assert all(m.expM % 2 == 0 for m, _ in theorem_poly(n).terms())
