@@ -22,14 +22,14 @@ from .laurent import (
     ZERO,
     LaurentPoly,
     Monomial,
-    RationalExpr,
     mono,
 )
 from .repcheck import (
+    BadPoint,
     DegreeCollapseError,
+    RepeatedRootError,
     SingularPointError,
     VerificationReport,
-    Word,
     build_longitude,
     build_w,
     eval_word,
@@ -47,18 +47,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "APolyResult",
+    "BadPoint",
     "DegreeCollapseError",
     "LaurentPoly",
     "Monomial",
     "NewtonPolygon",
     "ONE",
     "RMResult",
-    "RationalExpr",
+    "RepeatedRootError",
     "SingularPointError",
     "UNIT_MONOMIAL",
     "VARIABLES",
     "VerificationReport",
-    "Word",
     "ZERO",
     "apoly_substitution",
     "apoly_theorem",

@@ -13,8 +13,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import LaurentPoly, Monomial, ONE, RationalExpr, UNIT_MONOMIAL, ZERO, mono
-from .rmpoly import binom_z, rm_closed
+from .laurent import LaurentPoly, ONE, UNIT_MONOMIAL, ZERO, mono
+from .rmpoly import rm_recursive, summation_indices
 
 
 @dataclass(frozen=True)
@@ -26,11 +26,11 @@ class APolyResult:
     path: str
 
 
-def substitution_x(n: int) -> RationalExpr:
-    """The rational value substituted for x:  -(1 + L*M^(6+4n)) / (M^2 * (1 + L*M^(2+4n)))."""
+def substitution_x(n: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """(num, den) of the value substituted for x:  -(1 + L*M^(6+4n)) / (M^2 * (1 + L*M^(2+4n)))."""
     num = -(ONE + mono(1, l=1, m=6 + 4 * n))
     den = mono(1, m=2) + mono(1, l=1, m=4 + 4 * n)
-    return RationalExpr(num, den)
+    return num, den
 
 
 def apoly_theorem(n: int) -> APolyResult:
@@ -45,14 +45,12 @@ def apoly_theorem(n: int) -> APolyResult:
         base_num = (mono(1, l=1, m=4 * n) - 1) * (1 - mono(1, m=2))
         x_num = ONE + mono(1, l=1, m=6 + 4 * n)
         den_base = ONE + mono(1, l=1, m=2 + 4 * n)
-        indices = range(2 * n + 1)
-        top_agg = 3 * n
+        top_agg, m_top = 3 * n, -2 * n
     else:
         base_num = (1 - mono(1, m=2)) * (mono(1, m=-4 * n) - mono(1, l=1))
         x_num = mono(1, l=1, m=6) + mono(1, m=-4 * n)
         den_base = mono(1, l=1, m=2) + mono(1, m=-4 * n)
-        indices = range(-2 * n)
-        top_agg = -3 * n - 1
+        top_agg, m_top = -3 * n - 1, 8 * n + 6
     # agg falls as i grows, so its value at i = 0 bounds every power needed.
     den_pow = [ONE]
     for _ in range(top_agg):
@@ -60,20 +58,14 @@ def apoly_theorem(n: int) -> APolyResult:
     acc = ZERO
     base_pow = ONE
     x_pow = ONE
-    for i in indices:
-        j = (1 + i) // 2
+    for i, j, c in summation_indices(n):
         if i:
             base_pow = base_pow * base_num
         if i % 2:
             x_pow = x_pow * x_num
-        if n >= 0:
-            agg = 3 * n - i - j
-            term = mono(binom_z(n + i // 2, i), m=-2 * n - 2 * j)
-        else:
-            agg = -3 * n - 1 - i - j
-            term = mono(binom_z(-n + (i - 1) // 2, i), m=8 * n + 6 - 2 * j)
+        agg = top_agg - i - j
         assert agg >= 0, "aggregate denominator exponent went negative"
-        acc = acc + term * base_pow * x_pow * den_pow[agg]
+        acc = acc + mono(c, m=m_top - 2 * j) * base_pow * x_pow * den_pow[agg]
     normalized, unit, sign = acc.normalize_unit()
     assert unit == UNIT_MONOMIAL and sign == 1, "closed-form A-polynomial was not unit-normal"
     return APolyResult(n, normalized, "theorem")
@@ -82,11 +74,13 @@ def apoly_theorem(n: int) -> APolyResult:
 def apoly_substitution(n: int) -> APolyResult:
     """A_2n by substituting the longitude relation into P_2n and clearing denominators.
 
-    The x-degree of P_2n is used as the clearing degree, so the result is a
-    Laurent polynomial in L and M, which is then unit-normalized.
+    P_2n comes from the recursion, so this route shares no code with
+    apoly_theorem beyond LaurentPoly arithmetic.  The x-degree of P_2n is
+    used as the clearing degree, so the result is a Laurent polynomial in L
+    and M, which is then unit-normalized.
     """
-    p = rm_closed(n).poly
-    cleared = p.substitute("x", substitution_x(n), p.degree("x"))
+    p = rm_recursive(n).poly
+    cleared = p.substitute("x", *substitution_x(n), p.degree("x"))
     normalized, _, _ = cleared.normalize_unit()
     return APolyResult(n, normalized, "substitution")
 
@@ -100,16 +94,11 @@ def c_sum(n: int) -> LaurentPoly:
     growth = mono(1, m=2) - 1
     acc = ZERO
     power = ONE
-    if n >= 0:
-        for i in range(2 * n + 1):
-            j = (1 + i) // 2
-            acc = acc + mono(binom_z(n + i // 2, i), m=-2 * n - 2 * j) * power
+    for i, j, c in summation_indices(n):
+        if i:
             power = power * growth
-    else:
-        for i in range(-2 * n):
-            j = (1 + i) // 2
-            acc = acc + mono(binom_z(-n + (i - 1) // 2, i), m=2 * n + 4 - 2 * i + 2 * j) * power
-            power = power * growth
+        m = -2 * n - 2 * j if n >= 0 else 2 * n + 4 - 2 * i + 2 * j
+        acc = acc + mono(c, m=m) * power
     return acc
 
 

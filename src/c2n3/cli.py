@@ -10,13 +10,15 @@ seed.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
+from dataclasses import astuple
 
 from .apoly import apoly_substitution, apoly_theorem, newton_polygon
 from .laurent import LaurentPoly
-from .repcheck import sample_unit_modulus, verify_family
+from .repcheck import BadPoint, VerificationReport, sample_unit_modulus, verify_family
 from .rmpoly import rm_closed, rm_recursive
 
 
@@ -102,6 +104,14 @@ def _cmd_rm(args, out) -> int:
     return status
 
 
+def _finite_or_bad(report):
+    """The report itself, or a BadPoint when any of its numbers is not finite (strict JSON)."""
+    if isinstance(report, VerificationReport) and not all(map(cmath.isfinite, astuple(report))):
+        reason = f"non-finite value in the report at x0 = {report.root!r}"
+        return BadPoint(report.n, report.M_sample, reason)
+    return report
+
+
 def _cmd_verify(args, out) -> int:
     samples = sample_unit_modulus(args.samples, args.seed)
     results = []
@@ -110,7 +120,7 @@ def _cmd_verify(args, out) -> int:
         if n == 0:
             results.append({"n": 0, "status": "degenerate", "reports": []})
             continue
-        reports = verify_family(n, samples, args.tol)
+        reports = [_finite_or_bad(r) for r in verify_family(n, samples, args.tol)]
         ok = all(r.passed for r in reports)
         all_passed = all_passed and ok
         results.append(

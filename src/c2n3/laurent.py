@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from functools import partial
 from itertools import compress, repeat
 from typing import Iterable, Mapping, NamedTuple
@@ -207,18 +206,21 @@ class LaurentPoly:
                 out[Monomial(*exps)] = c
         return LaurentPoly._raw(out)
 
-    def substitute(self, var: str, value: "RationalExpr", clear_deg: int) -> "LaurentPoly":
+    def substitute(self, var: str, num: "LaurentPoly", den: "LaurentPoly",
+                   clear_deg: int) -> "LaurentPoly":
         """Substitute num/den for var and clear denominators.
 
         Returns sum_k coeff(var, k) * num**k * den**(clear_deg - k), which
-        equals self(var := num/den) * den**clear_deg.  Requires nonnegative
-        exponents of var and clear_deg >= degree(var) so the result stays in
-        the ring.
+        equals self(var := num/den) * den**clear_deg.  Requires a nonzero
+        den, nonnegative exponents of var and clear_deg >= degree(var) so
+        the result stays in the ring.
         """
         _var_index(var)
         _checked_int(clear_deg, "clear_deg")
         if clear_deg < 0:
             raise ValueError("clear_deg must be nonnegative")
+        if not den:
+            raise ValueError("denominator must be nonzero")
         if not self._terms:
             return ZERO
         if self.min_exp(var) < 0:
@@ -228,10 +230,10 @@ class LaurentPoly:
             raise ValueError(f"clear_deg {clear_deg} is below the {var}-degree {deg}")
         num_pow = [ONE]
         for _ in range(deg):
-            num_pow.append(num_pow[-1] * value.num)
+            num_pow.append(num_pow[-1] * num)
         den_pow = [ONE]
         for _ in range(clear_deg):
-            den_pow.append(den_pow[-1] * value.den)
+            den_pow.append(den_pow[-1] * den)
         out = ZERO
         for k in range(deg + 1):
             part = self.coeff(var, k)
@@ -262,26 +264,37 @@ class LaurentPoly:
 
     # -- numeric evaluation ----------------------------------------------
 
-    def eval_numeric(self, assign: Mapping[str, complex]) -> complex:
-        """Evaluate at complex values by nested sparse Horner recursion.
+    def at_meridian(self, M0) -> tuple[list, list]:
+        """Set M to the number M0: coefficients and term-magnitude sums per power of L or x.
 
-        Variables that occur with a negative exponent must be assigned a
-        nonzero value.  Variables that do not occur may be omitted.
+        The polynomial may use M and one other variable, L or x, with
+        nonnegative exponents.  Entry k of the first list is sum c * M0**e
+        and entry k of the second is sum |c| * |M0|**e, both over the terms
+        c * M^e * var^k; the lists are empty for the zero polynomial.  M0
+        may be a complex or an mpmath mpc, which keeps its working
+        precision throughout.
         """
-        if not self._terms:
-            return 0j
-        values: list[complex | None] = []
-        for i, name in enumerate(VARIABLES):
-            if all(m[i] == 0 for m in self._terms):
-                values.append(None)
-                continue
-            if name not in assign:
-                raise KeyError(f"no value assigned to variable {name}")
-            z = complex(assign[name])
-            if z == 0 and any(m[i] < 0 for m in self._terms):
-                raise ZeroDivisionError(f"{name} = 0 but {name} occurs with negative exponents")
-            values.append(z)
-        return _horner(sorted(self._terms.items()), 0, values)
+        terms = self._terms
+        axis = 0 if any(m[0] for m in terms) else 2
+        if axis == 0 and any(m[2] for m in terms):
+            raise ValueError("at_meridian needs a polynomial in M and one of L, x")
+        if any(m[axis] < 0 for m in terms):
+            raise ValueError(f"cannot specialize negative exponents of {VARIABLES[axis]}")
+        if M0 == 0 and any(m[1] < 0 for m in terms):
+            raise ZeroDivisionError("M = 0 but M occurs with negative exponents")
+        size = max((m[axis] for m in terms), default=-1) + 1
+        zero = 0 * M0
+        values = [zero] * size
+        bounds = [abs(zero)] * size
+        modulus = abs(M0)
+        powers = {}
+        for m, c in terms.items():
+            power = powers.get(m[1])
+            if power is None:
+                power = powers[m[1]] = (M0 ** m[1], modulus ** m[1])
+            values[m[axis]] += c * power[0]
+            bounds[m[axis]] += abs(c) * power[1]
+        return values, bounds
 
     # -- canonical JSON ----------------------------------------------------
 
@@ -462,47 +475,6 @@ def _mul_packed(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial
         keys = map(_new_monomial, zip(repeat(l), range(lo, hi + 1, stride), repeat(x)))
         out.update(compress(zip(keys, coeffs), coeffs))  # zero slots are not terms
     return out
-
-
-def _horner(items, axis, values):
-    # items are (Monomial, coeff) pairs in ascending lex order, so grouping by
-    # the current axis keeps each group contiguous and internally sorted.
-    if axis == 3:
-        return complex(items[0][1])
-    groups = []
-    start = 0
-    while start < len(items):
-        exp = items[start][0][axis]
-        stop = start
-        while stop < len(items) and items[stop][0][axis] == exp:
-            stop += 1
-        groups.append((exp, _horner(items[start:stop], axis + 1, values)))
-        start = stop
-    if len(groups) == 1 and groups[0][0] == 0:
-        return groups[0][1]
-    z = values[axis]
-    groups.reverse()
-    exp, acc = groups[0]
-    for next_exp, val in groups[1:]:
-        acc = acc * z ** (exp - next_exp) + val
-        exp = next_exp
-    if exp:
-        acc = acc * z**exp
-    return acc
-
-
-@dataclass(frozen=True)
-class RationalExpr:
-    """A formal quotient num/den of Laurent polynomials with den nonzero."""
-
-    num: LaurentPoly
-    den: LaurentPoly
-
-    def __post_init__(self):
-        if not isinstance(self.num, LaurentPoly) or not isinstance(self.den, LaurentPoly):
-            raise TypeError("num and den must be LaurentPoly values")
-        if self.den.is_zero():
-            raise ValueError("denominator must be nonzero")
 
 
 def mono(coeff: int, l: int = 0, m: int = 0, x: int = 0) -> LaurentPoly:

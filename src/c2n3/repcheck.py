@@ -12,6 +12,7 @@ with the numeric difficulty of large |n|.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -21,7 +22,6 @@ import mpmath as mp
 import numpy as np
 
 from .apoly import APolyResult, apoly_theorem
-from .laurent import LaurentPoly
 from .rmpoly import rm_closed
 
 
@@ -33,75 +33,42 @@ class DegreeCollapseError(ArithmeticError):
     """Specializing M collapsed the x-degree: the leading coefficient vanished."""
 
 
-@dataclass(frozen=True)
-class Word:
-    """Freely reduced word in the generators s and t.
+class RepeatedRootError(ArithmeticError):
+    """Two polished roots of P_2n at one meridian came out equal, so another root went unchecked."""
 
-    letters holds (generator, exponent) pairs with nonzero exponents and no
-    two adjacent letters sharing a generator.
-    """
 
-    letters: tuple[tuple[str, int], ...] = ()
-
-    @classmethod
-    def from_letters(cls, letters: Iterable[tuple[str, int]]) -> "Word":
-        stack: list[list] = []
-        for gen, exp in letters:
-            if gen not in ("s", "t"):
-                raise ValueError(f"unknown generator {gen!r}")
-            if isinstance(exp, bool) or not isinstance(exp, int):
-                raise TypeError("exponent must be an int")
-            if exp == 0:
-                continue
-            if stack and stack[-1][0] == gen:
-                stack[-1][1] += exp
-                if stack[-1][1] == 0:
-                    stack.pop()
-            else:
-                stack.append([gen, exp])
-        return cls(tuple((g, e) for g, e in stack))
-
-    def __mul__(self, other: "Word") -> "Word":
-        return Word.from_letters(self.letters + other.letters)
-
-    def inverse(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.letters)))
-
-    def reversed_letters(self) -> "Word":
-        """Letter order reversed with exponents kept (not the group inverse)."""
-        return Word(tuple(reversed(self.letters)))
-
-    def power(self, k: int) -> "Word":
-        if k == 0:
-            return Word()
-        base = self if k > 0 else self.inverse()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
-
-    def exponent_sum(self) -> int:
-        return sum(e for _, e in self.letters)
-
+# A word in the generators s and t: a tuple of (generator, exponent) letters.
+Letters = tuple[tuple[str, int], ...]
 
 _TWIST_BLOCK = (("t", 1), ("s", -1), ("t", 1), ("s", 1), ("t", -1), ("s", 1))
 
 
-def build_w(n: int) -> Word:
+def _reduced(letters: Iterable[tuple[str, int]]) -> Letters:
+    """Free reduction: merge adjacent letters of one generator and drop zero exponents."""
+    stack: list[tuple[str, int]] = []
+    for gen, exp in letters:
+        if stack and stack[-1][0] == gen:
+            exp += stack.pop()[1]
+        if exp:
+            stack.append((gen, exp))
+    return tuple(stack)
+
+
+def build_w(n: int) -> Letters:
     """The conjugating word (t s^-1 t s t^-1 s)^n; formal inverse blocks for n < 0."""
-    return Word.from_letters(_TWIST_BLOCK).power(n)
+    block = _TWIST_BLOCK if n >= 0 else tuple((g, -e) for g, e in reversed(_TWIST_BLOCK))
+    return _reduced(block * abs(n))
 
 
-def build_longitude(n: int) -> Word:
+def build_longitude(n: int) -> Letters:
     """The null-homologous longitude w * reverse(w) * s^(-4n); empty for n = 0."""
     w = build_w(n)
-    return w * w.reversed_letters() * Word.from_letters((("s", -4 * n),))
+    return _reduced(w + w[::-1] + (("s", -4 * n),))
 
 
-def relator_word(n: int) -> Word:
+def relator_word(n: int) -> Letters:
     """The group relation s w t^-1 w^-1, trivial exactly on representation points."""
-    w = build_w(n)
-    return Word.from_letters((("s", 1),)) * w * Word.from_letters((("t", -1),)) * w.inverse()
+    return _reduced((("s", 1),) + build_w(n) + (("t", -1),) + build_w(-n))
 
 
 def rho_matrices(M0: complex, x0: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -123,12 +90,12 @@ def _inv2(mat: np.ndarray) -> np.ndarray:
     return np.array([[mat[1, 1], -mat[0, 1]], [-mat[1, 0], mat[0, 0]]], dtype=complex) / det
 
 
-def eval_word(word: Word, s_mat: np.ndarray, t_mat: np.ndarray) -> np.ndarray:
+def eval_word(word: Letters, s_mat: np.ndarray, t_mat: np.ndarray) -> np.ndarray:
     """Image of a word under the homomorphism sending s, t to the given matrices."""
     return _eval_word_tracked(word, s_mat, t_mat)[0]
 
 
-def _eval_word_tracked(word: Word, s_mat, t_mat) -> tuple[np.ndarray, float]:
+def _eval_word_tracked(word: Letters, s_mat, t_mat) -> tuple[np.ndarray, float]:
     steps = {
         ("s", 1): np.asarray(s_mat, dtype=complex),
         ("t", 1): np.asarray(t_mat, dtype=complex),
@@ -137,7 +104,7 @@ def _eval_word_tracked(word: Word, s_mat, t_mat) -> tuple[np.ndarray, float]:
     steps[("t", -1)] = _inv2(steps[("t", 1)])
     acc = np.eye(2, dtype=complex)
     cond = 2.0
-    for gen, exp in word.letters:
+    for gen, exp in word:
         step = steps[(gen, 1 if exp > 0 else -1)]
         for _ in range(abs(exp)):
             acc = acc @ step
@@ -148,33 +115,34 @@ def _eval_word_tracked(word: Word, s_mat, t_mat) -> tuple[np.ndarray, float]:
 def roots_of_rm(n: int, M0: complex) -> list[complex]:
     """All roots of x -> P_2n(x, M0), by companion-matrix eigenvalues plus Newton polishing.
 
-    Raises DegreeCollapseError when the leading coefficient vanishes at M0
-    rather than silently solving a lower-degree polynomial.  The eigenvalue
-    step runs in doubles; each root is then polished by Newton iteration at
-    40 decimal digits from the exact integer coefficients, so the returned
-    doubles are accurate to full precision even where the specialized
-    polynomial is badly scaled.  Roots come sorted by (real, imaginary).
+    P_2n is specialized at M0 once, to 40 decimal digits.  The eigenvalue
+    step runs on those coefficients rounded to doubles; each root is then
+    polished by Newton iteration on the 40-digit coefficients, so the
+    returned doubles are accurate to full precision even where the
+    specialized polynomial is badly scaled.  Roots come sorted by (real,
+    imaginary).  Raises DegreeCollapseError when the leading coefficient
+    vanishes at M0 rather than silently solving a lower-degree polynomial,
+    and RepeatedRootError when two starting points polish to one root, so
+    that no root goes unchecked without notice.
     """
     poly = rm_closed(n).poly
-    degree = poly.degree("x")
-    coeffs = np.array(
-        [poly.coeff("x", k).eval_numeric({"M": M0}) for k in range(degree, -1, -1)],
-        dtype=complex,
-    )
-    scale = float(np.abs(coeffs).max())
-    if scale == 0.0:
-        raise ValueError("P specialized to the zero polynomial")
-    if degree == 0:
-        return []
-    if abs(coeffs[0]) <= 1e-12 * scale:
-        raise DegreeCollapseError(f"leading x-coefficient vanishes at M0 = {M0!r}")
     with mp.workdps(40):
-        m_val = mp.mpc(complex(M0))
-        exact = [
-            sum((c * m_val**m.expM for m, c in poly.coeff("x", k).terms()), mp.mpc(0))
-            for k in range(degree, -1, -1)
-        ]
+        exact, _ = poly.at_meridian(mp.mpc(complex(M0)))
+        exact.reverse()
+        coeffs = np.array([complex(c) for c in exact])
+        scale = float(np.abs(coeffs).max())
+        if scale == 0.0:
+            raise ValueError("P specialized to the zero polynomial")
+        if len(coeffs) == 1:
+            return []
+        if abs(coeffs[0]) <= 1e-12 * scale:
+            raise DegreeCollapseError(f"leading x-coefficient vanishes at M0 = {M0!r}")
         polished = [_polish_root(z, exact) for z in np.roots(coeffs)]
+    for a, b in itertools.combinations(polished, 2):
+        if abs(a - b) < 1e-12 * max(1.0, abs(a)):
+            raise RepeatedRootError(
+                f"two roots of P_2n for n = {n} polished to the same value {a!r} at M0 = {M0!r}"
+            )
     polished.sort(key=lambda z: (z.real, z.imag))
     return polished
 
@@ -239,14 +207,12 @@ class VerificationReport:
         }
 
 
-def _apoly_value_and_scale(poly: LaurentPoly, L0: complex, M0: complex) -> tuple[complex, float]:
-    total = 0j
-    scale = 0.0
-    for monomial, coeff in poly.terms():
-        term = coeff * L0**monomial.expL * M0**monomial.expM
-        total += term
-        scale += abs(term)
-    return total, scale
+def _horner(coeffs: Sequence, z):
+    """sum_k coeffs[k] * z**k by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
 
 
 def verify_point(n: int, M0: complex, x0: complex, tol: float, apoly=None) -> VerificationReport:
@@ -272,8 +238,8 @@ def verify_point(n: int, M0: complex, x0: complex, tol: float, apoly=None) -> Ve
     if apoly is None:
         apoly = apoly_theorem(n)
     poly = apoly.poly if isinstance(apoly, APolyResult) else apoly
-    value, scale = _apoly_value_and_scale(poly, L0, M0)
-    apoly_residual = float(abs(value) / scale)
+    values, bounds = poly.at_meridian(M0)
+    apoly_residual = float(abs(_horner(values, L0)) / _horner(bounds, abs(L0)))
     passed = (
         relation_residual <= tol * cond_rel
         and longitude_mismatch <= tol * cond_lon
@@ -314,11 +280,45 @@ def sample_unit_modulus(count: int, seed: int, margin: float = 0.05) -> list[com
     return samples
 
 
-def verify_family(n: int, M_samples: Sequence[complex], tol: float) -> list[VerificationReport]:
-    """verify_point over every root of P_2n at every provided meridian sample."""
+@dataclass(frozen=True)
+class BadPoint:
+    """A meridian sample, or one root at it, that could not be verified, with the reason."""
+
+    n: int
+    M_sample: complex
+    reason: str
+    passed = False
+
+    def to_json_obj(self) -> dict:
+        return {
+            "n": self.n,
+            "M_sample": [self.M_sample.real, self.M_sample.imag],
+            "status": "error",
+            "reason": self.reason,
+        }
+
+
+def verify_family(
+    n: int, M_samples: Sequence[complex], tol: float
+) -> list[VerificationReport | BadPoint]:
+    """verify_point over every root of P_2n at every provided meridian sample.
+
+    A sample whose roots cannot be trusted (DegreeCollapseError,
+    RepeatedRootError) gives one BadPoint in place of its reports, and a
+    root where the longitude eigenvalue is undefined (SingularPointError)
+    gives one in place of its report.
+    """
     apoly = apoly_theorem(n)
-    reports: list[VerificationReport] = []
+    reports: list[VerificationReport | BadPoint] = []
     for M0 in M_samples:
-        for x0 in roots_of_rm(n, M0):
-            reports.append(verify_point(n, M0, x0, tol, apoly=apoly))
+        try:
+            roots = roots_of_rm(n, M0)
+        except (DegreeCollapseError, RepeatedRootError) as exc:
+            reports.append(BadPoint(n, complex(M0), str(exc)))
+            continue
+        for x0 in roots:
+            try:
+                reports.append(verify_point(n, M0, x0, tol, apoly=apoly))
+            except SingularPointError as exc:
+                reports.append(BadPoint(n, complex(M0), f"{exc} at x0 = {x0!r}"))
     return reports

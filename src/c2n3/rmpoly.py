@@ -100,29 +100,32 @@ def rm_recursive(n: int) -> RMResult:
     return RMResult(n, cur, "recursive")
 
 
-def rm_closed(n: int) -> RMResult:
-    """P_2n by the closed-form finite sum.
+def summation_indices(n: int) -> list[tuple[int, int, int]]:
+    """(i, j, C) for each summand of the closed forms of P_2n and A_2n.
 
-    For n >= 0 the summand at index i is
-        C(n + floor(i/2), i) * M^(4n) * (M^2 + M^-2 + x - 1)^i * (-x)^floor((1+i)/2),
-    summed over 0 <= i <= 2n; for n < 0 the base is negated, the prefactor is
-    M^(-4n-2), the binomial is C(-n + floor((i-1)/2), i), and i runs to
-    -2n - 1.  Out-of-range binomials vanish via binom_z.
+    j = floor((1+i)/2) throughout.  For n >= 0, i runs over 0 <= i <= 2n
+    and C = C(n + floor(i/2), i); for n < 0, i runs over 0 <= i < -2n and
+    C = C(-n + floor((i-1)/2), i).  Out-of-range binomials vanish via binom_z.
     """
-    acc = ZERO
     if n >= 0:
-        power = ONE
-        for i in range(2 * n + 1):
-            j = (1 + i) // 2
-            c = binom_z(n + i // 2, i) * (-1) ** j
-            acc = acc + mono(c, m=4 * n, x=j) * power
-            power = power * _BASE
+        return [(i, (1 + i) // 2, binom_z(n + i // 2, i)) for i in range(2 * n + 1)]
+    return [(i, (1 + i) // 2, binom_z(-n + (i - 1) // 2, i)) for i in range(-2 * n)]
+
+
+def rm_closed(n: int) -> RMResult:
+    """P_2n by the closed-form finite sum over summation_indices(n).
+
+    For n >= 0 the summand is C * M^(4n) * (M^2 + M^-2 + x - 1)^i * (-x)^j;
+    for n < 0 the base is negated and the prefactor is M^(-4n-2).
+    """
+    if n >= 0:
+        base, prefactor = _BASE, 4 * n
     else:
-        negated = -_BASE
-        power = ONE
-        for i in range(-2 * n):
-            j = (1 + i) // 2
-            c = binom_z(-n + (i - 1) // 2, i) * (-1) ** j
-            acc = acc + mono(c, m=-4 * n - 2, x=j) * power
-            power = power * negated
+        base, prefactor = -_BASE, -4 * n - 2
+    acc = ZERO
+    power = ONE
+    for i, j, c in summation_indices(n):
+        if i:
+            power = power * base
+        acc = acc + mono(c * (-1) ** j, m=prefactor, x=j) * power
     return RMResult(n, acc, "closed")

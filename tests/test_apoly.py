@@ -42,12 +42,8 @@ A2_JSON = (
 
 
 def test_substitution_x_fixtures():
-    r0 = substitution_x(0)
-    assert r0.num == -(ONE + mono(1, l=1, m=6))
-    assert r0.den == mono(1, m=2) + mono(1, l=1, m=4)
-    rm1 = substitution_x(-1)
-    assert rm1.num == -(ONE + mono(1, l=1, m=2))
-    assert rm1.den == mono(1, m=2) + mono(1, l=1)
+    assert substitution_x(0) == (-(ONE + mono(1, l=1, m=6)), mono(1, m=2) + mono(1, l=1, m=4))
+    assert substitution_x(-1) == (-(ONE + mono(1, l=1, m=2)), mono(1, m=2) + mono(1, l=1))
 
 
 def test_a0_is_one_on_both_paths():

@@ -10,6 +10,7 @@ import pytest
 from c2n3 import cli
 from c2n3.apoly import APolyResult, apoly_theorem
 from c2n3.laurent import LaurentPoly
+from c2n3.repcheck import sample_unit_modulus
 from c2n3.rmpoly import RMResult, rm_closed
 from test_apoly import A2_JSON, A2_TEXT
 
@@ -163,10 +164,30 @@ def test_verify_output_is_strict_json(monkeypatch):
         return [replace(r, apoly_residual=float("nan")) for r in real_verify_family(n, samples, tol)]
 
     monkeypatch.setattr(cli, "verify_family", nan_residuals)
-    buf = io.StringIO()
-    with pytest.raises(ValueError):
-        cli.main(["verify", "--n", "1", "--samples", "1"], out=buf)
-    assert buf.getvalue() == ""
+    code, out = run(["verify", "--n", "1", "--samples", "1"])
+    assert code == 1
+    (result,) = json.loads(out, parse_constant=_reject_constant)["results"]
+    assert result["status"] == "failed"
+    assert len(result["reports"]) == 3
+    for entry in result["reports"]:
+        assert set(entry) == {"n", "M_sample", "status", "reason"}
+        assert entry["status"] == "error"
+        assert entry["reason"].startswith("non-finite value in the report at x0 = ")
+
+
+def test_verify_reports_repeated_roots_as_error_entries():
+    # at these meridians two np.roots starting points polish to one root of P_16
+    code, out = run(["verify", "--n", "8", "--samples", "20", "--seed", "0"])
+    assert code == 1
+    (result,) = json.loads(out, parse_constant=_reject_constant)["results"]
+    assert result["status"] == "failed"
+    errors = [entry for entry in result["reports"] if entry.get("status") == "error"]
+    samples = sample_unit_modulus(20, seed=0)
+    bad_samples = [samples[k] for k in (1, 13, 16, 17)]
+    assert [complex(*entry["M_sample"]) for entry in errors] == bad_samples
+    assert all("polished to the same value" in entry["reason"] for entry in errors)
+    assert len(result["reports"]) == 4 + 16 * 24
+    assert all(entry["passed"] for entry in result["reports"] if "passed" in entry)
 
 
 def test_newton_lines():

@@ -3,6 +3,8 @@
 import json
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -12,7 +14,6 @@ from c2n3.laurent import (
     ZERO,
     LaurentPoly,
     Monomial,
-    RationalExpr,
     _mul_packed,
     _row_packing_pays,
     mono,
@@ -61,9 +62,9 @@ angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False)
 unit_band_complex = st.builds(
     lambda r, t: complex(r * math.cos(t), r * math.sin(t)), moduli, angles
 )
-assignments = st.fixed_dictionaries(
-    {"L": unit_band_complex, "M": unit_band_complex, "x": unit_band_complex}
-)
+polys_in_m_and_x = st.dictionaries(
+    st.tuples(st.just(0), exponents, st.integers(0, 3)), coefficients, max_size=5
+).map(LaurentPoly)
 
 # fixed cubics shared by several tests, written out term by term
 P_PLUS2 = (
@@ -279,27 +280,27 @@ def test_coeff_reconstructs_polynomial(p):
 def test_substitute_examples():
     num = ONE + mono(1, l=1, m=6)
     den = mono(1, m=2) + mono(1, l=1)
-    r = RationalExpr(num, den)
-    assert mono(1, x=1).substitute("x", r, 1) == num
-    assert ONE.substitute("x", r, 3) == den**3
-    assert ZERO.substitute("x", r, 2) == ZERO
+    assert mono(1, x=1).substitute("x", num, den, 1) == num
+    assert ONE.substitute("x", num, den, 3) == den**3
+    assert ZERO.substitute("x", num, den, 2) == ZERO
 
 
 def test_substitute_rejects_bad_inputs():
-    r = RationalExpr(ONE, mono(1, m=2))
+    den = mono(1, m=2)
     with pytest.raises(ValueError):
-        mono(1, x=-1).substitute("x", r, 2)
+        mono(1, x=-1).substitute("x", ONE, den, 2)
     with pytest.raises(ValueError):
-        mono(1, x=3).substitute("x", r, 2)
+        mono(1, x=3).substitute("x", ONE, den, 2)
     with pytest.raises(ValueError):
-        mono(1, x=1).substitute("x", r, -1)
+        mono(1, x=1).substitute("x", ONE, den, -1)
     with pytest.raises(ValueError):
-        mono(1, x=1).substitute("y", r, 1)
+        mono(1, x=1).substitute("y", ONE, den, 1)
 
 
-def test_rational_expr_rejects_zero_denominator():
-    with pytest.raises(ValueError):
-        RationalExpr(ONE, ZERO)
+def test_substitute_rejects_zero_denominator():
+    for p in (mono(1, x=1), ONE, ZERO):
+        with pytest.raises(ValueError, match="denominator"):
+            p.substitute("x", ONE, ZERO, 1)
 
 
 @given(p=polys_x_nonneg, num=polys, den=polys, extra=st.integers(0, 2))
@@ -307,7 +308,7 @@ def test_substitute_matches_brute_force(p, num, den, extra):
     assume(not den.is_zero())
     degree = 0 if p.is_zero() else p.degree("x")
     clear = degree + extra
-    lhs = as_dict(p.substitute("x", RationalExpr(num, den), clear))
+    lhs = as_dict(p.substitute("x", num, den, clear))
     rhs: dict = {}
     for k in range(degree + 1):
         part = naive_mul(as_dict(p.coeff("x", k)), naive_pow(as_dict(num), k))
@@ -338,41 +339,67 @@ def test_normalize_unit_reconstructs_and_is_idempotent(p):
     assert (again, unit2, sign2) == (q, UNIT_MONOMIAL, 1)
 
 
+def _value(p, M0, z):
+    values, _ = p.at_meridian(M0)
+    return np.polyval(values[::-1], z) if values else 0
+
+
 def test_eval_examples():
-    assert P_MINUS2.eval_numeric({"x": 1, "M": 1}) == pytest.approx(3)
-    assert Q_CUBIC.eval_numeric({"x": 0, "M": 1}) == pytest.approx(2)
-    assert ONE.eval_numeric({}) == 1
-    assert ZERO.eval_numeric({}) == 0
+    assert _value(P_MINUS2, 1, 1) == pytest.approx(3)
+    assert _value(Q_CUBIC, 1, 0) == pytest.approx(2)
+    assert ONE.at_meridian(2) == ([1], [1])
+    assert ZERO.at_meridian(2) == ([], [])
+    values, bounds = (mono(3, l=2, m=-1) - mono(4, l=2, m=1) + mono(1, m=2)).at_meridian(2j)
+    assert values == [-4, 0j, -1.5j - 8j]
+    assert bounds == [4, 0, 3 / 2 + 8]
+    # the remaining variable keeps its gaps and starts at power 0
+    lengths = [len(p.at_meridian(1)[0]) for p in (mono(1, x=3), mono(1, l=2), mono(7, m=-3))]
+    assert lengths == [4, 3, 1]
+
+
+def test_eval_keeps_mpmath_precision():
+    with mp.workdps(40):
+        M0 = mp.mpc(1, 3) / 7
+        values, bounds = Q_CUBIC.at_meridian(M0)
+        assert all(type(v) is mp.mpc for v in values)
+        assert all(type(b) is mp.mpf for b in bounds)
+        expected = -(M0**8) + 2 * M0**6 - 3 * M0**4 + 2 * M0**2 - 1
+        assert abs(values[1] - expected) < mp.mpf(10) ** -38
+    plain, _ = Q_CUBIC.at_meridian(complex(1, 3) / 7)
+    assert all(abs(complex(v) - w) < 1e-15 for v, w in zip(values, plain))
 
 
 def test_eval_error_cases():
-    p = mono(1, m=-2) + mono(1, x=1)
     with pytest.raises(ZeroDivisionError):
-        p.eval_numeric({"M": 0, "x": 1})
-    with pytest.raises(KeyError):
-        p.eval_numeric({"M": 2})
-    # unused variables may be omitted entirely
-    assert mono(1, m=2).eval_numeric({"M": 2}) == pytest.approx(4)
+        (mono(1, m=-2) + mono(1, x=1)).at_meridian(0)
+    assert (mono(1, m=2) + mono(1, x=1)).at_meridian(0) == ([0, 1], [0, 1])
+    with pytest.raises(ValueError, match="one of L, x"):
+        (mono(1, l=1) + mono(1, x=1)).at_meridian(2)
+    with pytest.raises(ValueError, match="negative exponents of x"):
+        (ONE + mono(1, x=-1)).at_meridian(2)
+    with pytest.raises(ValueError, match="negative exponents of L"):
+        mono(1, l=-1, m=2).at_meridian(2)
 
 
-def _term_magnitude_sum(p, assign):
-    total = 0.0
-    for m, c in p.terms():
-        total += (
-            abs(c)
-            * abs(assign["L"]) ** m.expL
-            * abs(assign["M"]) ** m.expM
-            * abs(assign["x"]) ** m.expX
-        )
-    return total
-
-
-@given(p=polys, q=polys, assign=assignments)
-def test_eval_is_multiplicative(p, q, assign):
-    lhs = (p * q).eval_numeric(assign)
-    rhs = p.eval_numeric(assign) * q.eval_numeric(assign)
-    scale = max(1.0, _term_magnitude_sum(p, assign) * _term_magnitude_sum(q, assign))
+@given(p=polys_in_m_and_x, q=polys_in_m_and_x, M0=unit_band_complex, z=unit_band_complex)
+def test_eval_is_multiplicative(p, q, M0, z):
+    lhs = _value(p * q, M0, z)
+    rhs = _value(p, M0, z) * _value(q, M0, z)
+    scale = max(1.0, _magnitude(p, M0, z) * _magnitude(q, M0, z))
     assert abs(lhs - rhs) <= 1e-10 * scale
+
+
+def _magnitude(p, M0, z):
+    _, bounds = p.at_meridian(M0)
+    return sum(b * abs(z) ** k for k, b in enumerate(bounds))
+
+
+@given(p=polys_in_m_and_x, M0=unit_band_complex)
+def test_eval_magnitude_sums_bound_their_coefficients(p, M0):
+    values, bounds = p.at_meridian(M0)
+    assert len(values) == len(bounds)
+    for value, bound in zip(values, bounds):
+        assert abs(value) <= bound * (1 + 1e-12)
 
 
 def test_json_fixed_strings():

@@ -10,9 +10,10 @@ from hypothesis import assume, given, strategies as st
 from c2n3.apoly import substitution_x
 from c2n3.repcheck import (
     DegreeCollapseError,
+    RepeatedRootError,
     SingularPointError,
     VerificationReport,
-    Word,
+    _reduced,
     build_longitude,
     build_w,
     eval_word,
@@ -32,56 +33,42 @@ TWIST_BLOCK = (("t", 1), ("s", -1), ("t", 1), ("s", 1), ("t", -1), ("s", 1))
 
 
 def test_word_free_reduction():
-    assert Word.from_letters([("s", 1), ("s", 1)]).letters == (("s", 2),)
-    assert Word.from_letters([("s", 1), ("s", -1)]).letters == ()
-    assert Word.from_letters([("s", 1), ("t", 1), ("t", -1), ("s", 1)]).letters == (("s", 2),)
-    assert Word.from_letters([("s", 0), ("t", 2)]).letters == (("t", 2),)
-
-
-def test_word_rejects_bad_letters():
-    with pytest.raises(ValueError):
-        Word.from_letters([("u", 1)])
-    with pytest.raises(TypeError):
-        Word.from_letters([("s", 1.0)])
-    with pytest.raises(TypeError):
-        Word.from_letters([("s", True)])
-
-
-def test_word_algebra():
-    w = Word.from_letters([("s", 1), ("t", 2)])
-    assert w.inverse().letters == (("t", -2), ("s", -1))
-    assert (w * w.inverse()).letters == ()
-    assert w.power(0) == Word()
-    assert w.power(-2) == w.inverse() * w.inverse()
-    assert w.power(3) == w * w * w
-    assert w.exponent_sum() == 3
-    assert w.reversed_letters().letters == (("t", 2), ("s", 1))
+    assert _reduced([("s", 1), ("s", 1)]) == (("s", 2),)
+    assert _reduced([("s", 1), ("s", -1)]) == ()
+    assert _reduced([("s", 1), ("t", 1), ("t", -1), ("s", 1)]) == (("s", 2),)
+    assert _reduced([("s", 0), ("t", 2)]) == (("t", 2),)
+    assert _reduced([("t", 2), ("s", 0), ("t", -1)]) == (("t", 1),)
 
 
 def test_build_w_literals():
-    assert build_w(0) == Word()
-    assert build_w(1).letters == TWIST_BLOCK
-    assert build_w(-1).letters == (
+    assert build_w(0) == ()
+    assert build_w(1) == TWIST_BLOCK
+    assert build_w(-1) == (
         ("s", -1), ("t", 1), ("s", -1), ("t", -1), ("s", 1), ("t", -1),
     )
-    assert build_w(2) == build_w(1) * build_w(1)
-    assert build_w(-2) == build_w(-1) * build_w(-1)
+    assert build_w(2) == build_w(1) + build_w(1)
+    assert build_w(-2) == build_w(-1) + build_w(-1)
 
 
 def test_build_longitude_literals():
-    assert build_longitude(0) == Word()
-    assert build_longitude(1).letters == (
+    assert build_longitude(0) == ()
+    assert build_longitude(1) == (
         ("t", 1), ("s", -1), ("t", 1), ("s", 1), ("t", -1), ("s", 2),
         ("t", -1), ("s", 1), ("t", 1), ("s", -1), ("t", 1), ("s", -4),
+    )
+    # for n < 0 the leading s cancels against w and t^-1 merges with its neighbours
+    assert relator_word(-1) == (
+        ("t", 1), ("s", -1), ("t", -1), ("s", 1), ("t", -1),
+        ("s", -1), ("t", 1), ("s", 1), ("t", -1), ("s", 1),
     )
 
 
 @pytest.mark.parametrize("n", range(-5, 6))
 def test_exponent_sums(n):
-    assert build_longitude(n).exponent_sum() == 0
+    assert sum(e for _, e in build_longitude(n)) == 0
     relator = relator_word(n)
-    s_sum = sum(e for g, e in relator.letters if g == "s")
-    t_sum = sum(e for g, e in relator.letters if g == "t")
+    s_sum = sum(e for g, e in relator if g == "s")
+    t_sum = sum(e for g, e in relator if g == "t")
     assert (s_sum, t_sum) == (1, -1)
 
 
@@ -104,10 +91,9 @@ def test_rho_fixtures():
 
 def test_eval_word_examples():
     s_mat, t_mat = rho_matrices(0.7 + 0.5j, 0.3 - 0.2j)
-    assert np.allclose(eval_word(Word(), s_mat, t_mat), np.eye(2))
-    st_word = Word.from_letters([("s", 1), ("t", 1)])
-    assert np.allclose(eval_word(st_word, s_mat, t_mat), s_mat @ t_mat)
-    s_inv = eval_word(Word.from_letters([("s", -1)]), s_mat, t_mat)
+    assert np.allclose(eval_word((), s_mat, t_mat), np.eye(2))
+    assert np.allclose(eval_word((("s", 1), ("t", 1)), s_mat, t_mat), s_mat @ t_mat)
+    s_inv = eval_word((("s", -1),), s_mat, t_mat)
     assert np.allclose(s_mat @ s_inv, np.eye(2))
 
 
@@ -115,12 +101,12 @@ def test_eval_word_rejects_singular_generator_images():
     singular = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
     good = np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
-        eval_word(Word.from_letters([("s", 1)]), singular, good)
+        eval_word((("s", 1),), singular, good)
 
 
 words = st.lists(
     st.tuples(st.sampled_from(["s", "t"]), st.integers(-2, 2)), max_size=4
-).map(Word.from_letters)
+).map(_reduced)
 radii = st.floats(min_value=0.8, max_value=1.25, allow_nan=False)
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False)
 meridians = st.builds(lambda r, t: r * cmath.exp(1j * t), radii, angles)
@@ -166,12 +152,24 @@ def test_roots_are_polished_to_tiny_residuals(n):
     poly = rm_closed(n).poly
     roots = roots_of_rm(n, M0)
     assert len(roots) == poly.degree("x")
+    values, bounds = poly.at_meridian(M0)
     for x0 in roots:
-        value = poly.eval_numeric({"M": M0, "x": x0})
-        scale = sum(
-            abs(c) * abs(M0) ** m.expM * abs(x0) ** m.expX for m, c in poly.terms()
-        )
+        value = np.polyval(values[::-1], x0)
+        scale = np.polyval(bounds[::-1], abs(x0))
         assert abs(value) <= 1e-12 * scale
+
+
+def test_roots_that_polish_to_one_value_raise():
+    samples = sample_unit_modulus(20, seed=0)
+    for n, picks in ((8, (1, 13, 16, 17)), (-8, (1, 13))):
+        for k in picks:
+            with pytest.raises(RepeatedRootError, match=f"n = {n} .* at M0 = "):
+                roots_of_rm(n, samples[k])
+    # honest roots are never that close: every seed-0 sample beyond the
+    # acceptance grid of |n| <= 4 keeps all of its roots
+    for n in (5, -5, 6, -6):
+        for M0 in samples:
+            assert len(roots_of_rm(n, M0)) == 3 * abs(n) - (n < 0)
 
 
 # -- longitude eigenvalue ----------------------------------------------------
@@ -190,10 +188,9 @@ def test_longitude_eigen_fixtures():
 def test_longitude_eigen_inverts_the_x_substitution(n, M0, x0):
     assume(abs(M0 * M0 + x0) > 0.1)
     L0 = longitude_eigen(n, M0, x0)
-    r = substitution_x(n)
-    den_val = r.den.eval_numeric({"L": L0, "M": M0})
-    assume(abs(den_val) > 1e-3)
-    x_back = r.num.eval_numeric({"L": L0, "M": M0}) / den_val
+    num, den = (np.polyval(p.at_meridian(M0)[0][::-1], L0) for p in substitution_x(n))
+    assume(abs(den) > 1e-3)
+    x_back = num / den
     assert abs(x_back - x0) <= 1e-7 * (1 + abs(x0) + abs(L0))
 
 
@@ -244,6 +241,32 @@ def test_verification_report_json_shape():
     assert obj["M_sample"] == [1.0, 0.0]
     assert isinstance(obj["passed"], bool)
     assert isinstance(report, VerificationReport)
+
+
+def test_verify_family_reports_bad_points_in_place(monkeypatch):
+    import c2n3.repcheck as repcheck
+
+    samples = sample_unit_modulus(3, seed=5)
+    real_roots = repcheck.roots_of_rm
+
+    def faulty_roots(n, M0):
+        if M0 == samples[0]:
+            raise RepeatedRootError("two roots coincide")
+        if M0 == samples[1]:
+            return [-M0 * M0] + real_roots(n, M0)  # M0^2 + x0 = 0: no longitude eigenvalue
+        return real_roots(n, M0)
+
+    monkeypatch.setattr(repcheck, "roots_of_rm", faulty_roots)
+    reports = verify_family(1, samples, 1e-8)
+    kinds = [type(r).__name__ for r in reports]
+    assert kinds == ["BadPoint", "BadPoint"] + ["VerificationReport"] * 6
+    assert reports[0].to_json_obj() == {
+        "n": 1, "M_sample": [samples[0].real, samples[0].imag],
+        "status": "error", "reason": "two roots coincide",
+    }
+    assert reports[1].M_sample == samples[1] and "M0^2 + x0 = 0" in reports[1].reason
+    assert not reports[0].passed and not reports[1].passed
+    assert all(r.passed for r in reports[2:])
 
 
 @pytest.mark.parametrize("n, roots_per_sample", [(-1, 2), (1, 3)])

@@ -50,7 +50,7 @@ def test_q_literal_and_rewrite():
     assert q_poly() == Q
     base = mono(1, m=2) + mono(1, m=-2) + mono(1, x=1) - 1
     assert q_poly() == mono(1, m=4) * (2 - mono(1, x=1) * base**2)
-    assert q_poly().eval_numeric({"x": 0.0, "M": 1.0}) == pytest.approx(2)
+    assert q_poly().at_meridian(1.0)[0][0] == pytest.approx(2)
 
 
 @pytest.mark.parametrize("fn, label", [(rm_closed, "closed"), (rm_recursive, "recursive")])
