@@ -21,7 +21,6 @@ from .laurent import (
     VARIABLES,
     ZERO,
     LaurentPoly,
-    Monomial,
     mono,
 )
 from .repcheck import (
@@ -50,7 +49,6 @@ __all__ = [
     "BadPoint",
     "DegreeCollapseError",
     "LaurentPoly",
-    "Monomial",
     "NewtonPolygon",
     "ONE",
     "RMResult",

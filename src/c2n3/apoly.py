@@ -134,7 +134,7 @@ def newton_polygon(source) -> NewtonPolygon:
     poly = source.poly if isinstance(source, APolyResult) else source
     if poly.is_zero():
         raise ValueError("the zero polynomial has no Newton polygon")
-    points = sorted({(m.expL, m.expM) for m, _ in poly.terms()})
+    points = sorted({(l, m) for (l, m, _), _ in poly.terms()})
     if len(points) == 1:
         return NewtonPolygon((points[0],), ())
     lower = []

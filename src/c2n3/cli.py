@@ -3,41 +3,42 @@
 Subcommands: compute (A-polynomial), rm (Riley-Mednykh polynomial),
 verify (seeded numeric representation checks), newton (Newton polygon).
 Exit codes: 0 on success, 1 when a verification or cross-path check fails,
-2 on malformed usage.  All output is deterministic for fixed flags and
-seed.
+2 on malformed usage, including |n| > MAX_ABS_N and --samples > MAX_SAMPLES.
+All output is deterministic for fixed flags and seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
-from dataclasses import astuple
 
 from .apoly import apoly_substitution, apoly_theorem, newton_polygon
 from .laurent import LaurentPoly
-from .repcheck import BadPoint, VerificationReport, sample_unit_modulus, verify_family
+from .repcheck import sample_unit_modulus, verify_family
 from .rmpoly import rm_closed, rm_recursive
+
+MAX_ABS_N = 100
+MAX_SAMPLES = 1000
 
 
 def _n_values(text: str) -> list[int]:
     """Parse '3' or an inclusive range '-3..3' into the list of n values."""
     raw = text.strip()
-    if ".." in raw:
-        lo_text, hi_text = raw.split("..", 1)
-        try:
-            lo, hi = int(lo_text), int(hi_text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad n range {text!r}") from None
-        if lo > hi:
-            raise argparse.ArgumentTypeError(f"n range bounds out of order in {text!r}")
-        return list(range(lo, hi + 1))
     try:
-        return [int(raw)]
+        if ".." in raw:
+            lo_text, hi_text = raw.split("..", 1)
+            lo, hi = int(lo_text), int(hi_text)
+        else:
+            lo = hi = int(raw)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad n value {text!r}") from None
+        raise argparse.ArgumentTypeError(f"bad n value or range {text!r}") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"n range bounds out of order in {text!r}")
+    if max(-lo, hi) > MAX_ABS_N:
+        raise argparse.ArgumentTypeError(f"|n| must be at most {MAX_ABS_N} in {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _render(poly: LaurentPoly, fmt: str) -> str:
@@ -48,68 +49,41 @@ def _render(poly: LaurentPoly, fmt: str) -> str:
     return poly.to_text()
 
 
-def _emit_pair(out, n, multi, fmt, first_name, first, second_name, second, agree) -> None:
-    if fmt == "json":
-        doc = {
-            "n": n,
-            first_name: first.to_json_obj(),
-            second_name: second.to_json_obj(),
-            "paths_agree": agree,
-        }
-        out.write(json.dumps(doc, separators=(",", ":")) + "\n")
-        return
-    label = f"n={n} " if multi else ""
-    out.write(f"{label}{first_name}: {_render(first, fmt)}\n")
-    out.write(f"{label}{second_name}: {_render(second, fmt)}\n")
-    out.write(f"{label}paths_agree: {'true' if agree else 'false'}\n")
+# --path value -> name of the route function in this module, per subcommand.
+# Routes are looked up by name when a command runs, so a rebound module
+# attribute (a test double, a tracer) is the function that gets called.
+_ROUTES = {
+    "compute": {"theorem": "apoly_theorem", "substitution": "apoly_substitution"},
+    "rm": {"closed": "rm_closed", "recursive": "rm_recursive"},
+}
 
 
-def _cmd_compute(args, out) -> int:
+def _cmd_routes(args, out) -> int:
+    """compute and rm: each n by the chosen route, or by both with their agreement."""
+    routes = {path: globals()[name] for path, name in _ROUTES[args.command].items()}
     status = 0
     multi = len(args.n) > 1
     for n in args.n:
-        if args.path == "both":
-            theorem = apoly_theorem(n)
-            subst = apoly_substitution(n)
-            agree = theorem.poly == subst.poly
-            _emit_pair(out, n, multi, args.format,
-                       "theorem", theorem.poly, "substitution", subst.poly, agree)
-            if not agree:
-                print(f"paths disagree for n={n}", file=sys.stderr)
-                status = 1
-        else:
-            result = apoly_theorem(n) if args.path == "theorem" else apoly_substitution(n)
+        if args.path != "both":
             label = f"n={n}: " if multi and args.format != "json" else ""
-            out.write(label + _render(result.poly, args.format) + "\n")
-    return status
-
-
-def _cmd_rm(args, out) -> int:
-    status = 0
-    multi = len(args.n) > 1
-    for n in args.n:
-        if args.path == "both":
-            closed = rm_closed(n)
-            recursive = rm_recursive(n)
-            agree = closed.poly == recursive.poly
-            _emit_pair(out, n, multi, args.format,
-                       "closed", closed.poly, "recursive", recursive.poly, agree)
-            if not agree:
-                print(f"paths disagree for n={n}", file=sys.stderr)
-                status = 1
+            out.write(label + _render(routes[args.path](n).poly, args.format) + "\n")
+            continue
+        polys = {path: route(n).poly for path, route in routes.items()}
+        first, second = polys.values()
+        agree = first == second
+        if args.format == "json":
+            objs = {path: p.to_json_obj() for path, p in polys.items()}
+            doc = {"n": n, **objs, "paths_agree": agree}
+            out.write(json.dumps(doc, separators=(",", ":")) + "\n")
         else:
-            result = rm_closed(n) if args.path == "closed" else rm_recursive(n)
-            label = f"n={n}: " if multi and args.format != "json" else ""
-            out.write(label + _render(result.poly, args.format) + "\n")
+            label = f"n={n} " if multi else ""
+            for path, p in polys.items():
+                out.write(f"{label}{path}: {_render(p, args.format)}\n")
+            out.write(f"{label}paths_agree: {'true' if agree else 'false'}\n")
+        if not agree:
+            print(f"paths disagree for n={n}", file=sys.stderr)
+            status = 1
     return status
-
-
-def _finite_or_bad(report):
-    """The report itself, or a BadPoint when any of its numbers is not finite (strict JSON)."""
-    if isinstance(report, VerificationReport) and not all(map(cmath.isfinite, astuple(report))):
-        reason = f"non-finite value in the report at x0 = {report.root!r}"
-        return BadPoint(report.n, report.M_sample, reason)
-    return report
 
 
 def _cmd_verify(args, out) -> int:
@@ -120,7 +94,7 @@ def _cmd_verify(args, out) -> int:
         if n == 0:
             results.append({"n": 0, "status": "degenerate", "reports": []})
             continue
-        reports = [_finite_or_bad(r) for r in verify_family(n, samples, args.tol)]
+        reports = verify_family(n, samples, args.tol)
         ok = all(r.passed for r in reports)
         all_passed = all_passed and ok
         results.append(
@@ -189,13 +163,13 @@ def main(argv=None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_merge_n_flag(sys.argv[1:] if argv is None else list(argv)))
     if args.command == "verify":
-        if args.samples < 1:
-            parser.error("--samples must be at least 1")
+        if not 1 <= args.samples <= MAX_SAMPLES:
+            parser.error(f"--samples must be between 1 and {MAX_SAMPLES}")
         if not (math.isfinite(args.tol) and args.tol > 0):
             parser.error("--tol must be a finite positive number")
     handlers = {
-        "compute": _cmd_compute,
-        "rm": _cmd_rm,
+        "compute": _cmd_routes,
+        "rm": _cmd_routes,
         "verify": _cmd_verify,
         "newton": _cmd_newton,
     }

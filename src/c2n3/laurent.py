@@ -2,9 +2,9 @@
 
 Coefficients are arbitrary-precision integers and exponents may be negative.
 Every value is kept in canonical form (no zero coefficients), so structural
-equality is mathematical equality.  One fixed term order, lexicographic on
-(expL, expM, expX), drives term enumeration, serialization, and the sign
-convention of unit normalization.
+equality is mathematical equality.  Terms are keyed by plain int tuples
+(expL, expM, expX), whose lexicographic order drives term enumeration,
+serialization, and the sign convention of unit normalization.
 """
 
 from __future__ import annotations
@@ -12,23 +12,14 @@ from __future__ import annotations
 import json
 import math
 import re
-from functools import partial
 from itertools import compress, repeat
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 VARIABLES = ("L", "M", "x")
 _VAR_INDEX = {"L": 0, "M": 1, "x": 2}
 
 
-class Monomial(NamedTuple):
-    """Exponent vector of one term; tuple order gives the canonical lex order."""
-
-    expL: int
-    expM: int
-    expX: int
-
-
-UNIT_MONOMIAL = Monomial(0, 0, 0)
+UNIT_MONOMIAL = (0, 0, 0)
 
 
 def _checked_int(value, what: str) -> int:
@@ -37,12 +28,10 @@ def _checked_int(value, what: str) -> int:
     return value
 
 
-def _as_monomial(key) -> Monomial:
-    if isinstance(key, Monomial):
-        return key
+def _as_monomial(key) -> tuple:
     if not isinstance(key, tuple) or len(key) != 3:
         raise TypeError(f"monomial key must be a 3-tuple, got {key!r}")
-    return Monomial(*(_checked_int(e, "exponent") for e in key))
+    return tuple(_checked_int(e, "exponent") for e in key)
 
 
 def _var_index(var: str) -> int:
@@ -64,7 +53,7 @@ class LaurentPoly:
 
     def __init__(self, terms: Mapping | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        canonical: dict[Monomial, int] = {}
+        canonical: dict[tuple, int] = {}
         for key, coeff in items:
             _checked_int(coeff, "coefficient")
             m = _as_monomial(key)
@@ -76,7 +65,7 @@ class LaurentPoly:
         self._terms = canonical
 
     @classmethod
-    def _raw(cls, terms: dict[Monomial, int]) -> "LaurentPoly":
+    def _raw(cls, terms: dict[tuple, int]) -> "LaurentPoly":
         # trusted canonical dict, used by the arithmetic fast paths
         obj = object.__new__(cls)
         obj._terms = terms
@@ -84,7 +73,7 @@ class LaurentPoly:
 
     # -- inspection ------------------------------------------------------
 
-    def terms(self) -> tuple[tuple[Monomial, int], ...]:
+    def terms(self) -> tuple[tuple[tuple, int], ...]:
         """All (monomial, coefficient) pairs in ascending canonical order."""
         return tuple(sorted(self._terms.items()))
 
@@ -164,10 +153,10 @@ class LaurentPoly:
             return NotImplemented
         if _row_packing_pays(self._terms, other._terms):
             return LaurentPoly._raw(_mul_packed(self._terms, other._terms))
-        out: dict[Monomial, int] = {}
+        out: dict[tuple, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                key = Monomial(m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+                key = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
                 total = out.get(key, 0) + c1 * c2
                 if total:
                     out[key] = total
@@ -198,12 +187,12 @@ class LaurentPoly:
         """Coefficient of var**k: the matching terms with var removed."""
         idx = _var_index(var)
         _checked_int(k, "exponent")
-        out: dict[Monomial, int] = {}
+        out: dict[tuple, int] = {}
         for m, c in self._terms.items():
             if m[idx] == k:
                 exps = list(m)
                 exps[idx] = 0
-                out[Monomial(*exps)] = c
+                out[tuple(exps)] = c
         return LaurentPoly._raw(out)
 
     def substitute(self, var: str, num: "LaurentPoly", den: "LaurentPoly",
@@ -242,7 +231,7 @@ class LaurentPoly:
             out = out + part * num_pow[k] * den_pow[clear_deg - k]
         return out
 
-    def normalize_unit(self) -> tuple["LaurentPoly", Monomial, int]:
+    def normalize_unit(self) -> tuple["LaurentPoly", tuple, int]:
         """Factor out the monomial content and a global sign.
 
         Returns (q, u, s) with self == s * u * q, where q has minimum
@@ -251,10 +240,9 @@ class LaurentPoly:
         """
         if not self._terms:
             raise ValueError("cannot unit-normalize the zero polynomial")
-        mins = tuple(min(m[i] for m in self._terms) for i in range(3))
-        unit = Monomial(*mins)
+        unit = tuple(min(m[i] for m in self._terms) for i in range(3))
         shifted = {
-            Monomial(m[0] - mins[0], m[1] - mins[1], m[2] - mins[2]): c
+            (m[0] - unit[0], m[1] - unit[1], m[2] - unit[2]): c
             for m, c in self._terms.items()
         }
         sign = 1 if shifted[min(shifted)] > 0 else -1
@@ -301,7 +289,7 @@ class LaurentPoly:
     def to_json_obj(self) -> dict:
         return {
             "terms": [
-                {"l": m.expL, "m": m.expM, "x": m.expX, "c": str(c)} for m, c in self.terms()
+                {"l": l, "m": m, "x": x, "c": str(c)} for (l, m, x), c in self.terms()
             ]
         }
 
@@ -315,7 +303,7 @@ class LaurentPoly:
         entries = data["terms"]
         if not isinstance(entries, list):
             raise ValueError("'terms' must be a list")
-        out: dict[Monomial, int] = {}
+        out: dict[tuple, int] = {}
         for entry in entries:
             if not isinstance(entry, dict) or set(entry) != {"l", "m", "x", "c"}:
                 raise ValueError(f"term must have exactly the keys l, m, x, c: {entry!r}")
@@ -331,9 +319,9 @@ class LaurentPoly:
             coeff = int(c)
             if coeff == 0:
                 raise ValueError("zero coefficients are not part of the canonical form")
-            key = Monomial(*exps)
+            key = tuple(exps)
             if key in out:
-                raise ValueError(f"duplicate monomial {tuple(key)}")
+                raise ValueError(f"duplicate monomial {key}")
             out[key] = coeff
         return cls._raw(out)
 
@@ -365,11 +353,11 @@ class LaurentPoly:
         return f"LaurentPoly({self.to_text()!r})"
 
 
-def _row_count(terms: dict[Monomial, int]) -> int:
+def _row_count(terms: dict[tuple, int]) -> int:
     return len({(m[0], m[2]) for m in terms})
 
 
-def _row_packing_pays(a: dict[Monomial, int], b: dict[Monomial, int]) -> bool:
+def _row_packing_pays(a: dict[tuple, int], b: dict[tuple, int]) -> bool:
     """Whether a * b should take the row-packed path rather than the schoolbook loop.
 
     Packing pays when the (expL, expX) rows hold several terms each, so that
@@ -405,7 +393,7 @@ def _unpack(value: int, count: int, width: int) -> list[int]:
     return [int.from_bytes(data[at:at + width], "little") - half for at in range(0, len(data), width)]
 
 
-def _pack_rows(terms: dict[Monomial, int], stride: int, width: int) -> dict:
+def _pack_rows(terms: dict[tuple, int], stride: int, width: int) -> dict:
     """(expL, expX) -> (lowest expM, highest expM, packed int) for each row of terms.
 
     Slot k of a row's int holds the coefficient of M^(lowest + k * stride).
@@ -428,10 +416,7 @@ def _pack_rows(terms: dict[Monomial, int], stride: int, width: int) -> dict:
     return packed
 
 
-_new_monomial = partial(tuple.__new__, Monomial)
-
-
-def _mul_packed(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
+def _mul_packed(a: dict[tuple, int], b: dict[tuple, int]) -> dict[tuple, int]:
     """Canonical term dict of a * b by Kronecker substitution in M, row by row.
 
     Each (expL, expX) row of each operand becomes one int with a slot per
@@ -468,11 +453,11 @@ def _mul_packed(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial
             shift = (lo_a + lo_b - spans[key][0]) // stride * bits
             sums[key] += (va * vb) << shift
 
-    out: dict[Monomial, int] = {}
+    out: dict[tuple, int] = {}
     for (l, x), total in sums.items():
         lo, hi = spans[(l, x)]
         coeffs = _unpack(total, (hi - lo) // stride + 1, width)
-        keys = map(_new_monomial, zip(repeat(l), range(lo, hi + 1, stride), repeat(x)))
+        keys = zip(repeat(l), range(lo, hi + 1, stride), repeat(x))
         out.update(compress(zip(keys, coeffs), coeffs))  # zero slots are not terms
     return out
 
@@ -529,7 +514,7 @@ def _parse(text: str, latex: bool) -> LaurentPoly:
     signed.extend(zip(pieces[1::2], pieces[2::2]))
     factor_re = _LATEX_FACTOR if latex else _TEXT_FACTOR
     sep = " " if latex else "*"
-    acc: dict[Monomial, int] = {}
+    acc: dict[tuple, int] = {}
     for op, chunk in signed:
         sign = -1 if op == "-" else 1
         chunk = chunk.strip()
@@ -554,6 +539,6 @@ def _parse(text: str, latex: bool) -> LaurentPoly:
                 raise ValueError(f"unrecognized factor {piece!r}")
             name, exp_text = matched.group(1), matched.group(2)
             exps[_VAR_INDEX[name]] += 1 if exp_text is None else int(exp_text)
-        key = Monomial(*exps)
+        key = tuple(exps)
         acc[key] = acc.get(key, 0) + sign * coeff
     return LaurentPoly(acc)

@@ -15,7 +15,7 @@ import cmath
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable, Sequence
 
 import mpmath as mp
@@ -306,7 +306,8 @@ def verify_family(
     A sample whose roots cannot be trusted (DegreeCollapseError,
     RepeatedRootError) gives one BadPoint in place of its reports, and a
     root where the longitude eigenvalue is undefined (SingularPointError)
-    gives one in place of its report.
+    or whose report holds a non-finite number gives one in place of its
+    report, so every report serializes as strict JSON.
     """
     apoly = apoly_theorem(n)
     reports: list[VerificationReport | BadPoint] = []
@@ -318,7 +319,12 @@ def verify_family(
             continue
         for x0 in roots:
             try:
-                reports.append(verify_point(n, M0, x0, tol, apoly=apoly))
+                report = verify_point(n, M0, x0, tol, apoly=apoly)
             except SingularPointError as exc:
                 reports.append(BadPoint(n, complex(M0), f"{exc} at x0 = {x0!r}"))
+                continue
+            if not all(map(cmath.isfinite, astuple(report))):
+                reason = f"non-finite value in the report at x0 = {report.root!r}"
+                report = BadPoint(n, complex(M0), reason)
+            reports.append(report)
     return reports

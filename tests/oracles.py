@@ -36,4 +36,4 @@ def naive_pow(a: dict, k: int) -> dict:
 
 def as_dict(poly) -> dict:
     """Plain-dict view of a LaurentPoly, for comparison with naive results."""
-    return {(m.expL, m.expM, m.expX): c for m, c in poly.terms()}
+    return dict(poly.terms())

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface through main(argv, out)."""
 
+import argparse
+import hashlib
 import io
 import json
 import sys
@@ -7,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from c2n3 import cli
+from c2n3 import cli, repcheck
 from c2n3.apoly import APolyResult, apoly_theorem
 from c2n3.laurent import LaurentPoly
 from c2n3.repcheck import sample_unit_modulus
@@ -158,12 +160,12 @@ def test_verify_output_is_strict_json(monkeypatch):
     json.loads(out, parse_constant=_reject_constant)
 
     # a non-finite residual must never reach stdout as NaN
-    real_verify_family = cli.verify_family
+    real_verify_point = repcheck.verify_point
 
-    def nan_residuals(n, samples, tol):
-        return [replace(r, apoly_residual=float("nan")) for r in real_verify_family(n, samples, tol)]
+    def nan_residual(*args, **kwargs):
+        return replace(real_verify_point(*args, **kwargs), apoly_residual=float("nan"))
 
-    monkeypatch.setattr(cli, "verify_family", nan_residuals)
+    monkeypatch.setattr(repcheck, "verify_point", nan_residual)
     code, out = run(["verify", "--n", "1", "--samples", "1"])
     assert code == 1
     (result,) = json.loads(out, parse_constant=_reject_constant)["results"]
@@ -212,12 +214,27 @@ def test_newton_lines():
         ["verify", "--n", "1", "--tol", "-2"],
         ["frobnicate"],
         [],
+        ["compute", "--n", "0..1000000000000"],
+        ["rm", "--n", "101"],
+        ["newton", "--n", "-101..0"],
+        ["verify", "--n", "1", "--samples", "1001"],
     ],
 )
-def test_malformed_usage_exits_2(argv):
+def test_malformed_usage_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(argv, out=io.StringIO())
     assert excinfo.value.code == 2
+    assert "error: " in capsys.readouterr().err
+
+
+def test_n_and_samples_limits(capsys):
+    assert cli._n_values("-100..100") == list(range(-100, 101))  # 201 values
+    for text in ("101", "-101", "-3..101", "-101..0", "0..1000000000000"):
+        with pytest.raises(argparse.ArgumentTypeError, match=r"\|n\| must be at most 100"):
+            cli._n_values(text)
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--n", "1", "--samples", "1001"], out=io.StringIO())
+    assert "--samples must be between 1 and 1000" in capsys.readouterr().err
 
 
 def test_entry_point_wrapper(monkeypatch, capsys):
@@ -241,3 +258,30 @@ def test_output_is_byte_deterministic(argv):
     first = run(argv)
     second = run(argv)
     assert first == second
+
+
+# SHA-256 of the exact stdout bytes; any change to the printed polynomials,
+# their term order or their formatting changes these.
+STDOUT_SHA256 = {
+    "compute --path both --n -6..6 --format json":
+        "9b82492d29236f036ec16ca4589fc679fa48f6b21b624a868ea68e58dba5dada",
+    "compute --path both --n -6..6 --format text":
+        "3a7aee83d568a536761a3146f94fab53f5e456f135b3ffc59da05a3f0e101f88",
+    "compute --path both --n -6..6 --format latex":
+        "ec97e17fa4d9bd83a097eb4aa38b0fc1e4a5ef73513297283490c8182b36adbb",
+    "rm --path both --n -8..8 --format json":
+        "67c2b7fab2e07566049cf310cc6aa2ee26ac4cd7694e46b5a8014675bcbbe250",
+    "rm --path both --n -8..8 --format text":
+        "812005a4088d8a876ad4b6455b300b93107e2d24afbcb1d958d435ef657adea8",
+    "rm --path both --n -8..8 --format latex":
+        "99b0c32e306a77ca0edfa2c6fb2b380ff7e2b50c8f6ff2a337bd97011123f12a",
+    "newton --n -8..8":
+        "0c9f9d0ed78402adb3c2b94cf2582c31d76b4cdda71713a4886f833213c6c13f",
+}
+
+
+@pytest.mark.parametrize("command", STDOUT_SHA256)
+def test_stdout_bytes_are_pinned(command):
+    code, out = run(command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import namedtuple
 
 import mpmath as mp
 import numpy as np
@@ -13,7 +14,6 @@ from c2n3.laurent import (
     UNIT_MONOMIAL,
     ZERO,
     LaurentPoly,
-    Monomial,
     _mul_packed,
     _row_packing_pays,
     mono,
@@ -89,13 +89,8 @@ P_MINUS2 = (
 
 
 def test_monomial_order_is_lexicographic():
-    ms = [Monomial(1, 0, 0), Monomial(0, 2, 0), Monomial(0, 0, 3), Monomial(0, 2, -1)]
-    assert sorted(ms) == [
-        Monomial(0, 0, 3),
-        Monomial(0, 2, -1),
-        Monomial(0, 2, 0),
-        Monomial(1, 0, 0),
-    ]
+    p = mono(1, l=1) + mono(1, m=2) + mono(1, x=3) + mono(1, m=2, x=-1)
+    assert [m for m, _ in p.terms()] == [(0, 0, 3), (0, 2, -1), (0, 2, 0), (1, 0, 0)]
 
 
 def test_constructor_canonicalizes():
@@ -176,8 +171,31 @@ def test_add_and_mul_match_naive_oracle(p, q):
 
 def _packed(p, q):
     out = _mul_packed(p._terms, q._terms)
-    assert all(type(m) is Monomial and c for m, c in out.items())
+    assert all(type(m) is tuple and c for m, c in out.items())
     return LaurentPoly._raw(out)
+
+
+def test_every_key_is_a_plain_int_tuple():
+    rows = LaurentPoly({(l, m, 0): m + 1 for l in range(3) for m in range(6)})
+    assert _row_packing_pays(rows._terms, rows._terms)
+    assert not _row_packing_pays(P_MINUS2._terms, P_MINUS2._terms)
+    point = namedtuple("point", "l m x")
+    normalized, unit, _ = (mono(-1, m=-2, x=1) + mono(1, l=1)).normalize_unit()
+    built = {
+        "constructor": LaurentPoly({point(1, -2, 0): 3, (0, 1, 2): -1}),
+        "schoolbook mul": P_MINUS2 * P_MINUS2,
+        "packed mul": rows * rows,
+        "substitute": Q_CUBIC.substitute("x", ONE + mono(1, l=1, m=6), mono(1, l=1), 3),
+        "normalize_unit": normalized,
+        "from_json": LaurentPoly.from_json(P_PLUS2.to_json()),
+        "from_text": LaurentPoly.from_text(P_PLUS2.to_text()),
+        "from_latex": LaurentPoly.from_latex(P_PLUS2.to_latex()),
+    }
+    assert type(unit) is tuple
+    for route, poly in built.items():
+        assert poly, route
+        for m, _ in poly.terms():
+            assert type(m) is tuple and all(type(e) is int for e in m), route
 
 
 @given(p=row_dense_polys(), q=row_dense_polys())
@@ -320,10 +338,10 @@ def test_substitute_matches_brute_force(p, num, den, extra):
 def test_normalize_unit_examples():
     p = mono(1, m=-2) + mono(1, l=1)  # M^-2 * (1 + L*M^2)
     q, unit, sign = p.normalize_unit()
-    assert (q, unit, sign) == (ONE + mono(1, l=1, m=2), Monomial(0, -2, 0), 1)
+    assert (q, unit, sign) == (ONE + mono(1, l=1, m=2), (0, -2, 0), 1)
 
     q, unit, sign = mono(-1, m=4, x=1).normalize_unit()
-    assert (q, unit, sign) == (ONE, Monomial(0, 4, 1), -1)
+    assert (q, unit, sign) == (ONE, (0, 4, 1), -1)
 
     with pytest.raises(ValueError):
         ZERO.normalize_unit()
@@ -333,7 +351,7 @@ def test_normalize_unit_examples():
 def test_normalize_unit_reconstructs_and_is_idempotent(p):
     assume(not p.is_zero())
     q, unit, sign = p.normalize_unit()
-    assert mono(sign, l=unit.expL, m=unit.expM, x=unit.expX) * q == p
+    assert mono(sign, *unit) * q == p
     assert q.min_exp("L") == 0 and q.min_exp("M") == 0 and q.min_exp("x") == 0
     again, unit2, sign2 = q.normalize_unit()
     assert (again, unit2, sign2) == (q, UNIT_MONOMIAL, 1)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -256,17 +257,30 @@ def test_verify_family_reports_bad_points_in_place(monkeypatch):
             return [-M0 * M0] + real_roots(n, M0)  # M0^2 + x0 = 0: no longitude eigenvalue
         return real_roots(n, M0)
 
+    real_verify_point = repcheck.verify_point
+    poisoned_root = real_roots(1, samples[2])[1]
+
+    def faulty_point(n, M0, x0, tol, apoly=None):
+        report = real_verify_point(n, M0, x0, tol, apoly=apoly)
+        if x0 == poisoned_root:
+            return replace(report, cond_longitude=math.inf)
+        return report
+
     monkeypatch.setattr(repcheck, "roots_of_rm", faulty_roots)
+    monkeypatch.setattr(repcheck, "verify_point", faulty_point)
     reports = verify_family(1, samples, 1e-8)
     kinds = [type(r).__name__ for r in reports]
-    assert kinds == ["BadPoint", "BadPoint"] + ["VerificationReport"] * 6
+    assert kinds == (["BadPoint", "BadPoint"] + ["VerificationReport"] * 4
+                     + ["BadPoint", "VerificationReport"])
     assert reports[0].to_json_obj() == {
         "n": 1, "M_sample": [samples[0].real, samples[0].imag],
         "status": "error", "reason": "two roots coincide",
     }
     assert reports[1].M_sample == samples[1] and "M0^2 + x0 = 0" in reports[1].reason
-    assert not reports[0].passed and not reports[1].passed
-    assert all(r.passed for r in reports[2:])
+    assert reports[6].M_sample == samples[2]
+    assert reports[6].reason == f"non-finite value in the report at x0 = {complex(poisoned_root)!r}"
+    assert not any(r.passed for r in reports[:2] + reports[6:7])
+    assert all(r.passed for r in reports[2:6] + reports[7:])
 
 
 @pytest.mark.parametrize("n, roots_per_sample", [(-1, 2), (1, 3)])
