@@ -26,6 +26,7 @@ from .laurent import (
 from .repcheck import (
     BadPoint,
     DegreeCollapseError,
+    NonConvergenceError,
     RepeatedRootError,
     SingularPointError,
     VerificationReport,
@@ -50,6 +51,7 @@ __all__ = [
     "DegreeCollapseError",
     "LaurentPoly",
     "NewtonPolygon",
+    "NonConvergenceError",
     "ONE",
     "RMResult",
     "RepeatedRootError",

@@ -6,7 +6,9 @@ relation, the longitude word must evaluate upper triangular with the
 predicted eigenvalue, and the A-polynomial must vanish at the induced
 (L, M) point.  Word products carry a conditioning estimate (the peak
 entry-magnitude sum along the accumulated product) so tolerances scale
-with the numeric difficulty of large |n|.
+with the numeric difficulty of large |n|.  verify_family builds what
+depends on n alone (P_2n, A_2n, the two words) once per family, and
+specializes A_2n once per meridian.
 """
 
 from __future__ import annotations
@@ -15,13 +17,15 @@ import cmath
 import itertools
 import math
 import random
-from dataclasses import astuple, dataclass
+from contextvars import ContextVar
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import mpmath as mp
 import numpy as np
 
 from .apoly import APolyResult, apoly_theorem
+from .laurent import LaurentPoly
 from .rmpoly import rm_closed
 
 
@@ -35,6 +39,10 @@ class DegreeCollapseError(ArithmeticError):
 
 class RepeatedRootError(ArithmeticError):
     """Two polished roots of P_2n at one meridian came out equal, so another root went unchecked."""
+
+
+class NonConvergenceError(ArithmeticError):
+    """Newton polishing of a root of P_2n met a zero slope, or no stopping rule within 50 steps."""
 
 
 # A word in the generators s and t: a tuple of (generator, exponent) letters.
@@ -83,11 +91,21 @@ def rho_matrices(M0: complex, x0: complex) -> tuple[np.ndarray, np.ndarray]:
     return s_mat, t_mat
 
 
-def _inv2(mat: np.ndarray) -> np.ndarray:
-    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+# A 2x2 matrix as its entries (a, b, c, d) in row order, in plain complex numbers.
+Entries = tuple[complex, complex, complex, complex]
+
+
+def _entries(mat) -> Entries:
+    a, b, c, d = (complex(v) for v in np.asarray(mat, dtype=complex).ravel())
+    return a, b, c, d
+
+
+def _inv2(mat: Entries) -> Entries:
+    a, b, c, d = mat
+    det = a * d - b * c
     if det == 0:
         raise ValueError("singular matrix")
-    return np.array([[mat[1, 1], -mat[0, 1]], [-mat[1, 0], mat[0, 0]]], dtype=complex) / det
+    return d / det, -b / det, -c / det, a / det
 
 
 def eval_word(word: Letters, s_mat: np.ndarray, t_mat: np.ndarray) -> np.ndarray:
@@ -96,36 +114,79 @@ def eval_word(word: Letters, s_mat: np.ndarray, t_mat: np.ndarray) -> np.ndarray
 
 
 def _eval_word_tracked(word: Letters, s_mat, t_mat) -> tuple[np.ndarray, float]:
-    steps = {
-        ("s", 1): np.asarray(s_mat, dtype=complex),
-        ("t", 1): np.asarray(t_mat, dtype=complex),
-    }
-    steps[("s", -1)] = _inv2(steps[("s", 1)])
-    steps[("t", -1)] = _inv2(steps[("t", 1)])
-    acc = np.eye(2, dtype=complex)
+    (a, b, c, d), cond = _product(word, _steps(s_mat, t_mat))
+    return np.array([[a, b], [c, d]]), cond
+
+
+def _steps(s_mat, t_mat) -> dict[tuple[str, int], Entries]:
+    """The generator images and their inverses, keyed by (generator, sign of exponent)."""
+    s_step, t_step = _entries(s_mat), _entries(t_mat)
+    return {("s", 1): s_step, ("s", -1): _inv2(s_step), ("t", 1): t_step, ("t", -1): _inv2(t_step)}
+
+
+def _product(word: Letters, steps) -> tuple[Entries, float]:
+    """The product over the letters of a word, and the peak entry-magnitude sum along it."""
+    a, b, c, d = 1 + 0j, 0j, 0j, 1 + 0j
     cond = 2.0
     for gen, exp in word:
-        step = steps[(gen, 1 if exp > 0 else -1)]
+        p, q, r, u = steps[(gen, 1 if exp > 0 else -1)]
         for _ in range(abs(exp)):
-            acc = acc @ step
-            cond = max(cond, float(np.abs(acc).sum()))
-    return acc, cond
+            a, b, c, d = a * p + b * r, a * q + b * u, c * p + d * r, c * q + d * u
+            size = abs(a) + abs(b) + abs(c) + abs(d)
+            if size > cond:
+                cond = size
+    return (a, b, c, d), cond
+
+
+class _Family:
+    """What depends on n alone in a check: the two words, and P_2n and A_2n where given."""
+
+    def __init__(self, n: int, rm_poly: LaurentPoly | None = None,
+                 apoly: LaurentPoly | None = None):
+        self.n = n
+        self.rm_poly = rm_poly
+        self.apoly = apoly
+        self.relator = relator_word(n)
+        self.longitude = build_longitude(n)
+        self._meridian = None
+        self._apoly_lists = None
+
+    def apoly_at(self, M0: complex) -> tuple[list, list]:
+        """A_2n specialized at M0, computed again only when M0 differs from the last one asked."""
+        if M0 != self._meridian:
+            self._meridian, self._apoly_lists = M0, self.apoly.at_meridian(M0)
+        return self._apoly_lists
+
+
+# The family that verify_family is checking in this context, if any.
+_FAMILY: ContextVar[_Family | None] = ContextVar("c2n3_repcheck_family", default=None)
+
+
+def _family(n: int) -> _Family | None:
+    family = _FAMILY.get()
+    return family if family is not None and family.n == n else None
 
 
 def roots_of_rm(n: int, M0: complex) -> list[complex]:
     """All roots of x -> P_2n(x, M0), by companion-matrix eigenvalues plus Newton polishing.
 
-    P_2n is specialized at M0 once, to 40 decimal digits.  The eigenvalue
-    step runs on those coefficients rounded to doubles; each root is then
-    polished by Newton iteration on the 40-digit coefficients, so the
-    returned doubles are accurate to full precision even where the
-    specialized polynomial is badly scaled.  Roots come sorted by (real,
-    imaginary).  Raises DegreeCollapseError when the leading coefficient
-    vanishes at M0 rather than silently solving a lower-degree polynomial,
-    and RepeatedRootError when two starting points polish to one root, so
-    that no root goes unchecked without notice.
+    P_2n is specialized at M0 once, to 40 decimal digits; inside
+    verify_family it is built once for the whole family.  The eigenvalue
+    step runs on those coefficients rounded to doubles.  Each root is then
+    polished by Newton's method on the 40-digit coefficients, held as
+    pairs of integers (real and imaginary parts) scaled by 2^160, until a
+    step is at most 2^-70 |x|, so the returned doubles are accurate to full
+    precision even where the specialized polynomial is badly scaled.  Roots
+    come sorted by (real, imaginary).  Raises DegreeCollapseError when the
+    leading coefficient vanishes at M0 rather than silently solving a
+    lower-degree polynomial, NonConvergenceError (naming n, M0 and the
+    start) when a polishing meets a zero slope or takes 50 steps without
+    meeting the stopping rule, and RepeatedRootError when two starting
+    points polish to one root, so that no root goes unchecked without
+    notice.
     """
-    poly = rm_closed(n).poly
+    family = _family(n)
+    poly = family.rm_poly if family is not None else rm_closed(n).poly
     with mp.workdps(40):
         exact, _ = poly.at_meridian(mp.mpc(complex(M0)))
         exact.reverse()
@@ -137,7 +198,13 @@ def roots_of_rm(n: int, M0: complex) -> list[complex]:
             return []
         if abs(coeffs[0]) <= 1e-12 * scale:
             raise DegreeCollapseError(f"leading x-coefficient vanishes at M0 = {M0!r}")
-        polished = [_polish_root(z, exact) for z in np.roots(coeffs)]
+        fixed = _fixed_point(exact)
+    polished = []
+    for z in np.roots(coeffs):
+        try:
+            polished.append(_polish_root(complex(z), fixed))
+        except NonConvergenceError as exc:
+            raise NonConvergenceError(f"{exc}, for P_2n with n = {n} at M0 = {M0!r}") from None
     for a, b in itertools.combinations(polished, 2):
         if abs(a - b) < 1e-12 * max(1.0, abs(a)):
             raise RepeatedRootError(
@@ -147,17 +214,47 @@ def roots_of_rm(n: int, M0: complex) -> list[complex]:
     return polished
 
 
-def _polish_root(z, exact_coeffs) -> complex:
-    current = mp.mpc(complex(z))
-    for _ in range(50):
-        value, slope = mp.polyval(exact_coeffs, current, derivative=True)
-        if slope == 0:
-            break
-        step = value / slope
-        current = current - step
-        if abs(step) < mp.mpf("1e-30"):
-            break
-    return complex(current)
+# Newton polishing runs on integers scaled by 2^_FRACTION_BITS; 40 digits need 133 bits.
+_FRACTION_BITS = 160
+_NEWTON_STEPS = 50
+# A step of at most 2^-_STOP_BITS |x| ends the polishing.
+_STOP_BITS = 70
+
+
+def _fixed_point(coeffs) -> list[tuple[int, int]]:
+    """mpmath complex coefficients as (real, imaginary) integers scaled by 2^_FRACTION_BITS."""
+    return [(int(mp.ldexp(c.real, _FRACTION_BITS)), int(mp.ldexp(c.imag, _FRACTION_BITS)))
+            for c in coeffs]
+
+
+def _polish_root(z: complex, coeffs: Sequence[tuple[int, int]]) -> complex:
+    """Newton's method from z on fixed-point Gaussian-integer coefficients, highest power first.
+
+    P and P' come from one Horner pass; the step P / P' is taken as
+    P * conj(P') / |P'|^2 by integer division.  Raises NonConvergenceError,
+    naming the start, on a zero slope or when no step within _NEWTON_STEPS
+    falls to 2^-_STOP_BITS |x|.
+    """
+    bits = _FRACTION_BITS
+    xr, xi = int(z.real * 2.0**bits), int(z.imag * 2.0**bits)
+    for _ in range(_NEWTON_STEPS):
+        pr, pi = coeffs[0]
+        dr = di = 0
+        for cr, ci in coeffs[1:]:
+            dr, di = ((dr * xr - di * xi) >> bits) + pr, ((dr * xi + di * xr) >> bits) + pi
+            pr, pi = ((pr * xr - pi * xi) >> bits) + cr, ((pr * xi + pi * xr) >> bits) + ci
+        slope = dr * dr + di * di
+        if not slope:
+            raise NonConvergenceError(f"Newton polishing from x = {z!r} met a zero slope")
+        sr = ((pr * dr + pi * di) << bits) // slope
+        si = ((pi * dr - pr * di) << bits) // slope
+        xr -= sr
+        xi -= si
+        if (sr * sr + si * si) << (2 * _STOP_BITS) <= xr * xr + xi * xi:
+            return complex(xr / (1 << bits), xi / (1 << bits))
+    raise NonConvergenceError(
+        f"Newton polishing from x = {z!r} met no stopping rule in {_NEWTON_STEPS} steps"
+    )
 
 
 def longitude_eigen(n: int, M0: complex, x0: complex) -> complex:
@@ -228,17 +325,18 @@ def verify_point(n: int, M0: complex, x0: complex, tol: float, apoly=None) -> Ve
         raise ValueError("tol must be positive")
     M0 = complex(M0)
     x0 = complex(x0)
-    s_mat, t_mat = rho_matrices(M0, x0)
-    rel_mat, cond_rel = _eval_word_tracked(relator_word(n), s_mat, t_mat)
-    relation_residual = float(np.abs(rel_mat - np.eye(2)).max())
-    lon_mat, cond_lon = _eval_word_tracked(build_longitude(n), s_mat, t_mat)
+    family = _family(n) or _Family(n)
+    steps = _steps(*rho_matrices(M0, x0))
+    (a, b, c, d), cond_rel = _product(family.relator, steps)
+    relation_residual = max(abs(a - 1), abs(b), abs(c), abs(d - 1))
+    (a, _, c, _), cond_lon = _product(family.longitude, steps)
     L0 = longitude_eigen(n, M0, x0)
-    longitude_mismatch = float(abs(lon_mat[0, 0] - L0))
-    offdiag_residual = float(abs(lon_mat[1, 0]))
+    longitude_mismatch = abs(a - L0)
+    offdiag_residual = abs(c)
     if apoly is None:
-        apoly = apoly_theorem(n)
+        apoly = family.apoly if family.apoly is not None else apoly_theorem(n)
     poly = apoly.poly if isinstance(apoly, APolyResult) else apoly
-    values, bounds = poly.at_meridian(M0)
+    values, bounds = family.apoly_at(M0) if poly is family.apoly else poly.at_meridian(M0)
     apoly_residual = float(abs(_horner(values, L0)) / _horner(bounds, abs(L0)))
     passed = (
         relation_residual <= tol * cond_rel
@@ -303,28 +401,34 @@ def verify_family(
 ) -> list[VerificationReport | BadPoint]:
     """verify_point over every root of P_2n at every provided meridian sample.
 
-    A sample whose roots cannot be trusted (DegreeCollapseError,
-    RepeatedRootError) gives one BadPoint in place of its reports, and a
-    root where the longitude eigenvalue is undefined (SingularPointError)
-    or whose report holds a non-finite number gives one in place of its
-    report, so every report serializes as strict JSON.
+    P_2n, A_2n and the two words are built once for the whole family, and
+    A_2n is specialized once per meridian.  A sample whose roots cannot be
+    trusted (DegreeCollapseError, NonConvergenceError, RepeatedRootError)
+    gives one BadPoint in place of its reports, and a root where the
+    longitude eigenvalue is undefined (SingularPointError) or whose report
+    holds a non-finite number gives one in place of its report, so every
+    report serializes as strict JSON.
     """
     apoly = apoly_theorem(n)
+    token = _FAMILY.set(_Family(n, rm_closed(n).poly, apoly.poly))
     reports: list[VerificationReport | BadPoint] = []
-    for M0 in M_samples:
-        try:
-            roots = roots_of_rm(n, M0)
-        except (DegreeCollapseError, RepeatedRootError) as exc:
-            reports.append(BadPoint(n, complex(M0), str(exc)))
-            continue
-        for x0 in roots:
+    try:
+        for M0 in M_samples:
             try:
-                report = verify_point(n, M0, x0, tol, apoly=apoly)
-            except SingularPointError as exc:
-                reports.append(BadPoint(n, complex(M0), f"{exc} at x0 = {x0!r}"))
+                roots = roots_of_rm(n, M0)
+            except (DegreeCollapseError, NonConvergenceError, RepeatedRootError) as exc:
+                reports.append(BadPoint(n, complex(M0), str(exc)))
                 continue
-            if not all(map(cmath.isfinite, astuple(report))):
-                reason = f"non-finite value in the report at x0 = {report.root!r}"
-                report = BadPoint(n, complex(M0), reason)
-            reports.append(report)
+            for x0 in roots:
+                try:
+                    report = verify_point(n, M0, x0, tol, apoly=apoly)
+                except SingularPointError as exc:
+                    reports.append(BadPoint(n, complex(M0), f"{exc} at x0 = {x0!r}"))
+                    continue
+                if not all(map(cmath.isfinite, vars(report).values())):
+                    reason = f"non-finite value in the report at x0 = {report.root!r}"
+                    report = BadPoint(n, complex(M0), reason)
+                reports.append(report)
+    finally:
+        _FAMILY.reset(token)
     return reports

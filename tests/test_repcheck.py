@@ -2,18 +2,26 @@
 
 import cmath
 import math
+import re
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
+from oracles import mpmath_polish_root, numpy_word_product
 
 from c2n3.apoly import substitution_x
+from c2n3.rmpoly import rm_closed
 from c2n3.repcheck import (
     DegreeCollapseError,
+    NonConvergenceError,
     RepeatedRootError,
     SingularPointError,
     VerificationReport,
+    _eval_word_tracked,
+    _fixed_point,
+    _polish_root,
     _reduced,
     build_longitude,
     build_w,
@@ -120,12 +128,19 @@ traces = st.builds(
 
 @given(word=words, M0=meridians, x0=traces)
 def test_eval_word_preserves_unit_determinant(word, M0, x0):
-    from c2n3.repcheck import _eval_word_tracked
-
     s_mat, t_mat = rho_matrices(M0, x0)
     mat, cond = _eval_word_tracked(word, s_mat, t_mat)
     det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
     assert abs(det - 1) <= 1e-10 * cond**2 + 1e-10
+
+
+@given(word=words, M0=meridians, x0=traces)
+def test_eval_word_matches_the_numpy_oracle(word, M0, x0):
+    s_mat, t_mat = rho_matrices(M0, x0)
+    mat, cond = _eval_word_tracked(word, s_mat, t_mat)
+    expected, expected_cond = numpy_word_product(word, s_mat, t_mat)
+    assert np.abs(mat - expected).max() <= 1e-12 * cond
+    assert abs(cond - expected_cond) <= 1e-12 * expected_cond
 
 
 # -- roots of the trace polynomial ------------------------------------------
@@ -171,6 +186,55 @@ def test_roots_that_polish_to_one_value_raise():
     for n in (5, -5, 6, -6):
         for M0 in samples:
             assert len(roots_of_rm(n, M0)) == 3 * abs(n) - (n < 0)
+
+
+def test_polish_root_matches_the_mpmath_oracle():
+    # every seed-0 sample with |n| <= 8 that keeps all of its roots, each
+    # root polished from the same np.roots start by both kernels
+    samples = sample_unit_modulus(20, seed=0)
+    for n in [k for k in range(-8, 9) if k]:
+        poly = rm_closed(n).poly
+        for M0 in samples:
+            try:
+                roots_of_rm(n, M0)
+            except RepeatedRootError:
+                continue
+            with mp.workdps(40):
+                exact = poly.at_meridian(mp.mpc(M0))[0][::-1]
+                fixed = _fixed_point(exact)
+                for z in np.roots([complex(c) for c in exact]):
+                    x = _polish_root(complex(z), fixed)
+                    assert abs(x - mpmath_polish_root(z, exact)) <= 1e-25 * max(1.0, abs(x))
+
+
+def test_polish_root_reports_non_convergence():
+    # Newton's method on x^3 - 2x + 2 cycles 0 -> 1 -> 0 -> ...
+    with mp.workdps(40):
+        cycle = _fixed_point([mp.mpc(c) for c in (1, 0, -2, 2)])
+        flat = _fixed_point([mp.mpc(c) for c in (1, 0, 1)])
+    with pytest.raises(NonConvergenceError, match=r"from x = 0j met no stopping rule in 50 steps"):
+        _polish_root(0j, cycle)
+    # x^2 + 1 has slope 0 at x = 0
+    with pytest.raises(NonConvergenceError, match=r"from x = 0j met a zero slope"):
+        _polish_root(0j, flat)
+    # from other starts both converge
+    x = _polish_root(-2 + 0j, cycle)
+    assert abs(x**3 - 2 * x + 2) <= 1e-14
+    assert abs(_polish_root(0.5 + 0.5j, flat) - 1j) <= 1e-30
+
+
+def test_non_convergence_names_the_point_and_becomes_a_bad_point(monkeypatch):
+    import c2n3.repcheck as repcheck
+
+    # one step never meets the stopping rule from a double-precision start
+    monkeypatch.setattr(repcheck, "_NEWTON_STEPS", 1)
+    M0 = sample_unit_modulus(1, seed=5)[0]
+    message = f"in 1 steps, for P_2n with n = 2 at M0 = {M0!r}"
+    with pytest.raises(NonConvergenceError, match=re.escape(message)):
+        roots_of_rm(2, M0)
+    (bad,) = verify_family(2, [M0], 1e-8)
+    assert bad.to_json_obj()["status"] == "error"
+    assert bad.M_sample == M0 and "met no stopping rule" in bad.reason
 
 
 # -- longitude eigenvalue ----------------------------------------------------

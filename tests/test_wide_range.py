@@ -1,4 +1,4 @@
-"""A_2n checks over a wider n range than the pinned acceptance criteria."""
+"""A_2n and numeric checks over a wider n range than the pinned acceptance criteria."""
 
 from functools import cache
 
@@ -6,6 +6,7 @@ import pytest
 
 from c2n3.apoly import apoly_substitution, apoly_theorem
 from c2n3.laurent import LaurentPoly
+from c2n3.repcheck import BadPoint, VerificationReport, sample_unit_modulus, verify_family
 
 
 @cache
@@ -30,3 +31,12 @@ def test_reciprocity(n):
     flipped = LaurentPoly({(-l, -m, -x): c for (l, m, x), c in poly.terms()})
     normalized, _, sign = flipped.normalize_unit()
     assert normalized == poly and sign == 1
+
+
+@pytest.mark.parametrize("n", [7, -7, 8, -8])
+def test_verify_family_beyond_the_acceptance_grid(n):
+    # every point verifies, and the only unverifiable samples are repeated roots
+    reports = verify_family(n, sample_unit_modulus(20, 0), 1e-8)
+    assert all(r.passed for r in reports if isinstance(r, VerificationReport))
+    assert all("polished to the same value" in r.reason for r in reports if isinstance(r, BadPoint))
+    assert sum(isinstance(r, VerificationReport) for r in reports) > 0
