@@ -151,11 +151,14 @@ class LaurentPoly:
         other = LaurentPoly._coerce(other)
         if other is None:
             return NotImplemented
-        if _row_packing_pays(self._terms, other._terms):
-            return LaurentPoly._raw(_mul_packed(self._terms, other._terms))
+        a, b = self._terms, other._terms
+        if _row_packing_pays(a, b):
+            # one width for both, holding the product's coefficients
+            room = sum(map(abs, a.values())) * sum(map(abs, b.values()))
+            return (_Rows.pack(a, room) * _Rows.pack(b, room)).unpack()
         out: dict[tuple, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
                 key = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
                 total = out.get(key, 0) + c1 * c2
                 if total:
@@ -181,6 +184,14 @@ class LaurentPoly:
                 base = base * base
         return result
 
+    def packed(self) -> "_Rows":
+        """This polynomial as packed rows, for a loop of ring operations unpacked once at its end.
+
+        The rows support +, -, * (by rows or an int), shift (the product
+        with a monomial) and unpack, which gives the LaurentPoly back.
+        """
+        return _Rows.pack(self._terms)
+
     # -- structural operations -------------------------------------------
 
     def coeff(self, var: str, k: int) -> "LaurentPoly":
@@ -204,7 +215,7 @@ class LaurentPoly:
         den, nonnegative exponents of var and clear_deg >= degree(var) so
         the result stays in the ring.
         """
-        _var_index(var)
+        idx = _var_index(var)
         _checked_int(clear_deg, "clear_deg")
         if clear_deg < 0:
             raise ValueError("clear_deg must be nonnegative")
@@ -217,19 +228,25 @@ class LaurentPoly:
         deg = self.degree(var)
         if clear_deg < deg:
             raise ValueError(f"clear_deg {clear_deg} is below the {var}-degree {deg}")
-        num_pow = [ONE]
+        num, den = num.packed(), den.packed()
+        num_pow = [ONE.packed()]
         for _ in range(deg):
             num_pow.append(num_pow[-1] * num)
-        den_pow = [ONE]
+        den_pow = [ONE.packed()]
         for _ in range(clear_deg):
             den_pow.append(den_pow[-1] * den)
-        out = ZERO
-        for k in range(deg + 1):
-            part = self.coeff(var, k)
-            if part.is_zero():
-                continue
-            out = out + part * num_pow[k] * den_pow[clear_deg - k]
-        return out
+        parts: dict[int, dict[tuple, int]] = {}  # coeff(var, k) for every k, in one pass
+        for m, c in self._terms.items():
+            exps = list(m)
+            exps[idx] = 0
+            parts.setdefault(m[idx], {})[tuple(exps)] = c
+        # every summand packed at the width of the whole sum's bound, so no product widens
+        room = sum(sum(map(abs, part.values())) * num_pow[k].bound * den_pow[clear_deg - k].bound
+                   for k, part in parts.items())
+        out = ZERO.packed()
+        for k in sorted(parts):
+            out = out + _Rows.pack(parts[k], room) * num_pow[k] * den_pow[clear_deg - k]
+        return out.unpack()
 
     def normalize_unit(self) -> tuple["LaurentPoly", tuple, int]:
         """Factor out the monomial content and a global sign.
@@ -370,96 +387,222 @@ def _row_packing_pays(a: dict[tuple, int], b: dict[tuple, int]) -> bool:
     return 4 * _row_count(a) * _row_count(b) <= small * large
 
 
-def _slot_bias(count: int, width: int) -> int:
-    # 2^(8 * width - 1) in each of count slots of width bytes
-    return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * count, "little")
+# A row of at most this many slots multiplies slot by slot (see _Rows.__mul__).
+_THIN_ROW = 8
 
 
-def _pack(coeffs: list[int], width: int) -> int:
-    """sum_k coeffs[k] * 2^(8 * width * k), for |coeffs[k]| < 2^(8 * width - 1)."""
-    half = 1 << (8 * width - 1)
-    data = b"".join(map(int.to_bytes, map(half.__add__, coeffs), repeat(width), repeat("little")))
-    return int.from_bytes(data, "little") - _slot_bias(len(coeffs), width)
+def _width(bound: int) -> int:
+    """Slot width in bits for coefficients of magnitude at most bound.
 
-
-def _unpack(value: int, count: int, width: int) -> list[int]:
-    """The count slot values of a packed int; the inverse of _pack.
-
-    Adding half a slot to every slot makes each one a nonnegative
-    width-byte digit, so the int splits with to_bytes.
+    A sign bit on top of the magnitude, in whole bytes, rounded up to a
+    ladder of byte counts with four significant bits (at most 1.125 times
+    apart), so that values built from one another in a loop share a width.
     """
-    half = 1 << (8 * width - 1)
-    data = (value + _slot_bias(count, width)).to_bytes(count * width, "little")
-    return [int.from_bytes(data[at:at + width], "little") - half for at in range(0, len(data), width)]
+    size = (bound.bit_length() + 8) // 8
+    unit = 1 << max(size.bit_length() - 4, 0)
+    return -(-size // unit) * unit * 8
 
 
-def _pack_rows(terms: dict[tuple, int], stride: int, width: int) -> dict:
-    """(expL, expX) -> (lowest expM, highest expM, packed int) for each row of terms.
+def _biases(count: int, width: int, period: int = 0) -> int:
+    """2^(width - 1) every period bytes (default width bits), count times.
 
-    Slot k of a row's int holds the coefficient of M^(lowest + k * stride).
+    Added to a packed int, it makes every slot nonnegative.
     """
-    rows: dict[tuple[int, int], dict[int, int]] = {}
-    for m, c in terms.items():
-        row = rows.get((m[0], m[2]))
-        if row is None:
-            rows[(m[0], m[2])] = {m[1]: c}
-        else:
-            row[m[1]] = c
-    packed = {}
-    for key, row in rows.items():
-        lo = min(row)
-        hi = max(row)
-        coeffs = [0] * ((hi - lo) // stride + 1)
-        for e, c in row.items():
-            coeffs[(e - lo) // stride] = c
-        packed[key] = (lo, hi, _pack(coeffs, width))
-    return packed
+    w = width // 8
+    half = (1 << (width - 1)).to_bytes(w, "little")
+    return int.from_bytes((half + bytes(max(period - w, 0))) * count, "little")
 
 
-def _mul_packed(a: dict[tuple, int], b: dict[tuple, int]) -> dict[tuple, int]:
-    """Canonical term dict of a * b by Kronecker substitution in M, row by row.
+def _slot_count(value: int, width: int) -> int:
+    # A packed int whose top nonzero slot is slot k has bit length at least width * k - 1.
+    return (value.bit_length() + 1) // width + 1
 
-    Each (expL, expX) row of each operand becomes one int with a slot per
-    M-exponent, so a row-pair product is one big-int multiplication.  The
-    slot stride is the gcd of all M-exponent differences within each whole
-    operand: a per-row stride would misalign rows whose lowest M-exponents
-    differ by a non-multiple of it when they land in the same output row.
-    Slots are wide enough for any product coefficient, which is a sum of at
-    most min(|a|, |b|) products of input coefficients.
+
+def _digits(value: int, width: int) -> list[int]:
+    """The signed slot values of a packed int, lowest first, to its top nonzero slot or one past."""
+    count = _slot_count(value, width)
+    w = width // 8
+    half = 1 << (width - 1)
+    data = (value + _biases(count, width)).to_bytes(count * w, "little")
+    return [int.from_bytes(data[at:at + w], "little") - half for at in range(0, len(data), w)]
+
+
+def _spread(value: int, width: int, new_width: int, spacing: int) -> int:
+    """Move slot k of width bits to slot spacing * k of new_width bits, keeping every slot's value."""
+    count = _slot_count(value, width)
+    w, step = width // 8, new_width // 8 * spacing
+    data = (value + _biases(count, width)).to_bytes(count * w, "little")
+    out = bytearray(count * step)
+    for at in range(w):  # one strided copy per byte of a slot, not one call per slot
+        out[at::step] = data[at::w]
+    return int.from_bytes(out, "little") - _biases(count, width, step)
+
+
+class _Rows:
+    """A polynomial as packed rows: {(expL, expX): (lowest expM, packed int)}.
+
+    Slot k of a row's int, bits width * k up to width * (k + 1), holds the
+    coefficient of M^(lowest + stride * k) as a signed digit, so the int is
+    the row evaluated at M^stride = 2^width (Kronecker substitution).  That
+    evaluation is a ring homomorphism, so +, - and * of packed ints are
+    exact whatever the width; only reading the slots back needs every
+    coefficient inside [-2^(width-1), 2^(width-1)).  bound is an upper bound
+    on the 1-norm of the polynomial, hence on every coefficient; it grows by
+    |a|_1 + |b|_1 for sums and |a|_1 * |b|_1 for products, and each
+    operation first widens its operands (a repack) when its result's bound
+    would not fit their width.  An operand widened that way keeps its wider
+    rows, since they hold the same polynomial, so a value reused across a
+    loop is repacked once per width.  stride divides every difference of
+    M-exponents in the value (0 when there is a single one), so rows of
+    different M-parity share one slot grid and products of rows landing in
+    one output row line up.  The polynomial a value holds never changes.
     """
-    first_a = next(iter(a))[1]
-    first_b = next(iter(b))[1]
-    stride = math.gcd(*(m[1] - first_a for m in a), *(m[1] - first_b for m in b)) or 1
-    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
-    width = (bound.bit_length() + 2 + 7) // 8  # a sign bit and a spare bit, in whole bytes
-    bits = 8 * width
-    rows_a = _pack_rows(a, stride, width)
-    rows_b = _pack_rows(b, stride, width)
 
-    spans: dict[tuple[int, int], list[int]] = {}
-    for (la, xa), (lo_a, hi_a, _) in rows_a.items():
-        for (lb, xb), (lo_b, hi_b, _) in rows_b.items():
-            key = (la + lb, xa + xb)
-            span = spans.get(key)
-            if span is None:
-                spans[key] = [lo_a + lo_b, hi_a + hi_b]
+    __slots__ = ("rows", "stride", "width", "bound")
+
+    def __init__(self, rows: dict, stride: int, width: int, bound: int):
+        self.rows = rows
+        self.stride = stride
+        self.width = width
+        self.bound = bound
+
+    @classmethod
+    def pack(cls, terms: dict[tuple, int], room: int = 0) -> "_Rows":
+        """terms packed with slots for coefficients up to their 1-norm, and up to room."""
+        bound = sum(map(abs, terms.values()))
+        width = _width(max(bound, room))
+        first = next(iter(terms), UNIT_MONOMIAL)[1]
+        stride = math.gcd(*(m[1] - first for m in terms))
+        step = stride or 1
+        grouped: dict[tuple[int, int], dict[int, int]] = {}
+        for m, c in terms.items():
+            grouped.setdefault((m[0], m[2]), {})[m[1]] = c
+        half = 1 << (width - 1)
+        w = width // 8
+        rows = {}
+        for key, row in grouped.items():
+            lo = min(row)
+            digits = [half] * ((max(row) - lo) // step + 1)
+            for e, c in row.items():
+                digits[(e - lo) // step] += c
+            data = b"".join(map(int.to_bytes, digits, repeat(w), repeat("little")))
+            rows[key] = (lo, int.from_bytes(data, "little") - _biases(len(digits), width))
+        return cls(rows, stride, width, bound)
+
+    def unpack(self) -> LaurentPoly:
+        """The polynomial itself, read slot by slot; zero slots are not terms."""
+        width, step = self.width, self.stride or 1
+        out: dict[tuple, int] = {}
+        for (l, x), (lo, value) in self.rows.items():
+            coeffs = _digits(value, width)
+            keys = zip(repeat(l), range(lo, lo + len(coeffs) * step, step), repeat(x))
+            out.update(compress(zip(keys, coeffs), coeffs))
+        return LaurentPoly._raw(out)
+
+    def _recast(self, stride: int, width: int) -> dict:
+        """The rows on the grid of a stride dividing self.stride, with width >= self.width bits.
+
+        Rows recast to a wider width on the same stride replace this
+        value's own.
+        """
+        if stride == self.stride and width == self.width:
+            return self.rows
+        spacing = self.stride // stride if self.stride else 1
+        half = 1 << (self.width - 1)
+        rows = {}
+        for key, (lo, value) in self.rows.items():
+            if -half <= value < half:  # a single slot reads the same on every grid
+                rows[key] = (lo, value)
             else:
-                span[0] = min(span[0], lo_a + lo_b)
-                span[1] = max(span[1], hi_a + hi_b)
-    sums = dict.fromkeys(spans, 0)
-    for (la, xa), (lo_a, _, va) in rows_a.items():
-        for (lb, xb), (lo_b, _, vb) in rows_b.items():
-            key = (la + lb, xa + xb)
-            shift = (lo_a + lo_b - spans[key][0]) // stride * bits
-            sums[key] += (va * vb) << shift
+                rows[key] = (lo, _spread(value, self.width, width, spacing))
+        if stride == self.stride:
+            self.rows, self.width = rows, width
+        return rows
 
-    out: dict[tuple, int] = {}
-    for (l, x), total in sums.items():
-        lo, hi = spans[(l, x)]
-        coeffs = _unpack(total, (hi - lo) // stride + 1, width)
-        keys = zip(repeat(l), range(lo, hi + 1, stride), repeat(x))
-        out.update(compress(zip(keys, coeffs), coeffs))  # zero slots are not terms
-    return out
+    def _grid(self, other: "_Rows", stride: int, bound: int) -> tuple[int, dict, dict]:
+        """A width holding bound, and both operands' rows recast onto it and onto stride."""
+        width = max(self.width, other.width)
+        if bound.bit_length() >= width:
+            width = _width(bound)
+        return width, self._recast(stride, width), other._recast(stride, width)
+
+    def __add__(self, other: "_Rows") -> "_Rows":
+        if not other.rows:
+            return self
+        if not self.rows:
+            return other
+        offset = next(iter(self.rows.values()))[0] - next(iter(other.rows.values()))[0]
+        stride = math.gcd(self.stride, other.stride, offset)
+        step = stride or 1
+        bound = self.bound + other.bound
+        width, rows, more = self._grid(other, stride, bound)
+        rows = dict(rows)
+        for key, (lo, value) in more.items():
+            have = rows.get(key)
+            if have is None:
+                rows[key] = (lo, value)
+                continue
+            lo0, value0 = have
+            if lo >= lo0:
+                total = value0 + (value << ((lo - lo0) // step * width))
+            else:
+                lo0, total = lo, value + (value0 << ((lo0 - lo) // step * width))
+            if total:
+                rows[key] = (lo0, total)
+            else:
+                del rows[key]
+        return _Rows(rows, stride, width, bound)
+
+    def __neg__(self) -> "_Rows":
+        rows = {key: (lo, -value) for key, (lo, value) in self.rows.items()}
+        return _Rows(rows, self.stride, self.width, self.bound)
+
+    def __sub__(self, other: "_Rows") -> "_Rows":
+        return self + (-other)
+
+    def __mul__(self, other) -> "_Rows":
+        if isinstance(other, int):
+            bound = self.bound * abs(other)
+            width, rows, _ = self._grid(self, self.stride, bound)
+            rows = {key: (lo, value * other) for key, (lo, value) in rows.items() if other}
+            return _Rows(rows, self.stride, width, bound)
+        stride = math.gcd(self.stride, other.stride)
+        step = stride or 1
+        bound = self.bound * other.bound
+        width, rows_a, rows_b = self._grid(other, stride, bound)
+        size_a = sum(value.bit_length() for _, value in rows_a.values())
+        if size_a < sum(value.bit_length() for _, value in rows_b.values()):
+            rows_a, rows_b = rows_b, rows_a
+        # Rows of the smaller operand with few slots enter slot by slot: scaling
+        # a long row by a small int is cheaper than multiplying it by an int
+        # that is mostly slot padding.
+        half = 1 << (width - 1)
+        parts_b = []
+        for (lb, xb), (lo_b, vb) in rows_b.items():
+            if -half <= vb < half or _slot_count(vb, width) > _THIN_ROW:
+                parts_b.append((lb, xb, lo_b, vb))
+            else:
+                parts_b.extend((lb, xb, lo_b + k * step, c)
+                               for k, c in enumerate(_digits(vb, width)) if c)
+        out: dict[tuple[int, int], tuple[int, int]] = {}
+        for (la, xa), (lo_a, va) in rows_a.items():
+            for lb, xb, lo_b, vb in parts_b:
+                key = (la + lb, xa + xb)
+                lo = lo_a + lo_b
+                have = out.get(key)
+                if have is None:
+                    out[key] = (lo, va * vb)
+                elif lo >= have[0]:
+                    out[key] = (have[0], have[1] + ((va * vb) << ((lo - have[0]) // step * width)))
+                else:
+                    out[key] = (lo, va * vb + (have[1] << ((have[0] - lo) // step * width)))
+        rows = {key: row for key, row in out.items() if row[1]}
+        return _Rows(rows, stride, width, bound)
+
+    def shift(self, l: int = 0, m: int = 0, x: int = 0) -> "_Rows":
+        """The product with the monomial L^l * M^m * x^x: new keys and offsets, the same ints."""
+        rows = {(kl + l, kx + x): (lo + m, value) for (kl, kx), (lo, value) in self.rows.items()}
+        return _Rows(rows, self.stride, self.width, self.bound)
 
 
 def mono(coeff: int, l: int = 0, m: int = 0, x: int = 0) -> LaurentPoly:

@@ -139,12 +139,16 @@ def _product(word: Letters, steps) -> tuple[Entries, float]:
 
 
 class _Family:
-    """What depends on n alone in a check: the two words, and P_2n and A_2n where given."""
+    """What depends on n alone in a check.
+
+    The two words always; P_2n, its leading x-coefficient and A_2n where given.
+    """
 
     def __init__(self, n: int, rm_poly: LaurentPoly | None = None,
                  apoly: LaurentPoly | None = None):
         self.n = n
         self.rm_poly = rm_poly
+        self.rm_lead = None if rm_poly is None else _leading_x_coeff(rm_poly)
         self.apoly = apoly
         self.relator = relator_word(n)
         self.longitude = build_longitude(n)
@@ -156,6 +160,10 @@ class _Family:
         if M0 != self._meridian:
             self._meridian, self._apoly_lists = M0, self.apoly.at_meridian(M0)
         return self._apoly_lists
+
+
+def _leading_x_coeff(poly: LaurentPoly) -> LaurentPoly:
+    return poly.coeff("x", poly.degree("x"))
 
 
 # The family that verify_family is checking in this context, if any.
@@ -178,15 +186,21 @@ def roots_of_rm(n: int, M0: complex) -> list[complex]:
     step is at most 2^-70 |x|, so the returned doubles are accurate to full
     precision even where the specialized polynomial is badly scaled.  Roots
     come sorted by (real, imaginary).  Raises DegreeCollapseError when the
-    leading coefficient vanishes at M0 rather than silently solving a
-    lower-degree polynomial, NonConvergenceError (naming n, M0 and the
-    start) when a polishing meets a zero slope or takes 50 steps without
-    meeting the stopping rule, and RepeatedRootError when two starting
-    points polish to one root, so that no root goes unchecked without
-    notice.
+    exact leading x-coefficient, a polynomial in M, vanishes at M0 (relative
+    to its own term magnitudes) rather than silently solving a lower-degree
+    polynomial; the other coefficients play no part, since for P_2n that
+    coefficient is a monomial that only M0 = 0 can annihilate.  Raises
+    NonConvergenceError (naming n, M0 and the start) when a polishing meets
+    a zero slope or takes 50 steps without meeting the stopping rule, and
+    RepeatedRootError when two starting points polish to one root, so that
+    no root goes unchecked without notice.
     """
     family = _family(n)
-    poly = family.rm_poly if family is not None else rm_closed(n).poly
+    if family is not None:
+        poly, lead = family.rm_poly, family.rm_lead
+    else:
+        poly = rm_closed(n).poly
+        lead = _leading_x_coeff(poly)
     with mp.workdps(40):
         exact, _ = poly.at_meridian(mp.mpc(complex(M0)))
         exact.reverse()
@@ -196,7 +210,8 @@ def roots_of_rm(n: int, M0: complex) -> list[complex]:
             raise ValueError("P specialized to the zero polynomial")
         if len(coeffs) == 1:
             return []
-        if abs(coeffs[0]) <= 1e-12 * scale:
+        (value,), (size,) = lead.at_meridian(complex(M0))
+        if abs(value) <= 1e-12 * size:
             raise DegreeCollapseError(f"leading x-coefficient vanishes at M0 = {M0!r}")
         fixed = _fixed_point(exact)
     polished = []

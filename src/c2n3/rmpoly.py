@@ -88,16 +88,16 @@ def rm_recursive(n: int) -> RMResult:
     P_0 = M^-2 and the explicit P_-2 for n < 0 (with k-1, k-2 replaced by
     k+1, k+2).  Only two values are carried, so the cost is linear in |n|.
     """
-    m8 = mono(1, m=8)
     if n == 0:
         return RMResult(0, _P0_UP, "recursive")
     if n > 0:
-        prev, cur = _P0_UP, _P_PLUS2
+        prev, cur = _P0_UP.packed(), _P_PLUS2.packed()
     else:
-        prev, cur = _P0_DOWN, _P_MINUS2
+        prev, cur = _P0_DOWN.packed(), _P_MINUS2.packed()
+    q = _Q.packed()
     for _ in range(abs(n) - 1):
-        prev, cur = cur, _Q * cur - m8 * prev
-    return RMResult(n, cur, "recursive")
+        prev, cur = cur, q * cur - prev.shift(m=8)
+    return RMResult(n, cur.unpack(), "recursive")
 
 
 def summation_indices(n: int) -> list[tuple[int, int, int]]:
@@ -122,10 +122,12 @@ def rm_closed(n: int) -> RMResult:
         base, prefactor = _BASE, 4 * n
     else:
         base, prefactor = -_BASE, -4 * n - 2
-    acc = ZERO
-    power = ONE
+    base = base.packed()
+    acc = ZERO.packed()
+    power = ONE.packed()
     for i, j, c in summation_indices(n):
         if i:
             power = power * base
-        acc = acc + mono(c * (-1) ** j, m=prefactor, x=j) * power
-    return RMResult(n, acc, "closed")
+        # scaled before the shift, so power itself keeps the wider slots the scaling needs
+        acc = acc + (power * (c * (-1) ** j)).shift(m=prefactor, x=j)
+    return RMResult(n, acc.unpack(), "closed")

@@ -14,7 +14,7 @@ from c2n3.laurent import (
     UNIT_MONOMIAL,
     ZERO,
     LaurentPoly,
-    _mul_packed,
+    _Rows,
     _row_packing_pays,
     mono,
 )
@@ -170,9 +170,10 @@ def test_add_and_mul_match_naive_oracle(p, q):
 
 
 def _packed(p, q):
-    out = _mul_packed(p._terms, q._terms)
-    assert all(type(m) is tuple and c for m, c in out.items())
-    return LaurentPoly._raw(out)
+    """p * q by packed rows alone, whatever the multiply dispatch would pick."""
+    out = (p.packed() * q.packed()).unpack()
+    assert all(type(m) is tuple and c for m, c in out._terms.items())
+    return out
 
 
 def test_every_key_is_a_plain_int_tuple():
@@ -229,7 +230,7 @@ def test_row_packed_stride_is_taken_over_whole_operands():
 
 
 def test_row_packed_slots_hold_the_largest_possible_coefficient():
-    # the M^0 coefficient is 8 * 2^30 * 2^30 = 2^63, exactly min(|a|, |b|) * max|c_a| * max|c_b|
+    # the M^0 coefficient is 8 * 2^30 * 2^30 = 2^63, one product per term of either side, all alike
     ramp = LaurentPoly({(0, k, 0): 2**30 for k in range(8)})
     mirror = LaurentPoly({(0, -k, 0): 2**30 for k in range(8)})
     assert _row_packing_pays(ramp._terms, mirror._terms)
@@ -250,6 +251,104 @@ def test_row_packed_mul_drops_cancelled_slots():
         mono(big, l=-1, m=-5, x=2) - mono(big, l=-1, m=3, x=2)
         - mono(big, l=-1, m=-3, x=1) + mono(big, l=-1, m=5, x=1)
     )
+
+
+# Magnitudes at the edges of whole-byte slot widths, mixed with arbitrary ones.
+limit_coefficients = st.one_of(
+    st.sampled_from([7, 8, 15, 16, 31, 32, 63, 64, 65, 130]).flatmap(
+        lambda bits: st.sampled_from([2**bits - 1, 1 - 2**bits, 2 ** (bits - 1), -(2 ** (bits - 1))])
+    ),
+    wide_coefficients,
+)
+
+
+@st.composite
+def packable_polys(draw):
+    """Rows of one to twelve terms, each row on its own M-offset and step, every exponent signed."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        l = draw(st.integers(-3, 3))
+        x = draw(st.integers(-2, 2))
+        start = draw(st.integers(-6, 6))
+        step = draw(st.sampled_from([1, 2, 3, 4]))
+        for k in range(draw(st.integers(1, 12))):
+            terms[(l, start + step * k, x)] = draw(limit_coefficients)
+    return LaurentPoly(terms)
+
+
+@given(p=packable_polys(), q=packable_polys(), r=packable_polys(),
+       c=limit_coefficients, shift=st.tuples(exponents, exponents, exponents))
+def test_packed_rows_match_naive_oracle(p, q, r, c, shift):
+    a, b, d = as_dict(p), as_dict(q), as_dict(r)
+    pp, qq, rr = p.packed(), q.packed(), r.packed()
+    assert as_dict(pp.unpack()) == a
+    assert as_dict((pp * qq).unpack()) == naive_mul(a, b)
+    assert as_dict((pp + qq).unpack()) == naive_add(a, b)
+    assert as_dict((pp - qq * rr).unpack()) == naive_add(a, naive_neg(naive_mul(b, d)))
+    assert as_dict(((pp + rr) * qq * rr).unpack()) == naive_mul(naive_mul(naive_add(a, d), b), d)
+    assert as_dict((pp * c).unpack()) == naive_mul(a, {(0, 0, 0): c})
+    moved = {(e[0] + shift[0], e[1] + shift[1], e[2] + shift[2]): v for e, v in a.items()}
+    assert as_dict(pp.shift(*shift).unpack()) == moved
+    expected = naive_add(naive_mul(moved, b), naive_neg(d))
+    assert as_dict((pp.shift(*shift) * qq - rr).unpack()) == expected
+    # the operands still hold their polynomials after any widening they went through
+    assert (as_dict(pp.unpack()), as_dict(qq.unpack()), as_dict(rr.unpack())) == (a, b, d)
+    assert not (pp - pp).unpack() and not (pp * 0).unpack()
+
+
+def test_packed_rows_cancel_to_zero():
+    p = LaurentPoly({(0, k, 0): (-1) ** (k % 2) * (2**64 - 1) for k in range(-5, 6)})
+    q = mono(2**64 - 1, l=1, m=3, x=-1) + mono(5, m=-1)
+    pp, qq = p.packed(), q.packed()
+    assert (pp * qq - qq * pp).unpack().is_zero()
+    assert not (pp + (-pp)).rows
+    low_half = LaurentPoly({m: c for m, c in p.terms() if m[1] < 0})
+    kept = (pp - low_half.packed()).unpack()
+    assert kept == p - low_half and min(m[1] for m, _ in kept.terms()) == 0
+
+
+@pytest.mark.parametrize("bits", [7, 8, 15, 16, 31, 32, 63, 64, 127, 128])
+def test_packed_slots_hold_a_coefficient_equal_to_the_bound(bits):
+    # each value's bound is exact here, so a slot one bit narrower than the rule fails
+    top, low = 2**bits - 1, -(2 ** (bits - 1))
+    for c in (top, low, -top):
+        row = LaurentPoly({(0, 2 * k, 0): c if k == 3 else 0 for k in range(5)})
+        assert row.packed().unpack() == row
+    a, b = mono(2 ** (bits - 1), m=1), mono(-2, m=-3, x=1)
+    assert (a.packed() * b.packed()).unpack() == mono(-(2**bits), m=-2, x=1)
+    assert (a.packed() + a.packed()).unpack() == mono(2**bits, m=1)
+    assert (a.packed() * -2).unpack() == mono(-(2**bits), m=1)
+
+
+def test_packed_rows_widen_when_a_result_outgrows_the_slots():
+    p = LaurentPoly({(0, k, 0): k + 1 for k in range(12)}) + mono(-3, l=1, m=5)
+    pp = p.packed()
+    narrow = pp.width
+    power, expected = pp, as_dict(p)
+    for _ in range(6):  # products
+        power = power * pp
+        expected = naive_mul(expected, as_dict(p))
+        assert as_dict(power.unpack()) == expected
+    assert power.width > narrow and pp.width > narrow  # the reused operand was widened in place
+    assert pp.unpack() == p
+    total = pp
+    for k in range(70):  # sums
+        total = total + pp.shift(m=2 * k)
+    assert total.width > narrow
+    assert total.unpack() == p * LaurentPoly({(0, 2 * k, 0): 1 + (k == 0) for k in range(70)})
+    scaled = p.packed() * (3**90)  # int scaling
+    assert scaled.width > narrow and scaled.unpack() == p * (3**90)
+
+
+def test_packed_rows_of_different_strides_share_one_grid():
+    # rows on M-steps 2 and 3 at offsets of both parities; a stride kept per row misplaces slots
+    a = LaurentPoly({(0, 2 * k, 0): k + 1 for k in range(10)}) + LaurentPoly(
+        {(1, 3 * k + 1, 0): -(k + 2) for k in range(10)})
+    b = LaurentPoly({(1, 2 * k + 1, 0): 2**40 + k for k in range(10)}) + mono(7, m=5)
+    assert (a.packed().stride, b.packed().stride) == (1, 2)
+    for lhs, rhs in ((a, b), (b, a), (a, a), (b, b)):
+        assert as_dict(_packed(lhs, rhs)) == naive_mul(as_dict(lhs), as_dict(rhs))
+        assert (lhs.packed() + rhs.packed()).unpack() == lhs + rhs
 
 
 @given(p=polys, q=polys, r=polys)
