@@ -7,8 +7,11 @@ predicted eigenvalue, and the A-polynomial must vanish at the induced
 (L, M) point.  Word products carry a conditioning estimate (the peak
 entry-magnitude sum along the accumulated product) so tolerances scale
 with the numeric difficulty of large |n|.  verify_family builds what
-depends on n alone (P_2n, A_2n, the two words) once per family, and
-specializes A_2n once per meridian.
+depends on n alone (P_2n, A_2n, the two words) once per family, evaluates
+the words once over all of its points with one numpy lane per point, and
+specializes A_2n once per meridian.  The numeric layer needs numpy alone:
+P_2n is specialized from its exact integer coefficients straight into
+fixed point.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import mpmath as mp
 import numpy as np
 
 from .apoly import APolyResult, apoly_theorem
@@ -79,33 +81,40 @@ def relator_word(n: int) -> Letters:
     return _reduced((("s", 1),) + build_w(n) + (("t", -1),) + build_w(-n))
 
 
+def _finite_meridian(M0) -> complex:
+    M0 = complex(M0)
+    if not cmath.isfinite(M0):
+        raise ValueError(f"the meridian eigenvalue must be finite, got M0 = {M0!r}")
+    return M0
+
+
 def rho_matrices(M0: complex, x0: complex) -> tuple[np.ndarray, np.ndarray]:
     """Generator images: s -> [[M0, 1], [0, 1/M0]], t -> [[M0, 0], [2 - M0^2 - M0^-2 - x0, 1/M0]]."""
-    M0 = complex(M0)
-    x0 = complex(x0)
-    if M0 == 0:
+    s_mat, t_mat = _rho_lanes(np.array([_finite_meridian(M0)]), np.array([complex(x0)]))
+    return np.array(s_mat).reshape(2, 2), np.array(t_mat).reshape(2, 2)
+
+
+# A 2x2 matrix as its entries (a, b, c, d) in row order, each an array with
+# one lane per point, so that one pass over a word serves many points.
+Lanes = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _rho_lanes(M0: np.ndarray, x0: np.ndarray) -> tuple[Lanes, Lanes]:
+    """The generator images of rho_matrices at arrays of meridians and roots."""
+    if not M0.all():
         raise ValueError("the meridian eigenvalue must be nonzero")
     minv = 1 / M0
-    s_mat = np.array([[M0, 1.0], [0.0, minv]], dtype=complex)
-    t_mat = np.array([[M0, 0.0], [2 - M0 * M0 - minv * minv - x0, minv]], dtype=complex)
-    return s_mat, t_mat
+    one, zero = np.ones_like(M0), np.zeros_like(M0)
+    return (M0, one, zero, minv), (M0, zero, 2 - M0 * M0 - minv * minv - x0, minv)
 
 
-# A 2x2 matrix as its entries (a, b, c, d) in row order, in plain complex numbers.
-Entries = tuple[complex, complex, complex, complex]
-
-
-def _entries(mat) -> Entries:
-    a, b, c, d = (complex(v) for v in np.asarray(mat, dtype=complex).ravel())
-    return a, b, c, d
-
-
-def _inv2(mat: Entries) -> Entries:
+def _inv2(mat: Lanes) -> Lanes:
     a, b, c, d = mat
-    det = a * d - b * c
-    if det == 0:
-        raise ValueError("singular matrix")
-    return d / det, -b / det, -c / det, a / det
+    with np.errstate(invalid="ignore"):
+        det = a * d - b * c
+        if not det.all():
+            raise ValueError("singular matrix")
+        return d / det, -b / det, -c / det, a / det
 
 
 def eval_word(word: Letters, s_mat: np.ndarray, t_mat: np.ndarray) -> np.ndarray:
@@ -114,46 +123,82 @@ def eval_word(word: Letters, s_mat: np.ndarray, t_mat: np.ndarray) -> np.ndarray
 
 
 def _eval_word_tracked(word: Letters, s_mat, t_mat) -> tuple[np.ndarray, float]:
-    (a, b, c, d), cond = _product(word, _steps(s_mat, t_mat))
-    return np.array([[a, b], [c, d]]), cond
+    lanes = (tuple(np.asarray(m, dtype=complex).reshape(4, 1)) for m in (s_mat, t_mat))
+    entries, cond = _product(word, _steps(*lanes))
+    return np.array(entries).reshape(2, 2), float(cond[0])
 
 
-def _steps(s_mat, t_mat) -> dict[tuple[str, int], Entries]:
+def _steps(s_mat: Lanes, t_mat: Lanes) -> dict[tuple[str, int], Lanes]:
     """The generator images and their inverses, keyed by (generator, sign of exponent)."""
-    s_step, t_step = _entries(s_mat), _entries(t_mat)
-    return {("s", 1): s_step, ("s", -1): _inv2(s_step), ("t", 1): t_step, ("t", -1): _inv2(t_step)}
+    return {("s", 1): s_mat, ("s", -1): _inv2(s_mat), ("t", 1): t_mat, ("t", -1): _inv2(t_mat)}
 
 
-def _product(word: Letters, steps) -> tuple[Entries, float]:
-    """The product over the letters of a word, and the peak entry-magnitude sum along it."""
-    a, b, c, d = 1 + 0j, 0j, 0j, 1 + 0j
-    cond = 2.0
-    for gen, exp in word:
-        p, q, r, u = steps[(gen, 1 if exp > 0 else -1)]
-        for _ in range(abs(exp)):
-            a, b, c, d = a * p + b * r, a * q + b * u, c * p + d * r, c * q + d * u
-            size = abs(a) + abs(b) + abs(c) + abs(d)
-            if size > cond:
-                cond = size
+def _product(word: Letters, steps) -> tuple[Lanes, np.ndarray]:
+    """The product over the letters of a word, and the peak entry-magnitude sum along it, per lane.
+
+    The peak starts at 2 (the identity) and is taken after every letter
+    step; a NaN entry leaves it as it was.
+    """
+    lanes = steps[("s", 1)][0].shape
+    a, b, c, d = (np.full(lanes, v, dtype=complex) for v in (1, 0, 0, 1))
+    cond = np.full(lanes, 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for gen, exp in word:
+            p, q, r, u = steps[(gen, 1 if exp > 0 else -1)]
+            for _ in range(abs(exp)):
+                a, b, c, d = a * p + b * r, a * q + b * u, c * p + d * r, c * q + d * u
+                np.fmax(cond, abs(a) + abs(b) + abs(c) + abs(d), out=cond)
     return (a, b, c, d), cond
+
+
+# What verify_point reads of the two words at one point (M0, x0): the
+# relator's four entries and peak, then the longitude's a and c and peak.
+Words = tuple[tuple[complex, complex, complex, complex], float, complex, complex, float]
+
+
+def _word_lanes(relator: Letters, longitude: Letters,
+                points: Sequence[tuple[complex, complex]]) -> list[Words]:
+    """The relator and the longitude at every (M0, x0) of points, in one pass over each word."""
+    if not points:
+        return []
+    M0, x0 = (np.array(v, dtype=complex) for v in zip(*points))
+    steps = _steps(*_rho_lanes(M0, x0))
+    rel, cond_rel = _product(relator, steps)
+    (a, _, c, _), cond_lon = _product(longitude, steps)
+    return list(zip(zip(*(v.tolist() for v in rel)), cond_rel.tolist(),
+                    a.tolist(), c.tolist(), cond_lon.tolist()))
 
 
 class _Family:
     """What depends on n alone in a check.
 
-    The two words always; P_2n, its leading x-coefficient and A_2n where given.
+    The two words always; P_2n by powers of x, its leading x-coefficient
+    and A_2n where given; the two words at the points given to
+    evaluate_words.
     """
 
     def __init__(self, n: int, rm_poly: LaurentPoly | None = None,
                  apoly: LaurentPoly | None = None):
         self.n = n
-        self.rm_poly = rm_poly
+        self.rm_columns = None if rm_poly is None else _columns(rm_poly)
         self.rm_lead = None if rm_poly is None else _leading_x_coeff(rm_poly)
         self.apoly = apoly
         self.relator = relator_word(n)
         self.longitude = build_longitude(n)
+        self._words: dict[tuple[complex, complex], Words] = {}
         self._meridian = None
         self._apoly_lists = None
+
+    def evaluate_words(self, points: Sequence[tuple[complex, complex]]) -> None:
+        """Both words at every point, in one lane pass, kept for words_at."""
+        self._words = dict(zip(points, _word_lanes(self.relator, self.longitude, points)))
+
+    def words_at(self, M0: complex, x0: complex) -> Words:
+        """Both words at (M0, x0): the kept lane, or a pass over this one point."""
+        found = self._words.get((M0, x0))
+        if found is None:
+            (found,) = _word_lanes(self.relator, self.longitude, [(M0, x0)])
+        return found
 
     def apoly_at(self, M0: complex) -> tuple[list, list]:
         """A_2n specialized at M0, computed again only when M0 differs from the last one asked."""
@@ -164,6 +209,14 @@ class _Family:
 
 def _leading_x_coeff(poly: LaurentPoly) -> LaurentPoly:
     return poly.coeff("x", poly.degree("x"))
+
+
+def _columns(poly: LaurentPoly) -> list[list[tuple[int, int]]]:
+    """A polynomial in M and x as its (M-exponent, coefficient) pairs per power of x, lowest first."""
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(poly.degree("x") + 1)]
+    for (_, e, k), c in poly.terms():
+        columns[k].append((e, c))
+    return columns
 
 
 # The family that verify_family is checking in this context, if any.
@@ -178,42 +231,46 @@ def _family(n: int) -> _Family | None:
 def roots_of_rm(n: int, M0: complex) -> list[complex]:
     """All roots of x -> P_2n(x, M0), by companion-matrix eigenvalues plus Newton polishing.
 
-    P_2n is specialized at M0 once, to 40 decimal digits; inside
-    verify_family it is built once for the whole family.  The eigenvalue
-    step runs on those coefficients rounded to doubles.  Each root is then
-    polished by Newton's method on the 40-digit coefficients, held as
-    pairs of integers (real and imaginary parts) scaled by 2^160, until a
-    step is at most 2^-70 |x|, so the returned doubles are accurate to full
-    precision even where the specialized polynomial is badly scaled.  Roots
-    come sorted by (real, imaginary).  Raises DegreeCollapseError when the
-    exact leading x-coefficient, a polynomial in M, vanishes at M0 (relative
-    to its own term magnitudes) rather than silently solving a lower-degree
-    polynomial; the other coefficients play no part, since for P_2n that
-    coefficient is a monomial that only M0 = 0 can annihilate.  Raises
-    NonConvergenceError (naming n, M0 and the start) when a polishing meets
-    a zero slope or takes 50 steps without meeting the stopping rule, and
-    RepeatedRootError when two starting points polish to one root, so that
-    no root goes unchecked without notice.
+    The exact integer coefficients of P_2n are specialized at M0 once,
+    straight into fixed point (see _specialized); inside verify_family P_2n
+    is built once for the whole family.  The eigenvalue step runs on those
+    values correctly rounded to doubles.  Each root is then polished by
+    Newton's method on the same values cut to 2^-160, held as pairs of
+    integers (real and imaginary parts), until a step is at most 2^-70 |x|,
+    so the returned doubles are accurate to full precision even where the
+    specialized polynomial is badly scaled.  Roots come sorted by (real,
+    imaginary).  Raises ValueError, naming M0, when M0 is not finite or
+    the specialized coefficients do not fit in doubles.  Raises
+    DegreeCollapseError when the exact leading x-coefficient, a polynomial
+    in M, vanishes at M0 (relative to its own term magnitudes) rather than
+    silently solving a lower-degree polynomial; the other coefficients play
+    no part, since for P_2n that coefficient is a monomial that only M0 = 0
+    can annihilate.  Raises NonConvergenceError (naming n, M0 and the
+    start) when a polishing meets a zero slope or takes 50 steps without
+    meeting the stopping rule, and RepeatedRootError when two starting
+    points polish to one root, so that no root goes unchecked without
+    notice.
     """
+    M0 = _finite_meridian(M0)
     family = _family(n)
     if family is not None:
-        poly, lead = family.rm_poly, family.rm_lead
+        columns, lead = family.rm_columns, family.rm_lead
     else:
         poly = rm_closed(n).poly
-        lead = _leading_x_coeff(poly)
-    with mp.workdps(40):
-        exact, _ = poly.at_meridian(mp.mpc(complex(M0)))
-        exact.reverse()
-        coeffs = np.array([complex(c) for c in exact])
-        scale = float(np.abs(coeffs).max())
-        if scale == 0.0:
-            raise ValueError("P specialized to the zero polynomial")
-        if len(coeffs) == 1:
-            return []
-        (value,), (size,) = lead.at_meridian(complex(M0))
+        columns, lead = _columns(poly), _leading_x_coeff(poly)
+    if len(columns) == 1:
+        return []
+    try:
+        (value,), (size,) = lead.at_meridian(M0)
         if abs(value) <= 1e-12 * size:
             raise DegreeCollapseError(f"leading x-coefficient vanishes at M0 = {M0!r}")
-        fixed = _fixed_point(exact)
+        values, bits = _specialized(columns, M0)
+        one = 1 << bits
+        coeffs = np.array([complex(re / one, im / one) for re, im in reversed(values)])
+    except OverflowError:
+        raise ValueError(f"P_2n at M0 = {M0!r} does not fit in double precision") from None
+    cut = bits - _FRACTION_BITS
+    fixed = [(re >> cut, im >> cut) for re, im in reversed(values)]
     polished = []
     for z in np.roots(coeffs):
         try:
@@ -236,10 +293,39 @@ _NEWTON_STEPS = 50
 _STOP_BITS = 70
 
 
-def _fixed_point(coeffs) -> list[tuple[int, int]]:
-    """mpmath complex coefficients as (real, imaginary) integers scaled by 2^_FRACTION_BITS."""
-    return [(int(mp.ldexp(c.real, _FRACTION_BITS)), int(mp.ldexp(c.imag, _FRACTION_BITS)))
-            for c in coeffs]
+def _specialized(columns, M0: complex) -> tuple[list[tuple[int, int]], int]:
+    """Each column's sum c * M0^e, as (real, imaginary) integers scaled by 2^bits, and bits.
+
+    The powers of M0 (an exact double) are built by fixed-point Gaussian
+    products, each cut toward minus infinity.  Past _FRACTION_BITS, bits
+    holds guard bits for the shrinking of M0^e when |M0| < 1 and for the
+    cuts along the powers, so every value is within
+    2^-_FRACTION_BITS * sum |c| |M0|^e of the exact one.
+    """
+    top = max(e for column in columns for e, _ in column)
+    modulus = abs(M0)
+    shrink = math.ceil(-top * math.log2(modulus)) if 0 < modulus < 1 else 0
+    bits = _FRACTION_BITS + shrink + top.bit_length() + 4
+    mr, mi = (_scaled(v, bits) for v in (M0.real, M0.imag))
+    powers = [(1 << bits, 0)]
+    for _ in range(top):
+        pr, pi = powers[-1]
+        powers.append(((pr * mr - pi * mi) >> bits, (pr * mi + pi * mr) >> bits))
+    values = []
+    for column in columns:
+        re = im = 0
+        for e, c in column:
+            pr, pi = powers[e]
+            re += c * pr
+            im += c * pi
+        values.append((re, im))
+    return values, bits
+
+
+def _scaled(v: float, bits: int) -> int:
+    """floor(v * 2^bits), exactly."""
+    num, den = v.as_integer_ratio()
+    return (num << bits) // den
 
 
 def _polish_root(z: complex, coeffs: Sequence[tuple[int, int]]) -> complex:
@@ -341,13 +427,11 @@ def verify_point(n: int, M0: complex, x0: complex, tol: float, apoly=None) -> Ve
     M0 = complex(M0)
     x0 = complex(x0)
     family = _family(n) or _Family(n)
-    steps = _steps(*rho_matrices(M0, x0))
-    (a, b, c, d), cond_rel = _product(family.relator, steps)
+    (a, b, c, d), cond_rel, lon_a, lon_c, cond_lon = family.words_at(M0, x0)
     relation_residual = max(abs(a - 1), abs(b), abs(c), abs(d - 1))
-    (a, _, c, _), cond_lon = _product(family.longitude, steps)
     L0 = longitude_eigen(n, M0, x0)
-    longitude_mismatch = abs(a - L0)
-    offdiag_residual = abs(c)
+    longitude_mismatch = abs(lon_a - L0)
+    offdiag_residual = abs(lon_c)
     if apoly is None:
         apoly = family.apoly if family.apoly is not None else apoly_theorem(n)
     poly = apoly.poly if isinstance(apoly, APolyResult) else apoly
@@ -383,6 +467,10 @@ def sample_unit_modulus(count: int, seed: int, margin: float = 0.05) -> list[com
     special = sorted(
         {2 * math.pi * k / q for q in _EXCLUDED_ROOT_ORDERS for k in range(q + 1)}
     )
+    # an angle can keep margin away from every special one only below half the widest gap
+    reach = max(b - a for a, b in zip(special, special[1:])) / 2
+    if not 0 <= margin < reach:
+        raise ValueError(f"margin must be in [0, {reach!r}), got {margin!r}")
     rng = random.Random(seed)
     samples: list[complex] = []
     while len(samples) < count:
@@ -416,7 +504,9 @@ def verify_family(
 ) -> list[VerificationReport | BadPoint]:
     """verify_point over every root of P_2n at every provided meridian sample.
 
-    P_2n, A_2n and the two words are built once for the whole family, and
+    P_2n, A_2n and the two words are built once for the whole family.  The
+    roots come first for every sample; then both words are evaluated once
+    over all (sample, root) lanes, and each verify_point reads its lane;
     A_2n is specialized once per meridian.  A sample whose roots cannot be
     trusted (DegreeCollapseError, NonConvergenceError, RepeatedRootError)
     gives one BadPoint in place of its reports, and a root where the
@@ -425,15 +515,20 @@ def verify_family(
     report serializes as strict JSON.
     """
     apoly = apoly_theorem(n)
-    token = _FAMILY.set(_Family(n, rm_closed(n).poly, apoly.poly))
+    family = _Family(n, rm_closed(n).poly, apoly.poly)
+    token = _FAMILY.set(family)
     reports: list[VerificationReport | BadPoint] = []
     try:
+        found = []
         for M0 in M_samples:
             try:
-                roots = roots_of_rm(n, M0)
+                found.append((M0, roots_of_rm(n, M0), None))
             except (DegreeCollapseError, NonConvergenceError, RepeatedRootError) as exc:
-                reports.append(BadPoint(n, complex(M0), str(exc)))
-                continue
+                found.append((M0, (), exc))
+        family.evaluate_words([(complex(M0), complex(x0)) for M0, roots, _ in found for x0 in roots])
+        for M0, roots, error in found:
+            if error is not None:
+                reports.append(BadPoint(n, complex(M0), str(error)))
             for x0 in roots:
                 try:
                     report = verify_point(n, M0, x0, tol, apoly=apoly)

@@ -4,7 +4,8 @@ Polynomials here are plain dicts mapping (expL, expM, expX) to int.
 Nothing is shared with the LaurentPoly internals: products and sums are
 accumulated pairwise so the library results can be checked against a
 second, deliberately naive implementation.  The numeric-layer oracles at
-the end keep the earlier numpy and mpmath kernels of c2n3.repcheck.
+the end keep the earlier numpy and mpmath kernels of c2n3.repcheck; mpmath
+is a test-only dependency.
 """
 
 import mpmath as mp
@@ -83,3 +84,8 @@ def mpmath_polish_root(z, exact_coeffs) -> complex:
         if abs(step) < mp.mpf("1e-30"):
             break
     return complex(current)
+
+
+def mpmath_fixed_point(coeffs) -> list[tuple[int, int]]:
+    """mpmath complex coefficients as (real, imaginary) integers scaled by 2^160."""
+    return [(int(mp.ldexp(c.real, 160)), int(mp.ldexp(c.imag, 160))) for c in coeffs]

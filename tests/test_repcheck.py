@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
-from oracles import mpmath_polish_root, numpy_word_product
+from oracles import mpmath_fixed_point, mpmath_polish_root, numpy_word_product
 
 from c2n3.apoly import substitution_x
 from c2n3.rmpoly import rm_closed
@@ -19,10 +19,11 @@ from c2n3.repcheck import (
     RepeatedRootError,
     SingularPointError,
     VerificationReport,
+    _columns,
     _eval_word_tracked,
-    _fixed_point,
     _polish_root,
     _reduced,
+    _specialized,
     build_longitude,
     build_w,
     eval_word,
@@ -201,17 +202,55 @@ def test_polish_root_matches_the_mpmath_oracle():
                 continue
             with mp.workdps(40):
                 exact = poly.at_meridian(mp.mpc(M0))[0][::-1]
-                fixed = _fixed_point(exact)
+                fixed = mpmath_fixed_point(exact)
                 for z in np.roots([complex(c) for c in exact]):
                     x = _polish_root(complex(z), fixed)
                     assert abs(x - mpmath_polish_root(z, exact)) <= 1e-25 * max(1.0, abs(x))
 
 
+@pytest.mark.parametrize("n, M0", [(n, M0) for n in range(-8, 9) if n
+                                   for M0 in sample_unit_modulus(20, seed=0)]
+                         + [(n, M0) for n in (3, -3, 12, -12) for M0 in (0.5, 2.0, 0.3 + 1.7j)]
+                         + [(12, 0.3 - 0.4j), (-12, 0.3 - 0.4j), (40, 0.5)])
+def test_specialization_matches_the_mpmath_oracle(n, M0):
+    # each fixed-point coefficient is within 2^-133 of its term magnitudes
+    # (what 40 digits give), and as a double within 1 ulp of the 40-digit one;
+    # the last three cases need the guard bits for |M0| < 1: there M0^e has
+    # inexact fixed-point powers, or falls below 2^-160
+    poly = rm_closed(n).poly
+    values, bits = _specialized(_columns(poly), complex(M0))
+    with mp.workdps(60):
+        exact, sizes = poly.at_meridian(mp.mpc(M0))
+        for (re_, im_), want, size in zip(values, exact, sizes, strict=True):
+            got = mp.mpc(mp.ldexp(re_, -bits), mp.ldexp(im_, -bits))
+            assert abs(got - want) <= mp.ldexp(size, -133)
+    with mp.workdps(40):
+        digits40 = [complex(c) for c in poly.at_meridian(mp.mpc(M0))[0]]
+    one = 1 << bits
+    for (re_, im_), want in zip(values, digits40):
+        for got, ref in ((re_ / one, want.real), (im_ / one, want.imag)):
+            assert abs(got - ref) <= math.ulp(max(abs(got), abs(ref)))
+
+
+@pytest.mark.parametrize("M0", [math.nan, math.inf, complex(1, -math.inf), complex(math.nan, 1)])
+def test_non_finite_meridians_are_rejected_by_name(M0):
+    message = re.escape(f"M0 = {complex(M0)!r}")
+    with pytest.raises(ValueError, match=message):
+        roots_of_rm(2, M0)
+    with pytest.raises(ValueError, match=message):
+        rho_matrices(M0, 0.5)
+
+
+def test_meridians_whose_coefficients_overflow_doubles_are_rejected_by_name():
+    with pytest.raises(ValueError, match=re.escape("M0 = (1e+200+0j) does not fit")):
+        roots_of_rm(2, 1e200)
+
+
 def test_polish_root_reports_non_convergence():
     # Newton's method on x^3 - 2x + 2 cycles 0 -> 1 -> 0 -> ...
     with mp.workdps(40):
-        cycle = _fixed_point([mp.mpc(c) for c in (1, 0, -2, 2)])
-        flat = _fixed_point([mp.mpc(c) for c in (1, 0, 1)])
+        cycle = mpmath_fixed_point([mp.mpc(c) for c in (1, 0, -2, 2)])
+        flat = mpmath_fixed_point([mp.mpc(c) for c in (1, 0, 1)])
     with pytest.raises(NonConvergenceError, match=r"from x = 0j met no stopping rule in 50 steps"):
         _polish_root(0j, cycle)
     # x^2 + 1 has slope 0 at x = 0
@@ -269,6 +308,11 @@ def test_verify_point_rejects_degenerate_inputs():
         verify_point(1, 1.0, 0.5, 0.0)
     with pytest.raises(ValueError):
         verify_point(1, 1.0, 0.5, -1e-8)
+
+
+def test_verify_point_rejects_a_zero_meridian():
+    with pytest.raises(ValueError, match="must be nonzero"):
+        verify_point(1, 0.0, 0.5, 1e-8)
 
 
 def test_verify_point_passes_on_true_representation_points():
@@ -347,6 +391,22 @@ def test_verify_family_reports_bad_points_in_place(monkeypatch):
     assert all(r.passed for r in reports[2:6] + reports[7:])
 
 
+@pytest.mark.parametrize("n", [-5, 2, 6])
+def test_verify_point_alone_matches_its_lane_in_verify_family(n):
+    samples = sample_unit_modulus(4, seed=2)
+    reports = verify_family(n, samples, 1e-8)
+    assert len(reports) == 4 * (3 * abs(n) - (n < 0))
+    for lane in reports:
+        alone = verify_point(n, lane.M_sample, lane.root, 1e-8)
+        assert alone.passed and lane.passed
+        for residual, cond in (("relation_residual", "cond_relator"),
+                               ("longitude_mismatch", "cond_longitude"),
+                               ("offdiag_residual", "cond_longitude")):
+            assert abs(getattr(alone, cond) - getattr(lane, cond)) <= 1e-12 * getattr(lane, cond)
+            assert abs(getattr(alone, residual) - getattr(lane, residual)) <= 1e-12 * getattr(lane, cond)
+        assert alone.apoly_residual == lane.apoly_residual
+
+
 @pytest.mark.parametrize("n, roots_per_sample", [(-1, 2), (1, 3)])
 def test_verify_family_covers_every_root(n, roots_per_sample):
     samples = sample_unit_modulus(3, seed=5)
@@ -376,3 +436,12 @@ def test_sample_unit_modulus_avoids_low_order_roots_of_unity():
     for z in sample_unit_modulus(50, seed=3):
         theta = cmath.phase(z) % (2 * math.pi)
         assert min(abs(theta - a) for a in special) >= 0.05 - 1e-9
+
+
+@pytest.mark.parametrize("margin", [math.pi / 12, 0.3, -0.01, math.nan, math.inf])
+def test_sample_unit_modulus_rejects_a_margin_no_angle_can_keep(margin):
+    # the widest gap between roots of unity of order <= 12 is 2 pi / 12, so
+    # from pi / 12 on no angle keeps its distance from all of them
+    with pytest.raises(ValueError, match="margin must be in"):
+        sample_unit_modulus(3, seed=0, margin=margin)
+    assert len(sample_unit_modulus(3, seed=0, margin=0.25)) == 3
