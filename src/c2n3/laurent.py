@@ -148,17 +148,13 @@ class LaurentPoly:
         return other + (-self)
 
     def __mul__(self, other) -> "LaurentPoly":
+        """The schoolbook product, term by term; loops of products run on packed() rows."""
         other = LaurentPoly._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._terms, other._terms
-        if _row_packing_pays(a, b):
-            # one width for both, holding the product's coefficients
-            room = sum(map(abs, a.values())) * sum(map(abs, b.values()))
-            return (_Rows.pack(a, room) * _Rows.pack(b, room)).unpack()
         out: dict[tuple, int] = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
+        for m1, c1 in self._terms.items():
+            for m2, c2 in other._terms.items():
                 key = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
                 total = out.get(key, 0) + c1 * c2
                 if total:
@@ -368,23 +364,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_text()!r})"
-
-
-def _row_count(terms: dict[tuple, int]) -> int:
-    return len({(m[0], m[2]) for m in terms})
-
-
-def _row_packing_pays(a: dict[tuple, int], b: dict[tuple, int]) -> bool:
-    """Whether a * b should take the row-packed path rather than the schoolbook loop.
-
-    Packing pays when the (expL, expX) rows hold several terms each, so that
-    one big-int product per row pair replaces many term products.  The
-    choice depends on the operands' shapes alone.
-    """
-    small, large = sorted((len(a), len(b)))
-    if small < 2 or large < 8:
-        return False
-    return 4 * _row_count(a) * _row_count(b) <= small * large
 
 
 # A row of at most this many slots multiplies slot by slot (see _Rows.__mul__).

@@ -172,16 +172,14 @@ def _word_lanes(relator: Letters, longitude: Letters,
 class _Family:
     """What depends on n alone in a check.
 
-    The two words always; P_2n by powers of x, its leading x-coefficient
-    and A_2n where given; the two words at the points given to
-    evaluate_words.
+    The two words always; P_2n by powers of x and A_2n where given; the
+    two words at the points given to evaluate_words.
     """
 
     def __init__(self, n: int, rm_poly: LaurentPoly | None = None,
                  apoly: LaurentPoly | None = None):
         self.n = n
         self.rm_columns = None if rm_poly is None else _columns(rm_poly)
-        self.rm_lead = None if rm_poly is None else _leading_x_coeff(rm_poly)
         self.apoly = apoly
         self.relator = relator_word(n)
         self.longitude = build_longitude(n)
@@ -205,10 +203,6 @@ class _Family:
         if M0 != self._meridian:
             self._meridian, self._apoly_lists = M0, self.apoly.at_meridian(M0)
         return self._apoly_lists
-
-
-def _leading_x_coeff(poly: LaurentPoly) -> LaurentPoly:
-    return poly.coeff("x", poly.degree("x"))
 
 
 def _columns(poly: LaurentPoly) -> list[list[tuple[int, int]]]:
@@ -241,34 +235,28 @@ def roots_of_rm(n: int, M0: complex) -> list[complex]:
     specialized polynomial is badly scaled.  Roots come sorted by (real,
     imaginary).  Raises ValueError, naming M0, when M0 is not finite or
     the specialized coefficients do not fit in doubles.  Raises
-    DegreeCollapseError when the exact leading x-coefficient, a polynomial
-    in M, vanishes at M0 (relative to its own term magnitudes) rather than
-    silently solving a lower-degree polynomial; the other coefficients play
-    no part, since for P_2n that coefficient is a monomial that only M0 = 0
-    can annihilate.  Raises NonConvergenceError (naming n, M0 and the
-    start) when a polishing meets a zero slope or takes 50 steps without
-    meeting the stopping rule, and RepeatedRootError when two starting
-    points polish to one root, so that no root goes unchecked without
-    notice.
+    DegreeCollapseError when the leading double handed to the eigenvalue
+    step is zero, the case where np.roots would silently solve a
+    lower-degree polynomial; for P_2n that coefficient is the monomial
+    +-M^(4n) or +-M^(-4n-2) at M0, so only M0 = 0, or underflow, makes it
+    vanish.  Raises NonConvergenceError (naming n, M0 and the start) when
+    a polishing meets a zero slope or takes 50 steps without meeting the
+    stopping rule, and RepeatedRootError when two starting points polish
+    to one root, so that no root goes unchecked without notice.
     """
     M0 = _finite_meridian(M0)
     family = _family(n)
-    if family is not None:
-        columns, lead = family.rm_columns, family.rm_lead
-    else:
-        poly = rm_closed(n).poly
-        columns, lead = _columns(poly), _leading_x_coeff(poly)
+    columns = family.rm_columns if family is not None else _columns(rm_closed(n).poly)
     if len(columns) == 1:
         return []
+    values, bits = _specialized(columns, M0)
+    one = 1 << bits
     try:
-        (value,), (size,) = lead.at_meridian(M0)
-        if abs(value) <= 1e-12 * size:
-            raise DegreeCollapseError(f"leading x-coefficient vanishes at M0 = {M0!r}")
-        values, bits = _specialized(columns, M0)
-        one = 1 << bits
         coeffs = np.array([complex(re / one, im / one) for re, im in reversed(values)])
     except OverflowError:
         raise ValueError(f"P_2n at M0 = {M0!r} does not fit in double precision") from None
+    if coeffs[0] == 0:
+        raise DegreeCollapseError(f"leading x-coefficient vanishes at M0 = {M0!r}")
     cut = bits - _FRACTION_BITS
     fixed = [(re >> cut, im >> cut) for re, im in reversed(values)]
     polished = []
@@ -413,17 +401,23 @@ def _horner(coeffs: Sequence, z):
     return acc
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+
+
 def verify_point(n: int, M0: complex, x0: complex, tol: float, apoly=None) -> VerificationReport:
     """Check the relation, longitude, and A-polynomial residuals at one point.
 
     x0 should be a root of P_2n(., M0).  n = 0 is rejected as degenerate:
-    the conjugating word is empty and the constant P_0 has no roots.  A
-    precomputed A-polynomial may be passed to avoid recomputation in grids.
+    the conjugating word is empty and the constant P_0 has no roots.  So is
+    a tol that is not finite and positive: an infinite one would pass any
+    point, and NaN would fail every one without saying why.  A precomputed
+    A-polynomial may be passed to avoid recomputation in grids.
     """
     if n == 0:
         raise ValueError("n = 0 is degenerate: empty conjugating word and constant P_0")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     M0 = complex(M0)
     x0 = complex(x0)
     family = _family(n) or _Family(n)
@@ -512,8 +506,10 @@ def verify_family(
     gives one BadPoint in place of its reports, and a root where the
     longitude eigenvalue is undefined (SingularPointError) or whose report
     holds a non-finite number gives one in place of its report, so every
-    report serializes as strict JSON.
+    report serializes as strict JSON.  A tol that is not finite and
+    positive raises ValueError before any root is sought.
     """
+    _check_tol(tol)
     apoly = apoly_theorem(n)
     family = _Family(n, rm_closed(n).poly, apoly.poly)
     token = _FAMILY.set(family)

@@ -4,11 +4,15 @@ import argparse
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import c2n3
 from c2n3 import cli, repcheck
 from c2n3.apoly import APolyResult, apoly_theorem
 from c2n3.laurent import LaurentPoly
@@ -243,6 +247,24 @@ def test_entry_point_wrapper(monkeypatch, capsys):
         cli.entry()
     assert excinfo.value.code == 0
     assert capsys.readouterr().out == "1\n"
+
+
+def readme_example(command):
+    """The output line printed under `c2n3 <command>` in the README's CLI usage block."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    at = lines.index(f"c2n3 {command}")
+    assert lines[at + 1].startswith("# ")
+    return lines[at + 1][2:]
+
+
+@pytest.mark.parametrize("command", ["compute --n -1", "newton --n -1"])
+def test_readme_examples_run_as_a_module(command):
+    path = [str(Path(c2n3.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-m", "c2n3.cli", *command.split()],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == readme_example(command) + "\n"
 
 
 @pytest.mark.parametrize(

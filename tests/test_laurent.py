@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from collections import namedtuple
 
 import mpmath as mp
@@ -15,7 +16,6 @@ from c2n3.laurent import (
     ZERO,
     LaurentPoly,
     _Rows,
-    _row_packing_pays,
     mono,
 )
 from oracles import as_dict, naive_add, naive_mul, naive_neg, naive_pow
@@ -161,7 +161,7 @@ def test_pow_rejects_negative():
 
 @given(p=st.one_of(polys, row_dense_polys()), q=st.one_of(polys, row_dense_polys()))
 def test_add_and_mul_match_naive_oracle(p, q):
-    # operands on both sides of the multiply dispatch
+    # sparse operands and operands with several terms per row, through both multiplies
     assert as_dict(p + q) == naive_add(as_dict(p), as_dict(q))
     expected = naive_mul(as_dict(p), as_dict(q))
     assert as_dict(p * q) == expected
@@ -170,7 +170,7 @@ def test_add_and_mul_match_naive_oracle(p, q):
 
 
 def _packed(p, q):
-    """p * q by packed rows alone, whatever the multiply dispatch would pick."""
+    """p * q through packed rows, the multiply the route builders use."""
     out = (p.packed() * q.packed()).unpack()
     assert all(type(m) is tuple and c for m, c in out._terms.items())
     return out
@@ -178,14 +178,12 @@ def _packed(p, q):
 
 def test_every_key_is_a_plain_int_tuple():
     rows = LaurentPoly({(l, m, 0): m + 1 for l in range(3) for m in range(6)})
-    assert _row_packing_pays(rows._terms, rows._terms)
-    assert not _row_packing_pays(P_MINUS2._terms, P_MINUS2._terms)
     point = namedtuple("point", "l m x")
     normalized, unit, _ = (mono(-1, m=-2, x=1) + mono(1, l=1)).normalize_unit()
     built = {
         "constructor": LaurentPoly({point(1, -2, 0): 3, (0, 1, 2): -1}),
         "schoolbook mul": P_MINUS2 * P_MINUS2,
-        "packed mul": rows * rows,
+        "packed mul": _packed(rows, rows),
         "substitute": Q_CUBIC.substitute("x", ONE + mono(1, l=1, m=6), mono(1, l=1), 3),
         "normalize_unit": normalized,
         "from_json": LaurentPoly.from_json(P_PLUS2.to_json()),
@@ -201,21 +199,9 @@ def test_every_key_is_a_plain_int_tuple():
 
 @given(p=row_dense_polys(), q=row_dense_polys())
 def test_row_packed_mul_matches_naive_oracle(p, q):
-    assume(_row_packing_pays(p._terms, q._terms))
     expected = naive_mul(as_dict(p), as_dict(q))
     assert as_dict(_packed(p, q)) == expected
     assert as_dict(p * q) == expected
-
-
-def test_dispatch_follows_row_shape():
-    rows_of_six = LaurentPoly({(l, m, 0): 1 for l in range(3) for m in range(6)})
-    one_per_row = LaurentPoly({(k, 0, k): 1 for k in range(8)})
-    assert _row_packing_pays(rows_of_six._terms, rows_of_six._terms)
-    assert _row_packing_pays(rows_of_six._terms, (ONE + mono(1, m=1))._terms)
-    assert not _row_packing_pays(one_per_row._terms, one_per_row._terms)
-    assert not _row_packing_pays(mono(5, m=3)._terms, rows_of_six._terms)
-    rows_of_three = LaurentPoly({(l, m, 0): 1 for l in range(3) for m in range(3)})
-    assert not _row_packing_pays((ONE + mono(1, l=1))._terms, rows_of_three._terms)
 
 
 def test_row_packed_stride_is_taken_over_whole_operands():
@@ -223,7 +209,6 @@ def test_row_packed_stride_is_taken_over_whole_operands():
     # would misplace half of the product
     a = LaurentPoly({(l, 2 * k + l, 0): 1 for l in range(3) for k in range(4)})
     b = LaurentPoly({(l, 2 * k, 0): k + 1 for l in range(4) for k in range(5)})
-    assert _row_packing_pays(a._terms, b._terms)
     expected = naive_mul(as_dict(a), as_dict(b))
     assert as_dict(_packed(a, b)) == expected
     assert as_dict(a * b) == expected
@@ -233,7 +218,6 @@ def test_row_packed_slots_hold_the_largest_possible_coefficient():
     # the M^0 coefficient is 8 * 2^30 * 2^30 = 2^63, one product per term of either side, all alike
     ramp = LaurentPoly({(0, k, 0): 2**30 for k in range(8)})
     mirror = LaurentPoly({(0, -k, 0): 2**30 for k in range(8)})
-    assert _row_packing_pays(ramp._terms, mirror._terms)
     for a, b in ((ramp, mirror), (-ramp, mirror)):
         expected = naive_mul(as_dict(a), as_dict(b))
         assert abs(expected[(0, 0, 0)]) == 2**63
@@ -244,13 +228,26 @@ def test_row_packed_slots_hold_the_largest_possible_coefficient():
 def test_row_packed_mul_drops_cancelled_slots():
     geometric = LaurentPoly({(-1, k - 3, 2): 1 for k in range(8)})
     factor = ONE - mono(1, m=1)
-    assert _row_packing_pays(geometric._terms, factor._terms)
-    assert geometric * factor == mono(1, l=-1, m=-3, x=2) - mono(1, l=-1, m=5, x=2)
+    assert _packed(geometric, factor) == mono(1, l=-1, m=-3, x=2) - mono(1, l=-1, m=5, x=2)
     big = 2**130 + 1
     assert _packed(mono(big, m=-2) + mono(-big, x=-1), geometric * factor) == (
         mono(big, l=-1, m=-5, x=2) - mono(big, l=-1, m=3, x=2)
         - mono(big, l=-1, m=-3, x=1) + mono(big, l=-1, m=5, x=1)
     )
+
+
+def test_sparse_products_stay_sparse():
+    # one row of 8 terms spanning 10^5 M-exponents: a product must not cost a slot per exponent
+    sparse = LaurentPoly({(0, e, 0): e + 1 for e in [*range(7), 10**5]})
+    factor = ONE + mono(1, m=1)
+    tracemalloc.start()
+    try:
+        product = sparse * factor
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert as_dict(product) == naive_mul(as_dict(sparse), as_dict(factor))
+    assert peak < 2**20
 
 
 # Magnitudes at the edges of whole-byte slot widths, mixed with arbitrary ones.

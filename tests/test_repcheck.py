@@ -159,6 +159,8 @@ def test_roots_degenerate_cases():
     assert roots_of_rm(0, 0.9 + 0.1j) == []
     with pytest.raises(DegreeCollapseError):
         roots_of_rm(1, 0.0)
+    with pytest.raises(DegreeCollapseError):  # the leading M0^4 underflows to 0 in doubles
+        roots_of_rm(1, 1e-200)
 
 
 @pytest.mark.parametrize("n", [1, 2, -2])
@@ -308,6 +310,11 @@ def test_verify_point_rejects_degenerate_inputs():
         verify_point(1, 1.0, 0.5, 0.0)
     with pytest.raises(ValueError):
         verify_point(1, 1.0, 0.5, -1e-8)
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite positive"):
+            verify_point(1, 1.0, 0.5, tol)
+    with pytest.raises(ValueError, match="finite positive"):
+        verify_family(2, sample_unit_modulus(1, seed=0), math.inf)
 
 
 def test_verify_point_rejects_a_zero_meridian():
