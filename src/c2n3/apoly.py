@@ -51,14 +51,17 @@ def apoly_theorem(n: int) -> APolyResult:
         x_num = mono(1, l=1, m=6) + mono(1, m=-4 * n)
         den_base = mono(1, l=1, m=2) + mono(1, m=-4 * n)
         top_agg, m_top = -3 * n - 1, 8 * n + 6
-    base_num, x_num, den_base = base_num.packed(), x_num.packed(), den_base.packed()
+    # the sum run on 1-norms bounds every value it takes
+    room = sum(abs(c) * base_num.norm1() ** i * x_num.norm1() ** j
+               * den_base.norm1() ** (top_agg - i - j) for i, j, c in summation_indices(n))
+    base_num, x_num, den_base = base_num.packed(room), x_num.packed(room), den_base.packed(room)
     # agg falls as i grows, so its value at i = 0 bounds every power needed.
-    den_pow = [ONE.packed()]
+    den_pow = [ONE.packed(room)]
     for _ in range(top_agg):
         den_pow.append(den_pow[-1] * den_base)
-    acc = ZERO.packed()
-    base_pow = ONE.packed()
-    x_pow = ONE.packed()
+    acc = ZERO.packed(room)
+    base_pow = ONE.packed(room)
+    x_pow = ONE.packed(room)
     for i, j, c in summation_indices(n):
         if i:
             base_pow = base_pow * base_num
@@ -66,7 +69,6 @@ def apoly_theorem(n: int) -> APolyResult:
             x_pow = x_pow * x_num
         agg = top_agg - i - j
         assert agg >= 0, "aggregate denominator exponent went negative"
-        # scaled before the shift, so base_pow itself keeps the wider slots the scaling needs
         acc = acc + (base_pow * c).shift(m=m_top - 2 * j) * x_pow * den_pow[agg]
     normalized, unit, sign = acc.unpack().normalize_unit()
     assert unit == UNIT_MONOMIAL and sign == 1, "closed-form A-polynomial was not unit-normal"

@@ -93,6 +93,10 @@ class LaurentPoly:
             raise ValueError("the zero polynomial has no degree")
         return max(m[idx] for m in self._terms)
 
+    def norm1(self) -> int:
+        """The sum of the absolute values of the coefficients."""
+        return sum(map(abs, self._terms.values()))
+
     def min_exp(self, var: str) -> int:
         idx = _var_index(var)
         if not self._terms:
@@ -180,13 +184,15 @@ class LaurentPoly:
                 base = base * base
         return result
 
-    def packed(self) -> "_Rows":
+    def packed(self, room: int = 0) -> "_Rows":
         """This polynomial as packed rows, for a loop of ring operations unpacked once at its end.
 
         The rows support +, -, * (by rows or an int), shift (the product
-        with a monomial) and unpack, which gives the LaurentPoly back.
+        with a monomial) and unpack, which gives the LaurentPoly back.  Their
+        slot width holds room and this 1-norm, for them and every value
+        computed from them: pack all operands of a loop at one room.
         """
-        return _Rows.pack(self._terms)
+        return _Rows.pack(self._terms, room)
 
     # -- structural operations -------------------------------------------
 
@@ -209,7 +215,9 @@ class LaurentPoly:
         Returns sum_k coeff(var, k) * num**k * den**(clear_deg - k), which
         equals self(var := num/den) * den**clear_deg.  Requires a nonzero
         den, nonnegative exponents of var and clear_deg >= degree(var) so
-        the result stays in the ring.
+        the result stays in the ring.  The sum runs on packed rows, whose
+        cost follows each row's M-span / stride, not its term count: num
+        and den with sparse, unevenly spaced M-exponents are slow here.
         """
         idx = _var_index(var)
         _checked_int(clear_deg, "clear_deg")
@@ -224,22 +232,23 @@ class LaurentPoly:
         deg = self.degree(var)
         if clear_deg < deg:
             raise ValueError(f"clear_deg {clear_deg} is below the {var}-degree {deg}")
-        num, den = num.packed(), den.packed()
-        num_pow = [ONE.packed()]
-        for _ in range(deg):
-            num_pow.append(num_pow[-1] * num)
-        den_pow = [ONE.packed()]
-        for _ in range(clear_deg):
-            den_pow.append(den_pow[-1] * den)
         parts: dict[int, dict[tuple, int]] = {}  # coeff(var, k) for every k, in one pass
         for m, c in self._terms.items():
             exps = list(m)
             exps[idx] = 0
             parts.setdefault(m[idx], {})[tuple(exps)] = c
-        # every summand packed at the width of the whole sum's bound, so no product widens
-        room = sum(sum(map(abs, part.values())) * num_pow[k].bound * den_pow[clear_deg - k].bound
-                   for k, part in parts.items())
-        out = ZERO.packed()
+        # the bound of the whole sum and of each power it takes, so one width holds every value
+        num_norm, den_norm = num.norm1(), den.norm1()
+        room = max(sum(sum(map(abs, part.values())) * num_norm**k * den_norm ** (clear_deg - k)
+                       for k, part in parts.items()), num_norm**deg, den_norm**clear_deg)
+        num, den = num.packed(room), den.packed(room)
+        num_pow = [ONE.packed(room)]
+        for _ in range(deg):
+            num_pow.append(num_pow[-1] * num)
+        den_pow = [ONE.packed(room)]
+        for _ in range(clear_deg):
+            den_pow.append(den_pow[-1] * den)
+        out = ZERO.packed(room)
         for k in sorted(parts):
             out = out + _Rows.pack(parts[k], room) * num_pow[k] * den_pow[clear_deg - k]
         return out.unpack()
@@ -371,25 +380,20 @@ _THIN_ROW = 8
 
 
 def _width(bound: int) -> int:
-    """Slot width in bits for coefficients of magnitude at most bound.
-
-    A sign bit on top of the magnitude, in whole bytes, rounded up to a
-    ladder of byte counts with four significant bits (at most 1.125 times
-    apart), so that values built from one another in a loop share a width.
-    """
-    size = (bound.bit_length() + 8) // 8
-    unit = 1 << max(size.bit_length() - 4, 0)
-    return -(-size // unit) * unit * 8
+    """Slot width in bits for magnitudes up to bound: a sign bit on top, in whole bytes."""
+    return (bound.bit_length() + 8) // 8 * 8
 
 
-def _biases(count: int, width: int, period: int = 0) -> int:
-    """2^(width - 1) every period bytes (default width bits), count times.
+def _biases(count: int, width: int) -> int:
+    """2^(width - 1) in each of count slots; added to a packed int, it makes every slot >= 0."""
+    return int.from_bytes((1 << (width - 1)).to_bytes(width // 8, "little") * count, "little")
 
-    Added to a packed int, it makes every slot nonnegative.
-    """
-    w = width // 8
-    half = (1 << (width - 1)).to_bytes(w, "little")
-    return int.from_bytes((half + bytes(max(period - w, 0))) * count, "little")
+
+def _joined(digits: list[int], width: int) -> int:
+    """The packed int whose slots hold the signed values digits, lowest first."""
+    half, w = 1 << (width - 1), width // 8
+    data = b"".join(map(int.to_bytes, [d + half for d in digits], repeat(w), repeat("little")))
+    return int.from_bytes(data, "little") - _biases(len(digits), width)
 
 
 def _slot_count(value: int, width: int) -> int:
@@ -406,15 +410,12 @@ def _digits(value: int, width: int) -> list[int]:
     return [int.from_bytes(data[at:at + w], "little") - half for at in range(0, len(data), w)]
 
 
-def _spread(value: int, width: int, new_width: int, spacing: int) -> int:
-    """Move slot k of width bits to slot spacing * k of new_width bits, keeping every slot's value."""
-    count = _slot_count(value, width)
-    w, step = width // 8, new_width // 8 * spacing
-    data = (value + _biases(count, width)).to_bytes(count * w, "little")
-    out = bytearray(count * step)
-    for at in range(w):  # one strided copy per byte of a slot, not one call per slot
-        out[at::step] = data[at::w]
-    return int.from_bytes(out, "little") - _biases(count, width, step)
+def _spread(value: int, width: int, spacing: int) -> int:
+    """Move slot k to slot spacing * k, keeping every slot's value."""
+    digits = _digits(value, width)
+    spaced = [0] * (spacing * (len(digits) - 1) + 1)
+    spaced[::spacing] = digits
+    return _joined(spaced, width)
 
 
 class _Rows:
@@ -425,21 +426,24 @@ class _Rows:
     the row evaluated at M^stride = 2^width (Kronecker substitution).  That
     evaluation is a ring homomorphism, so +, - and * of packed ints are
     exact whatever the width; only reading the slots back needs every
-    coefficient inside [-2^(width-1), 2^(width-1)).  bound is an upper bound
-    on the 1-norm of the polynomial, hence on every coefficient; it grows by
-    |a|_1 + |b|_1 for sums and |a|_1 * |b|_1 for products, and each
-    operation first widens its operands (a repack) when its result's bound
-    would not fit their width.  An operand widened that way keeps its wider
-    rows, since they hold the same polynomial, so a value reused across a
-    loop is repacked once per width.  stride divides every difference of
-    M-exponents in the value (0 when there is a single one), so rows of
-    different M-parity share one slot grid and products of rows landing in
-    one output row line up.  The polynomial a value holds never changes.
+    coefficient inside [-2^(width-1), 2^(width-1)).  The width is fixed
+    when a value is packed, from the room it is given, and every value
+    computed from it keeps it: operands of different widths raise
+    ValueError.  bound is an upper bound on the 1-norm of the polynomial,
+    hence on every coefficient; it grows by |a|_1 + |b|_1 for sums and
+    |a|_1 * |b|_1 for products, and an operation whose bound would not fit
+    the width raises OverflowError, so no slot is ever read back wrong.
+    stride divides every difference of M-exponents in the value (0 when
+    there is a single one), so rows of different M-parity share one slot
+    grid and products of rows landing in one output row line up.
     """
 
     __slots__ = ("rows", "stride", "width", "bound")
 
     def __init__(self, rows: dict, stride: int, width: int, bound: int):
+        if bound.bit_length() >= width:
+            raise OverflowError(f"a 1-norm bound of {bound.bit_length()} bits outgrows "
+                                f"{width}-bit slots; pack with more room")
         self.rows = rows
         self.stride = stride
         self.width = width
@@ -456,16 +460,13 @@ class _Rows:
         grouped: dict[tuple[int, int], dict[int, int]] = {}
         for m, c in terms.items():
             grouped.setdefault((m[0], m[2]), {})[m[1]] = c
-        half = 1 << (width - 1)
-        w = width // 8
         rows = {}
         for key, row in grouped.items():
             lo = min(row)
-            digits = [half] * ((max(row) - lo) // step + 1)
+            digits = [0] * ((max(row) - lo) // step + 1)
             for e, c in row.items():
-                digits[(e - lo) // step] += c
-            data = b"".join(map(int.to_bytes, digits, repeat(w), repeat("little")))
-            rows[key] = (lo, int.from_bytes(data, "little") - _biases(len(digits), width))
+                digits[(e - lo) // step] = c
+            rows[key] = (lo, _joined(digits, width))
         return cls(rows, stride, width, bound)
 
     def unpack(self) -> LaurentPoly:
@@ -478,13 +479,14 @@ class _Rows:
             out.update(compress(zip(keys, coeffs), coeffs))
         return LaurentPoly._raw(out)
 
-    def _recast(self, stride: int, width: int) -> dict:
-        """The rows on the grid of a stride dividing self.stride, with width >= self.width bits.
+    def _shared_width(self, other: "_Rows") -> int:
+        if other.width != self.width:
+            raise ValueError(f"packed rows of widths {self.width} and {other.width} do not combine")
+        return self.width
 
-        Rows recast to a wider width on the same stride replace this
-        value's own.
-        """
-        if stride == self.stride and width == self.width:
+    def _recast(self, stride: int) -> dict:
+        """The rows on the grid of a stride dividing self.stride."""
+        if stride == self.stride:
             return self.rows
         spacing = self.stride // stride if self.stride else 1
         half = 1 << (self.width - 1)
@@ -493,19 +495,11 @@ class _Rows:
             if -half <= value < half:  # a single slot reads the same on every grid
                 rows[key] = (lo, value)
             else:
-                rows[key] = (lo, _spread(value, self.width, width, spacing))
-        if stride == self.stride:
-            self.rows, self.width = rows, width
+                rows[key] = (lo, _spread(value, self.width, spacing))
         return rows
 
-    def _grid(self, other: "_Rows", stride: int, bound: int) -> tuple[int, dict, dict]:
-        """A width holding bound, and both operands' rows recast onto it and onto stride."""
-        width = max(self.width, other.width)
-        if bound.bit_length() >= width:
-            width = _width(bound)
-        return width, self._recast(stride, width), other._recast(stride, width)
-
     def __add__(self, other: "_Rows") -> "_Rows":
+        width = self._shared_width(other)
         if not other.rows:
             return self
         if not self.rows:
@@ -513,10 +507,8 @@ class _Rows:
         offset = next(iter(self.rows.values()))[0] - next(iter(other.rows.values()))[0]
         stride = math.gcd(self.stride, other.stride, offset)
         step = stride or 1
-        bound = self.bound + other.bound
-        width, rows, more = self._grid(other, stride, bound)
-        rows = dict(rows)
-        for key, (lo, value) in more.items():
+        rows = dict(self._recast(stride))
+        for key, (lo, value) in other._recast(stride).items():
             have = rows.get(key)
             if have is None:
                 rows[key] = (lo, value)
@@ -530,7 +522,7 @@ class _Rows:
                 rows[key] = (lo0, total)
             else:
                 del rows[key]
-        return _Rows(rows, stride, width, bound)
+        return _Rows(rows, stride, width, self.bound + other.bound)
 
     def __neg__(self) -> "_Rows":
         rows = {key: (lo, -value) for key, (lo, value) in self.rows.items()}
@@ -541,14 +533,12 @@ class _Rows:
 
     def __mul__(self, other) -> "_Rows":
         if isinstance(other, int):
-            bound = self.bound * abs(other)
-            width, rows, _ = self._grid(self, self.stride, bound)
-            rows = {key: (lo, value * other) for key, (lo, value) in rows.items() if other}
-            return _Rows(rows, self.stride, width, bound)
+            rows = {key: (lo, value * other) for key, (lo, value) in self.rows.items() if other}
+            return _Rows(rows, self.stride, self.width, self.bound * abs(other))
+        width = self._shared_width(other)
         stride = math.gcd(self.stride, other.stride)
         step = stride or 1
-        bound = self.bound * other.bound
-        width, rows_a, rows_b = self._grid(other, stride, bound)
+        rows_a, rows_b = self._recast(stride), other._recast(stride)
         size_a = sum(value.bit_length() for _, value in rows_a.values())
         if size_a < sum(value.bit_length() for _, value in rows_b.values()):
             rows_a, rows_b = rows_b, rows_a
@@ -576,7 +566,7 @@ class _Rows:
                 else:
                     out[key] = (lo, va * vb + (have[1] << ((have[0] - lo) // step * width)))
         rows = {key: row for key, row in out.items() if row[1]}
-        return _Rows(rows, stride, width, bound)
+        return _Rows(rows, stride, width, self.bound * other.bound)
 
     def shift(self, l: int = 0, m: int = 0, x: int = 0) -> "_Rows":
         """The product with the monomial L^l * M^m * x^x: new keys and offsets, the same ints."""

@@ -401,7 +401,9 @@ def _horner(coeffs: Sequence, z):
     return acc
 
 
-def _check_tol(tol: float) -> None:
+def _check_point_args(n: int, tol: float) -> None:
+    if n == 0:
+        raise ValueError("n = 0 is degenerate: empty conjugating word and constant P_0")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be a finite positive number, got {tol!r}")
 
@@ -415,9 +417,7 @@ def verify_point(n: int, M0: complex, x0: complex, tol: float, apoly=None) -> Ve
     point, and NaN would fail every one without saying why.  A precomputed
     A-polynomial may be passed to avoid recomputation in grids.
     """
-    if n == 0:
-        raise ValueError("n = 0 is degenerate: empty conjugating word and constant P_0")
-    _check_tol(tol)
+    _check_point_args(n, tol)
     M0 = complex(M0)
     x0 = complex(x0)
     family = _family(n) or _Family(n)
@@ -506,10 +506,10 @@ def verify_family(
     gives one BadPoint in place of its reports, and a root where the
     longitude eigenvalue is undefined (SingularPointError) or whose report
     holds a non-finite number gives one in place of its report, so every
-    report serializes as strict JSON.  A tol that is not finite and
-    positive raises ValueError before any root is sought.
+    report serializes as strict JSON.  n = 0 and a tol that is not finite
+    and positive raise ValueError before anything is built.
     """
-    _check_tol(tol)
+    _check_point_args(n, tol)
     apoly = apoly_theorem(n)
     family = _Family(n, rm_closed(n).poly, apoly.poly)
     token = _FAMILY.set(family)

@@ -90,11 +90,12 @@ def rm_recursive(n: int) -> RMResult:
     """
     if n == 0:
         return RMResult(0, _P0_UP, "recursive")
-    if n > 0:
-        prev, cur = _P0_UP.packed(), _P_PLUS2.packed()
-    else:
-        prev, cur = _P0_DOWN.packed(), _P_MINUS2.packed()
-    q = _Q.packed()
+    prev, cur = (_P0_UP, _P_PLUS2) if n > 0 else (_P0_DOWN, _P_MINUS2)
+    # the recursion run on 1-norms bounds every value it takes
+    lower, room = prev.norm1(), cur.norm1()
+    for _ in range(abs(n) - 1):
+        lower, room = room, _Q.norm1() * room + lower
+    prev, cur, q = prev.packed(room), cur.packed(room), _Q.packed(room)
     for _ in range(abs(n) - 1):
         prev, cur = cur, q * cur - prev.shift(m=8)
     return RMResult(n, cur.unpack(), "recursive")
@@ -122,12 +123,13 @@ def rm_closed(n: int) -> RMResult:
         base, prefactor = _BASE, 4 * n
     else:
         base, prefactor = -_BASE, -4 * n - 2
-    base = base.packed()
-    acc = ZERO.packed()
-    power = ONE.packed()
+    # the sum run on 1-norms bounds every value it takes
+    room = sum(abs(c) * base.norm1() ** i for i, _, c in summation_indices(n))
+    base = base.packed(room)
+    acc = ZERO.packed(room)
+    power = ONE.packed(room)
     for i, j, c in summation_indices(n):
         if i:
             power = power * base
-        # scaled before the shift, so power itself keeps the wider slots the scaling needs
         acc = acc + (power * (c * (-1) ** j)).shift(m=prefactor, x=j)
     return RMResult(n, acc.unpack(), "closed")

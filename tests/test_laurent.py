@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from c2n3 import laurent
+from c2n3.apoly import apoly_substitution, apoly_theorem
 from c2n3.laurent import (
     ONE,
     UNIT_MONOMIAL,
@@ -18,6 +20,7 @@ from c2n3.laurent import (
     _Rows,
     mono,
 )
+from c2n3.rmpoly import rm_closed, rm_recursive
 from oracles import as_dict, naive_add, naive_mul, naive_neg, naive_pow
 
 exponents = st.integers(min_value=-3, max_value=3)
@@ -170,8 +173,9 @@ def test_add_and_mul_match_naive_oracle(p, q):
 
 
 def _packed(p, q):
-    """p * q through packed rows, the multiply the route builders use."""
-    out = (p.packed() * q.packed()).unpack()
+    """p * q through packed rows, the multiply the route builders use, both packed at room for it."""
+    room = p.norm1() * q.norm1()
+    out = (p.packed(room) * q.packed(room)).unpack()
     assert all(type(m) is tuple and c for m, c in out._terms.items())
     return out
 
@@ -277,7 +281,9 @@ def packable_polys(draw):
        c=limit_coefficients, shift=st.tuples(exponents, exponents, exponents))
 def test_packed_rows_match_naive_oracle(p, q, r, c, shift):
     a, b, d = as_dict(p), as_dict(q), as_dict(r)
-    pp, qq, rr = p.packed(), q.packed(), r.packed()
+    # (|p| + |q| + |r|)^3 bounds the 1-norm of every sum and product below, and |p| |c| the scaling
+    room = (p.norm1() + q.norm1() + r.norm1()) ** 3 + p.norm1() * abs(c)
+    pp, qq, rr = p.packed(room), q.packed(room), r.packed(room)
     assert as_dict(pp.unpack()) == a
     assert as_dict((pp * qq).unpack()) == naive_mul(a, b)
     assert as_dict((pp + qq).unpack()) == naive_add(a, b)
@@ -288,7 +294,7 @@ def test_packed_rows_match_naive_oracle(p, q, r, c, shift):
     assert as_dict(pp.shift(*shift).unpack()) == moved
     expected = naive_add(naive_mul(moved, b), naive_neg(d))
     assert as_dict((pp.shift(*shift) * qq - rr).unpack()) == expected
-    # the operands still hold their polynomials after any widening they went through
+    # the operands still hold their polynomials
     assert (as_dict(pp.unpack()), as_dict(qq.unpack()), as_dict(rr.unpack())) == (a, b, d)
     assert not (pp - pp).unpack() and not (pp * 0).unpack()
 
@@ -296,45 +302,66 @@ def test_packed_rows_match_naive_oracle(p, q, r, c, shift):
 def test_packed_rows_cancel_to_zero():
     p = LaurentPoly({(0, k, 0): (-1) ** (k % 2) * (2**64 - 1) for k in range(-5, 6)})
     q = mono(2**64 - 1, l=1, m=3, x=-1) + mono(5, m=-1)
-    pp, qq = p.packed(), q.packed()
+    room = 2 * p.norm1() * q.norm1()
+    pp, qq = p.packed(room), q.packed(room)
     assert (pp * qq - qq * pp).unpack().is_zero()
     assert not (pp + (-pp)).rows
     low_half = LaurentPoly({m: c for m, c in p.terms() if m[1] < 0})
-    kept = (pp - low_half.packed()).unpack()
+    kept = (pp - low_half.packed(room)).unpack()
     assert kept == p - low_half and min(m[1] for m, _ in kept.terms()) == 0
 
 
 @pytest.mark.parametrize("bits", [7, 8, 15, 16, 31, 32, 63, 64, 127, 128])
 def test_packed_slots_hold_a_coefficient_equal_to_the_bound(bits):
-    # each value's bound is exact here, so a slot one bit narrower than the rule fails
+    # each value's bound and room are exact here, so a slot one bit narrower than the rule fails
     top, low = 2**bits - 1, -(2 ** (bits - 1))
     for c in (top, low, -top):
         row = LaurentPoly({(0, 2 * k, 0): c if k == 3 else 0 for k in range(5)})
         assert row.packed().unpack() == row
     a, b = mono(2 ** (bits - 1), m=1), mono(-2, m=-3, x=1)
-    assert (a.packed() * b.packed()).unpack() == mono(-(2**bits), m=-2, x=1)
-    assert (a.packed() + a.packed()).unpack() == mono(2**bits, m=1)
-    assert (a.packed() * -2).unpack() == mono(-(2**bits), m=1)
+    room = 2**bits
+    assert (a.packed(room) * b.packed(room)).unpack() == mono(-(2**bits), m=-2, x=1)
+    assert (a.packed(room) + a.packed(room)).unpack() == mono(2**bits, m=1)
+    assert (a.packed(room) * -2).unpack() == mono(-(2**bits), m=1)
 
 
-def test_packed_rows_widen_when_a_result_outgrows_the_slots():
+def test_packed_rows_hold_what_their_room_allows_and_refuse_the_rest():
     p = LaurentPoly({(0, k, 0): k + 1 for k in range(12)}) + mono(-3, l=1, m=5)
-    pp = p.packed()
-    narrow = pp.width
+    norm = p.norm1()
+    assert norm == 81
+    pp = p.packed(norm**7)
     power, expected = pp, as_dict(p)
     for _ in range(6):  # products
         power = power * pp
         expected = naive_mul(expected, as_dict(p))
         assert as_dict(power.unpack()) == expected
-    assert power.width > narrow and pp.width > narrow  # the reused operand was widened in place
-    assert pp.unpack() == p
-    total = pp
+    total = ready = p.packed(71 * norm)
     for k in range(70):  # sums
-        total = total + pp.shift(m=2 * k)
-    assert total.width > narrow
+        total = total + ready.shift(m=2 * k)
     assert total.unpack() == p * LaurentPoly({(0, 2 * k, 0): 1 + (k == 0) for k in range(70)})
-    scaled = p.packed() * (3**90)  # int scaling
-    assert scaled.width > narrow and scaled.unpack() == p * (3**90)
+    scaled = p.packed(norm * 3**90) * (3**90)  # int scaling
+    assert scaled.unpack() == p * (3**90)
+    # every value keeps the width it was packed at
+    assert power.width == pp.width == 48 and total.width == 16 and scaled.width == 152
+    # packed at its own 1-norm only, p has 8-bit slots, and no result may outgrow them
+    narrow = p.packed()
+    assert narrow.width == 8
+    for outgrow in (lambda: narrow * narrow, lambda: narrow + narrow,
+                    lambda: narrow - narrow.shift(m=1), lambda: narrow * 2):
+        with pytest.raises(OverflowError, match="outgrows 8-bit slots"):
+            outgrow()
+    # a bound of 2^7 - 1 is the most 8-bit slots hold
+    half = mono(63, m=1).packed(127)
+    assert (half + mono(64).packed(127)).unpack() == mono(63, m=1) + 64
+    with pytest.raises(OverflowError):
+        half + mono(65).packed(127)
+    # operands packed at different widths do not combine
+    for mix in (lambda: narrow + pp, lambda: pp - narrow, lambda: narrow * pp,
+                lambda: pp * ZERO.packed(), lambda: ZERO.packed() + pp):
+        with pytest.raises(ValueError, match="widths"):
+            mix()
+    # nothing that failed changed its operands
+    assert narrow.unpack() == pp.unpack() == p
 
 
 def test_packed_rows_of_different_strides_share_one_grid():
@@ -345,7 +372,27 @@ def test_packed_rows_of_different_strides_share_one_grid():
     assert (a.packed().stride, b.packed().stride) == (1, 2)
     for lhs, rhs in ((a, b), (b, a), (a, a), (b, b)):
         assert as_dict(_packed(lhs, rhs)) == naive_mul(as_dict(lhs), as_dict(rhs))
-        assert (lhs.packed() + rhs.packed()).unpack() == lhs + rhs
+        room = lhs.norm1() + rhs.norm1()
+        assert (lhs.packed(room) + rhs.packed(room)).unpack() == lhs + rhs
+
+
+def test_route_builders_regrid_no_multi_slot_row(monkeypatch):
+    # each builder packs every operand at the room its own formula needs, so no row is repacked
+    spread = []
+    real_spread = laurent._spread
+
+    def counted(*args):
+        spread.append(args[-1])  # the spacing
+        return real_spread(*args)
+
+    monkeypatch.setattr(laurent, "_spread", counted)
+    for n in range(-12, 13):
+        for route in (rm_closed, rm_recursive, apoly_theorem, apoly_substitution):
+            route(n)
+    assert spread == []
+    # operands of different strides still share one grid, through the counted re-grid
+    a = LaurentPoly({(0, 2 * k, 0): 1 for k in range(4)})
+    assert _packed(a, ONE + mono(1, m=1)) == a + a * mono(1, m=1) and spread == [2]
 
 
 @given(p=polys, q=polys, r=polys)

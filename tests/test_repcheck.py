@@ -191,6 +191,26 @@ def test_roots_that_polish_to_one_value_raise():
             assert len(roots_of_rm(n, M0)) == 3 * abs(n) - (n < 0)
 
 
+@pytest.mark.parametrize("n", [2, -3])
+def test_a_start_given_twice_polishes_to_a_repeated_root(monkeypatch, n):
+    # a stand-in eigenvalue step hands one start over twice, so two polishings meet
+    real_roots = np.roots
+
+    def doubled(coeffs):
+        starts = real_roots(coeffs)
+        starts[-1] = starts[0]
+        return starts
+
+    monkeypatch.setattr(np, "roots", doubled)
+    samples = sample_unit_modulus(3, seed=1)
+    with pytest.raises(RepeatedRootError, match=f"n = {n} polished to the same value .* at M0 = "):
+        roots_of_rm(n, samples[0])
+    reports = verify_family(n, samples, 1e-8)
+    assert [type(r).__name__ for r in reports] == ["BadPoint"] * 3
+    assert [r.M_sample for r in reports] == samples
+    assert all("polished to the same value" in r.reason and not r.passed for r in reports)
+
+
 def test_polish_root_matches_the_mpmath_oracle():
     # every seed-0 sample with |n| <= 8 that keeps all of its roots, each
     # root polished from the same np.roots start by both kernels
@@ -315,6 +335,20 @@ def test_verify_point_rejects_degenerate_inputs():
             verify_point(1, 1.0, 0.5, tol)
     with pytest.raises(ValueError, match="finite positive"):
         verify_family(2, sample_unit_modulus(1, seed=0), math.inf)
+
+
+def test_verify_family_rejects_the_degenerate_n_before_building_anything(monkeypatch):
+    import c2n3.repcheck as repcheck
+
+    # an empty list of reports would read as a family that passed
+    def no_build(n):
+        raise AssertionError("built a polynomial for n = 0")
+
+    monkeypatch.setattr(repcheck, "apoly_theorem", no_build)
+    monkeypatch.setattr(repcheck, "rm_closed", no_build)
+    for samples in (sample_unit_modulus(3, seed=0), []):
+        with pytest.raises(ValueError, match="n = 0 is degenerate"):
+            verify_family(0, samples, 1e-8)
 
 
 def test_verify_point_rejects_a_zero_meridian():

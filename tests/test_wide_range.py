@@ -1,10 +1,11 @@
 """A_2n and numeric checks over a wider n range than the pinned acceptance criteria."""
 
+import math
 from functools import cache
 
 import pytest
 
-from c2n3.apoly import apoly_substitution, apoly_theorem
+from c2n3.apoly import apoly_substitution, apoly_theorem, newton_polygon
 from c2n3.laurent import LaurentPoly, mono
 from c2n3.repcheck import (
     BadPoint,
@@ -93,17 +94,27 @@ def test_riley_p_is_the_alexander_polynomial_on_the_reducible_locus(n):
     assert on_locus.normalize_unit()[0] == alexander_in_m(n)
 
 
-def divides(divisor, dividend):
-    """Whether one integer polynomial divides another; coefficient lists, lowest power first."""
+def exact_quotient(divisor, dividend):
+    """dividend / divisor for integer polynomials, or None when that leaves a remainder.
+
+    Coefficient lists, lowest power first, with a nonzero last entry in divisor.
+    """
     rest = list(dividend)
     lead = divisor[-1]
+    out = [0] * max(len(rest) - len(divisor) + 1, 0)
     for top in range(len(rest) - 1, len(divisor) - 2, -1):
         quotient, remainder = divmod(rest[top], lead)
         if remainder:
-            return False
+            return None
+        out[top - len(divisor) + 1] = quotient
         for i, d in enumerate(divisor):
             rest[top - len(divisor) + 1 + i] -= quotient * d
-    return not any(rest)
+    return None if any(rest) else out
+
+
+def divides(divisor, dividend):
+    """Whether one integer polynomial divides another; coefficient lists, lowest power first."""
+    return exact_quotient(divisor, dividend) is not None
 
 
 def coefficient_list_in_m(poly):
@@ -116,6 +127,7 @@ def coefficient_list_in_m(poly):
 def test_divides_is_exact_division():
     assert divides([1, 1], [1, 2, 1]) and divides([2, -3, 2], [2, -3, 2])
     assert not divides([1, 1], [1, 2, 2]) and not divides([2, 1], [1, 1])
+    assert exact_quotient([1, 1], [-1, 0, 1]) == [-1, 1] and exact_quotient([2], [4, 6]) == [2, 3]
 
 
 @pytest.mark.parametrize("n", NONZERO_N)
@@ -135,3 +147,59 @@ def test_unit_meridians_never_collapse_the_x_degree(n):
             roots_of_rm(n, M0)
         except (NonConvergenceError, RepeatedRootError):
             pass
+
+
+@cache
+def cyclotomic(d):
+    """Phi_d as a coefficient list, lowest power first: x^d - 1 over Phi_e for every proper divisor e."""
+    poly = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            poly = exact_quotient(cyclotomic(e), poly)
+    return poly
+
+
+def is_cyclotomic_product(poly):
+    """Whether an integer polynomial is +-1 times a product of cyclotomic polynomials.
+
+    Divides by Phi_1, Phi_2, ... for as long as each one goes.  Every d with
+    phi(d) <= deg has d <= 2 deg^2, because phi(d) >= sqrt(d / 2).
+    """
+    rest, d = list(poly), 1
+    while len(rest) > 1 and d <= 2 * (len(rest) - 1) ** 2:
+        quotient = exact_quotient(cyclotomic(d), rest)
+        if quotient is None:
+            d += 1
+        else:
+            rest = quotient
+    return rest in ([1], [-1])
+
+
+def edge_polynomials(poly):
+    """The coefficients along each Newton-polygon edge of a polynomial in L and M, one list per edge."""
+    coeffs = {(l, m): c for (l, m, _), c in poly.terms()}
+    vertices = newton_polygon(poly).vertices
+    out = []
+    for (l0, m0), (l1, m1) in zip(vertices, vertices[1:] + vertices[:1]):
+        length = math.gcd(l1 - l0, m1 - m0)
+        dl, dm = (l1 - l0) // length, (m1 - m0) // length
+        out.append([coeffs.get((l0 + k * dl, m0 + k * dm), 0) for k in range(length + 1)])
+    return out
+
+
+def test_cyclotomic_polynomials_and_products():
+    assert [cyclotomic(d) for d in (1, 2, 3, 4, 6)] == [
+        [-1, 1], [1, 1], [1, 1, 1], [1, 0, 1], [1, -1, 1]]
+    assert cyclotomic(12) == [1, 0, -1, 0, 1] and len(cyclotomic(105)) == 49
+    assert is_cyclotomic_product([-1, 0, 0, 0, 0, 0, 1]) and is_cyclotomic_product([-1, 2, -1])
+    assert not is_cyclotomic_product([2, -3, 2]) and not is_cyclotomic_product([1, 3, 1])
+    assert not is_cyclotomic_product([2, 2])
+
+
+@pytest.mark.parametrize("n", NONZERO_N)
+def test_newton_edge_polynomials_are_products_of_cyclotomics(n):
+    # Cooper-Culler-Gillet-Long-Shalen 1994: every edge polynomial of an A-polynomial is cyclotomic
+    edges = edge_polynomials(theorem_poly(n))
+    assert len(edges) >= 4
+    for edge in edges:
+        assert edge[0] and edge[-1] and is_cyclotomic_product(edge), edge
