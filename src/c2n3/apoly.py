@@ -54,22 +54,24 @@ def apoly_theorem(n: int) -> APolyResult:
     # the sum run on 1-norms bounds every value it takes
     room = sum(abs(c) * base_num.norm1() ** i * x_num.norm1() ** j
                * den_base.norm1() ** (top_agg - i - j) for i, j, c in summation_indices(n))
-    base_num, x_num, den_base = base_num.packed(room), x_num.packed(room), den_base.packed(room)
+    base_num, den_base = base_num.packed(room), den_base.packed(room)
+    # x_num and the M^-2 of each step up in j; the common M^m_top comes at the end
+    x_step = x_num.packed(room).shift(m=-2)
     # agg falls as i grows, so its value at i = 0 bounds every power needed.
     den_pow = [ONE.packed(room)]
     for _ in range(top_agg):
         den_pow.append(den_pow[-1] * den_base)
+    # Horner's rule from the top index down: i + j at the top is top_agg, so
+    # the top summand takes den^0 and no den power is left over at the end.
     acc = ZERO.packed(room)
-    base_pow = ONE.packed(room)
-    x_pow = ONE.packed(room)
-    for i, j, c in summation_indices(n):
-        if i:
-            base_pow = base_pow * base_num
-        if i % 2:
-            x_pow = x_pow * x_num
+    for i, j, c in reversed(summation_indices(n)):
+        acc = acc * base_num
+        if (i + 1) % 2:
+            acc = acc * x_step
         agg = top_agg - i - j
         assert agg >= 0, "aggregate denominator exponent went negative"
-        acc = acc + (base_pow * c).shift(m=m_top - 2 * j) * x_pow * den_pow[agg]
+        acc = acc + den_pow[agg] * c
+    acc = acc.shift(m=m_top)
     normalized, unit, sign = acc.unpack().normalize_unit()
     assert unit == UNIT_MONOMIAL and sign == 1, "closed-form A-polynomial was not unit-normal"
     return APolyResult(n, normalized, "theorem")

@@ -71,14 +71,16 @@ def _cmd_routes(args, out) -> int:
         polys = {path: route(n).poly for path, route in routes.items()}
         first, second = polys.values()
         agree = first == second
+        # equal polynomials render to equal text, so an agreeing pair is rendered once
+        text = _render(first, args.format)
+        texts = dict(zip(polys, (text, text if agree else _render(second, args.format))))
         if args.format == "json":
-            objs = {path: p.to_json_obj() for path, p in polys.items()}
-            doc = {"n": n, **objs, "paths_agree": agree}
-            out.write(json.dumps(doc, separators=(",", ":")) + "\n")
+            fields = "".join(f'"{path}":{body},' for path, body in texts.items())
+            out.write(f'{{"n":{n},{fields}"paths_agree":{json.dumps(agree)}}}\n')
         else:
             label = f"n={n} " if multi else ""
-            for path, p in polys.items():
-                out.write(f"{label}{path}: {_render(p, args.format)}\n")
+            for path, body in texts.items():
+                out.write(f"{label}{path}: {body}\n")
             out.write(f"{label}paths_agree: {'true' if agree else 'false'}\n")
         if not agree:
             print(f"paths disagree for n={n}", file=sys.stderr)

@@ -215,9 +215,10 @@ class LaurentPoly:
         Returns sum_k coeff(var, k) * num**k * den**(clear_deg - k), which
         equals self(var := num/den) * den**clear_deg.  Requires a nonzero
         den, nonnegative exponents of var and clear_deg >= degree(var) so
-        the result stays in the ring.  The sum runs on packed rows, whose
-        cost follows each row's M-span / stride, not its term count: num
-        and den with sparse, unevenly spaced M-exponents are slow here.
+        the result stays in the ring.  The sum is evaluated by Horner's rule
+        in num, on packed rows whose cost follows each row's M-span /
+        stride, not its term count: num and den with sparse, unevenly
+        spaced M-exponents are slow here.
         """
         idx = _var_index(var)
         _checked_int(clear_deg, "clear_deg")
@@ -237,20 +238,20 @@ class LaurentPoly:
             exps = list(m)
             exps[idx] = 0
             parts.setdefault(m[idx], {})[tuple(exps)] = c
-        # the bound of the whole sum and of each power it takes, so one width holds every value
-        num_norm, den_norm = num.norm1(), den.norm1()
-        room = max(sum(sum(map(abs, part.values())) * num_norm**k * den_norm ** (clear_deg - k)
-                       for k, part in parts.items()), num_norm**deg, den_norm**clear_deg)
+        # The bound of the whole sum.  With |num|_1 taken as at least 1 it also
+        # bounds every Horner intermediate and every power of den used.
+        num_norm, den_norm = max(num.norm1(), 1), den.norm1()
+        room = sum(sum(map(abs, part.values())) * num_norm**k * den_norm ** (clear_deg - k)
+                   for k, part in parts.items())
         num, den = num.packed(room), den.packed(room)
-        num_pow = [ONE.packed(room)]
-        for _ in range(deg):
-            num_pow.append(num_pow[-1] * num)
         den_pow = [ONE.packed(room)]
-        for _ in range(clear_deg):
+        for _ in range(clear_deg - min(parts)):
             den_pow.append(den_pow[-1] * den)
         out = ZERO.packed(room)
-        for k in sorted(parts):
-            out = out + _Rows.pack(parts[k], room) * num_pow[k] * den_pow[clear_deg - k]
+        for k in range(deg, -1, -1):
+            out = out * num
+            if k in parts:
+                out = out + _Rows.pack(parts[k], room) * den_pow[clear_deg - k]
         return out.unpack()
 
     def normalize_unit(self) -> tuple["LaurentPoly", tuple, int]:
@@ -316,7 +317,9 @@ class LaurentPoly:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
+        """The compact json.dumps text of to_json_obj(), written straight from the sorted terms."""
+        body = ",".join(f'{{"l":{l},"m":{m},"x":{x},"c":"{c}"}}' for (l, m, x), c in self.terms())
+        return f'{{"terms":[{body}]}}'
 
     @classmethod
     def from_json_obj(cls, data) -> "LaurentPoly":
@@ -601,12 +604,11 @@ def _render(poly: LaurentPoly, latex: bool) -> str:
         if abs(c) != 1 or not factors:
             factors.insert(0, str(abs(c)))
         body = (" " if latex else "*").join(factors)
-        chunks.append(("-" if c < 0 else "+", body))
-    sign, body = chunks[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in chunks[1:]:
-        out += f" {sign} {body}"
-    return out
+        if chunks:
+            chunks.append(f" {'-' if c < 0 else '+'} {body}")
+        else:
+            chunks.append("-" + body if c < 0 else body)
+    return "".join(chunks)
 
 
 _TERM_SPLIT = re.compile(r" ([+-]) ")

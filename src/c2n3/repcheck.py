@@ -506,10 +506,13 @@ def verify_family(
     gives one BadPoint in place of its reports, and a root where the
     longitude eigenvalue is undefined (SingularPointError) or whose report
     holds a non-finite number gives one in place of its report, so every
-    report serializes as strict JSON.  n = 0 and a tol that is not finite
-    and positive raise ValueError before anything is built.
+    report serializes as strict JSON.  n = 0, a tol that is not finite and
+    positive, and an empty sample list (whose empty report list would read
+    as a passed family) raise ValueError before anything is built.
     """
     _check_point_args(n, tol)
+    if len(M_samples) == 0:
+        raise ValueError("verify_family needs at least one meridian sample")
     apoly = apoly_theorem(n)
     family = _Family(n, rm_closed(n).poly, apoly.poly)
     token = _FAMILY.set(family)

@@ -1,5 +1,6 @@
 """Tests for the A-polynomial builders, the column sums, and Newton polygons."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,34 @@ def test_base_identity_behind_the_expansion(n):
         x_num = mono(1, l=1, m=6) + mono(1, m=-4 * n)
         base_num = (1 - mono(1, m=2)) * (mono(1, m=-4 * n) - mono(1, l=1))
         assert b_m2 * den_base - x_num == -base_num * mono(1, m=2)
+
+
+def closed_form_summand_by_summand(n):
+    """A_2n by its closed-form sum, each summand built from scratch by plain products and powers."""
+    if n >= 0:
+        base_num = (mono(1, l=1, m=4 * n) - 1) * (1 - mono(1, m=2))
+        x_num = ONE + mono(1, l=1, m=6 + 4 * n)
+        den_base = ONE + mono(1, l=1, m=2 + 4 * n)
+        top_agg, m_top = 3 * n, -2 * n
+        indices = [(i, math.comb(n + i // 2, i)) for i in range(2 * n + 1)]
+    else:
+        base_num = (1 - mono(1, m=2)) * (mono(1, m=-4 * n) - mono(1, l=1))
+        x_num = mono(1, l=1, m=6) + mono(1, m=-4 * n)
+        den_base = mono(1, l=1, m=2) + mono(1, m=-4 * n)
+        top_agg, m_top = -3 * n - 1, 8 * n + 6
+        indices = [(i, math.comb(-n + (i - 1) // 2, i)) for i in range(-2 * n)]
+    total = ZERO
+    for i, c in indices:
+        j = (1 + i) // 2
+        total = total + (c * mono(1, m=m_top - 2 * j) * base_num**i * x_num**j
+                         * den_base ** (top_agg - i - j))
+    return total
+
+
+@pytest.mark.parametrize("n", range(-8, 9))
+def test_theorem_route_matches_its_sum_taken_summand_by_summand(n):
+    # apoly_theorem evaluates the sum by Horner's rule; the plain sum is already unit-normal
+    assert apoly_theorem(n).poly == closed_form_summand_by_summand(n)
 
 
 @pytest.mark.parametrize("n", [k for k in range(-6, 7) if k != 0])

@@ -114,6 +114,25 @@ def test_compute_path_disagreement_exits_nonzero(monkeypatch, capsys):
     assert "paths disagree for n=1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["json", "text", "latex"])
+def test_a_disagreeing_pair_renders_each_route_on_its_own(monkeypatch, fmt):
+    # an agreeing pair is rendered once; a disagreeing one must not reuse that text
+    def broken(n):
+        return APolyResult(n, apoly_theorem(n).poly + 1, "substitution")
+
+    monkeypatch.setattr(cli, "apoly_substitution", broken)
+    code, out = run(["compute", "--n", "2", "--path", "both", "--format", fmt])
+    assert code == 1
+    good, bad = apoly_theorem(2).poly, broken(2).poly
+    if fmt == "json":
+        doc = json.loads(out)
+        assert LaurentPoly.from_json_obj(doc["theorem"]) == good
+        assert LaurentPoly.from_json_obj(doc["substitution"]) == bad
+    else:
+        render = LaurentPoly.to_text if fmt == "text" else LaurentPoly.to_latex
+        assert out.splitlines()[:2] == [f"theorem: {render(good)}", f"substitution: {render(bad)}"]
+
+
 def test_rm_path_disagreement_exits_nonzero(monkeypatch, capsys):
     def broken(n):
         return RMResult(n, rm_closed(n).poly + 1, "recursive")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import tracemalloc
 from collections import namedtuple
 
@@ -464,6 +465,55 @@ def test_substitute_rejects_zero_denominator():
             p.substitute("x", ONE, ZERO, 1)
 
 
+def naive_substitute(p: dict, var: str, num: dict, den: dict, clear_deg: int) -> dict:
+    """sum_k coeff(var, k) * num**k * den**(clear_deg - k), one summand at a time."""
+    idx = "LMx".index(var)
+    parts: dict = {}
+    for m, c in p.items():
+        rest = tuple(0 if i == idx else e for i, e in enumerate(m))
+        parts.setdefault(m[idx], {})[rest] = c
+    out: dict = {}
+    for k, part in parts.items():
+        summand = naive_mul(naive_mul(part, naive_pow(num, k)), naive_pow(den, clear_deg - k))
+        out = naive_add(out, summand)
+    return out
+
+
+def seeded_poly(rng, var_exps, var="x", terms=6):
+    """Up to terms terms with var-exponents drawn from var_exps and other exponents in [-2, 2]."""
+    idx = "LMx".index(var)
+    out = {}
+    for _ in range(terms):
+        m = [rng.randint(-2, 2) for _ in range(3)]
+        m[idx] = rng.choice(var_exps)
+        out[tuple(m)] = rng.choice([-1, 1]) * rng.randint(1, 9)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("var, var_exps, extra", [
+    ("x", [0, 1, 2, 3], 0),  # every power of x
+    ("x", [0, 1, 2, 3], 3),  # clear_deg above the degree
+    ("x", [0, 4], 1),  # missing powers of x
+    ("x", [2, 3, 5], 0),  # no x^0 term
+    ("x", [1], 2),  # no x^0 term and clear_deg above the degree
+    ("L", [0, 2, 3], 1),  # substituting for L
+])
+def test_substitute_matches_the_naive_power_sum(seed, var, var_exps, extra):
+    # substitute evaluates the sum by Horner's rule in num; the oracle takes it summand by summand
+    rng = random.Random(seed)
+    p = seeded_poly(rng, var_exps, var)
+    num = seeded_poly(rng, [0], var, terms=rng.randint(1, 4))
+    den = seeded_poly(rng, [0], var, terms=rng.randint(1, 4))
+    clear = max(m["LMx".index(var)] for m in p) + extra
+    expected = naive_substitute(p, var, num, den, clear)
+    got = LaurentPoly(p).substitute(var, LaurentPoly(num), LaurentPoly(den), clear)
+    assert as_dict(got) == expected
+    # num = 0 leaves the var^0 part times den^clear_deg
+    got = LaurentPoly(p).substitute(var, ZERO, LaurentPoly(den), clear)
+    assert as_dict(got) == naive_substitute(p, var, {}, den, clear)
+
+
 @given(p=polys_x_nonneg, num=polys, den=polys, extra=st.integers(0, 2))
 def test_substitute_matches_brute_force(p, num, den, extra):
     assume(not den.is_zero())
@@ -567,6 +617,11 @@ def test_json_fixed_strings():
     assert ONE.to_json() == '{"terms":[{"l":0,"m":0,"x":0,"c":"1"}]}'
     assert mono(1, m=-2).to_json() == '{"terms":[{"l":0,"m":-2,"x":0,"c":"1"}]}'
     assert ZERO.to_json() == '{"terms":[]}'
+
+
+@given(p=st.dictionaries(monomials, wide_coefficients, max_size=8).map(LaurentPoly))
+def test_json_text_is_the_compact_dump_of_the_json_object(p):
+    assert p.to_json() == json.dumps(p.to_json_obj(), separators=(",", ":"))
 
 
 @given(p=polys)

@@ -351,6 +351,20 @@ def test_verify_family_rejects_the_degenerate_n_before_building_anything(monkeyp
             verify_family(0, samples, 1e-8)
 
 
+def test_verify_family_rejects_an_empty_sample_list_before_building_anything(monkeypatch):
+    import c2n3.repcheck as repcheck
+
+    # no reports at all would read as a family that passed
+    def no_build(n):
+        raise AssertionError(f"built a polynomial for n = {n} with no samples")
+
+    monkeypatch.setattr(repcheck, "apoly_theorem", no_build)
+    monkeypatch.setattr(repcheck, "rm_closed", no_build)
+    for samples in ([], (), np.array([], dtype=complex)):
+        with pytest.raises(ValueError, match="at least one meridian sample"):
+            verify_family(3, samples, 1e-8)
+
+
 def test_verify_point_rejects_a_zero_meridian():
     with pytest.raises(ValueError, match="must be nonzero"):
         verify_point(1, 0.0, 0.5, 1e-8)

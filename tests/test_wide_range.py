@@ -64,6 +64,12 @@ def test_theorem_and_substitution_routes_agree_at_the_edge_of_the_range(n):
     assert theorem_poly(n) == apoly_substitution(n).poly
 
 
+@pytest.mark.parametrize("n", [30, 40, -30, -40])
+def test_theorem_and_substitution_routes_agree_far_beyond_the_acceptance_range(n):
+    # both A_2n power sums run by Horner's rule, which keeps n = +-40 cheap enough for tier-1
+    assert apoly_theorem(n).poly == apoly_substitution(n).poly
+
+
 def alexander_in_m(n):
     """Delta_K(M^2) for K = C(2n, 3) = b(6n+1, 3), by the Hartley-Minkus sum, unit-normalized.
 
