@@ -6,12 +6,13 @@ relation, the longitude word must evaluate upper triangular with the
 predicted eigenvalue, and the A-polynomial must vanish at the induced
 (L, M) point.  Word products carry a conditioning estimate (the peak
 entry-magnitude sum along the accumulated product) so tolerances scale
-with the numeric difficulty of large |n|.  verify_family builds what
-depends on n alone (P_2n, A_2n, the two words) once per family, evaluates
-the words once over all of its points with one numpy lane per point, and
-specializes A_2n once per meridian.  The numeric layer needs numpy alone:
-P_2n is specialized from its exact integer coefficients straight into
-fixed point.
+with the numeric difficulty of large |n|.  The roots of P_2n come from
+Aberth-Ehrlich sweeps on the three-term recursion P_2n obeys, evaluated
+in doubles at every iterate at once (see roots_of_rm).  verify_family
+builds what depends on n alone (A_2n, the two words) once per family,
+evaluates the words once over all of its points with one numpy lane per
+point, and specializes A_2n once per meridian.  The numeric layer needs
+numpy alone.
 """
 
 from __future__ import annotations
@@ -22,13 +23,14 @@ import math
 import random
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .apoly import APolyResult, apoly_theorem
 from .laurent import LaurentPoly
-from .rmpoly import rm_closed
+from .rmpoly import q_poly, rm_closed
 
 
 class SingularPointError(ValueError):
@@ -36,15 +38,15 @@ class SingularPointError(ValueError):
 
 
 class DegreeCollapseError(ArithmeticError):
-    """Specializing M collapsed the x-degree: the leading coefficient vanished."""
+    """M0^4 is zero in doubles, so the leading x-coefficient of P_2n, a power of M0, vanished."""
 
 
 class RepeatedRootError(ArithmeticError):
-    """Two polished roots of P_2n at one meridian came out equal, so another root went unchecked."""
+    """Two roots of P_2n at one meridian converged to one value, so another root went unchecked."""
 
 
 class NonConvergenceError(ArithmeticError):
-    """Newton polishing of a root of P_2n met a zero slope, or no stopping rule within 50 steps."""
+    """A root of P_2n still moved after _SWEEPS Aberth sweeps: no stopping rule was met."""
 
 
 # A word in the generators s and t: a tuple of (generator, exponent) letters.
@@ -172,14 +174,12 @@ def _word_lanes(relator: Letters, longitude: Letters,
 class _Family:
     """What depends on n alone in a check.
 
-    The two words always; P_2n by powers of x and A_2n where given; the
-    two words at the points given to evaluate_words.
+    The two words always; A_2n where given; the two words at the points
+    given to evaluate_words.
     """
 
-    def __init__(self, n: int, rm_poly: LaurentPoly | None = None,
-                 apoly: LaurentPoly | None = None):
+    def __init__(self, n: int, apoly: LaurentPoly | None = None):
         self.n = n
-        self.rm_columns = None if rm_poly is None else _columns(rm_poly)
         self.apoly = apoly
         self.relator = relator_word(n)
         self.longitude = build_longitude(n)
@@ -205,14 +205,6 @@ class _Family:
         return self._apoly_lists
 
 
-def _columns(poly: LaurentPoly) -> list[list[tuple[int, int]]]:
-    """A polynomial in M and x as its (M-exponent, coefficient) pairs per power of x, lowest first."""
-    columns: list[list[tuple[int, int]]] = [[] for _ in range(poly.degree("x") + 1)]
-    for (_, e, k), c in poly.terms():
-        columns[k].append((e, c))
-    return columns
-
-
 # The family that verify_family is checking in this context, if any.
 _FAMILY: ContextVar[_Family | None] = ContextVar("c2n3_repcheck_family", default=None)
 
@@ -223,127 +215,118 @@ def _family(n: int) -> _Family | None:
 
 
 def roots_of_rm(n: int, M0: complex) -> list[complex]:
-    """All roots of x -> P_2n(x, M0), by companion-matrix eigenvalues plus Newton polishing.
+    """All roots of x -> P_2n(x, M0), by Aberth-Ehrlich sweeps on the recursion P_2n obeys.
 
-    The exact integer coefficients of P_2n are specialized at M0 once,
-    straight into fixed point (see _specialized); inside verify_family P_2n
-    is built once for the whole family.  The eigenvalue step runs on those
-    values correctly rounded to doubles.  Each root is then polished by
-    Newton's method on the same values cut to 2^-160, held as pairs of
-    integers (real and imaginary parts), until a step is at most 2^-70 |x|,
-    so the returned doubles are accurate to full precision even where the
-    specialized polynomial is badly scaled.  Roots come sorted by (real,
-    imaginary).  Raises ValueError, naming M0, when M0 is not finite or
-    the specialized coefficients do not fit in doubles.  Raises
-    DegreeCollapseError when the leading double handed to the eigenvalue
-    step is zero, the case where np.roots would silently solve a
-    lower-degree polynomial; for P_2n that coefficient is the monomial
-    +-M^(4n) or +-M^(-4n-2) at M0, so only M0 = 0, or underflow, makes it
-    vanish.  Raises NonConvergenceError (naming n, M0 and the start) when
-    a polishing meets a zero slope or takes 50 steps without meeting the
-    stopping rule, and RepeatedRootError when two starting points polish
-    to one root, so that no root goes unchecked without notice.
+    R_k = P_2k / M^(4k) obeys R_k = 2c R_(k-1) - R_(k-2) with 2c = Q / M^4
+    (see q_poly), so P_2n(x, M0) = M0^(4|n|) R_|n|(x), and _recurrence
+    gives R_|n| and R_|n|' at every iterate at once with no expanded
+    coefficients.  The sweeps start from _starts.  A root stops once its
+    step is at most 1e-14 max(1, |x|), or at most 1e-10 max(1, |x|) and
+    more than half the step before it: there rounding, not distance, sets
+    the step.  Roots come sorted by (real, imaginary).  Raises ValueError,
+    naming M0, when M0 is not finite or the recursion's coefficients there
+    do not fit in doubles; DegreeCollapseError when M0^4 is zero in
+    doubles, so that the leading x-coefficient of P_2n, a power of M0,
+    vanishes; NonConvergenceError, naming n and M0, when a root still
+    moves after _SWEEPS sweeps; and RepeatedRootError when two roots
+    converge to one value, so that no root goes unchecked without notice.
     """
     M0 = _finite_meridian(M0)
-    family = _family(n)
-    columns = family.rm_columns if family is not None else _columns(rm_closed(n).poly)
-    if len(columns) == 1:
+    if n == 0:
         return []
-    values, bits = _specialized(columns, M0)
-    one = 1 << bits
-    try:
-        coeffs = np.array([complex(re / one, im / one) for re, im in reversed(values)])
-    except OverflowError:
-        raise ValueError(f"P_2n at M0 = {M0!r} does not fit in double precision") from None
-    if coeffs[0] == 0:
-        raise DegreeCollapseError(f"leading x-coefficient vanishes at M0 = {M0!r}")
-    cut = bits - _FRACTION_BITS
-    fixed = [(re >> cut, im >> cut) for re, im in reversed(values)]
-    polished = []
-    for z in np.roots(coeffs):
-        try:
-            polished.append(_polish_root(complex(z), fixed))
-        except NonConvergenceError as exc:
-            raise NonConvergenceError(f"{exc}, for P_2n with n = {n} at M0 = {M0!r}") from None
-    for a, b in itertools.combinations(polished, 2):
+    recurrence = _recurrence(n, M0)
+    z = _starts(n, M0)
+    moving = np.ones(len(z), dtype=bool)
+    last = np.full(len(z), math.inf)
+    with np.errstate(all="ignore"):
+        for _ in range(_SWEEPS):
+            at = np.flatnonzero(moving)
+            x = z[at]
+            value, slope = recurrence(x)
+            gaps = x[:, None] - z
+            repulsion = np.divide(1, gaps, out=np.zeros_like(gaps), where=gaps != 0).sum(axis=1)
+            step = value / (slope - value * repulsion)
+            z[at] = x - step
+            size = abs(step) / np.maximum(1, abs(z[at]))
+            moving[at] = ~((size <= 1e-14) | ((size <= 1e-10) & (size > last[at] / 2)))
+            last[at] = size
+            if not moving.any():
+                break
+        else:
+            raise NonConvergenceError(
+                f"Aberth sweeps met no stopping rule for {moving.sum()} of {len(z)} roots in "
+                f"{_SWEEPS} sweeps, for P_2n with n = {n} at M0 = {M0!r}"
+            )
+    roots = sorted(map(complex, z), key=lambda v: (v.real, v.imag))
+    for a, b in itertools.combinations(roots, 2):
         if abs(a - b) < 1e-12 * max(1.0, abs(a)):
             raise RepeatedRootError(
-                f"two roots of P_2n for n = {n} polished to the same value {a!r} at M0 = {M0!r}"
+                f"two roots of P_2n for n = {n} converged to the same value {a!r} at M0 = {M0!r}"
             )
-    polished.sort(key=lambda z: (z.real, z.imag))
-    return polished
+    return roots
 
 
-# Newton polishing runs on integers scaled by 2^_FRACTION_BITS; 40 digits need 133 bits.
-_FRACTION_BITS = 160
-_NEWTON_STEPS = 50
-# A step of at most 2^-_STOP_BITS |x| ends the polishing.
-_STOP_BITS = 70
+# A root still moving after this many Aberth sweeps raises NonConvergenceError.
+_SWEEPS = 100
 
 
-def _specialized(columns, M0: complex) -> tuple[list[tuple[int, int]], int]:
-    """Each column's sum c * M0^e, as (real, imaginary) integers scaled by 2^bits, and bits.
+@cache
+def _r1_numerator(sign: int) -> LaurentPoly:
+    """P_2 for sign 1, P_-2 for sign -1."""
+    return rm_closed(sign).poly
 
-    The powers of M0 (an exact double) are built by fixed-point Gaussian
-    products, each cut toward minus infinity.  Past _FRACTION_BITS, bits
-    holds guard bits for the shrinking of M0^e when |M0| < 1 and for the
-    cuts along the powers, so every value is within
-    2^-_FRACTION_BITS * sum |c| |M0|^e of the exact one.
+
+def _recurrence(n: int, M0: complex):
+    """x -> (R_|n|(x), R_|n|'(x)) over an array, both divided by one factor per x.
+
+    R_0 = 1 and R_1 = P_2 / M0^4 for n > 0, or R_0 = M0^-2 and
+    R_1 = P_-2 / M0^4 for n < 0.  Whenever R_j or R_j' passes 1e100 at
+    some x, the four values carried there are divided by the larger: only
+    the ratio is used, and R_100 itself would overflow.
     """
-    top = max(e for column in columns for e, _ in column)
-    modulus = abs(M0)
-    shrink = math.ceil(-top * math.log2(modulus)) if 0 < modulus < 1 else 0
-    bits = _FRACTION_BITS + shrink + top.bit_length() + 4
-    mr, mi = (_scaled(v, bits) for v in (M0.real, M0.imag))
-    powers = [(1 << bits, 0)]
-    for _ in range(top):
-        pr, pi = powers[-1]
-        powers.append(((pr * mr - pi * mi) >> bits, (pr * mi + pi * mr) >> bits))
-    values = []
-    for column in columns:
-        re = im = 0
-        for e, c in column:
-            pr, pi = powers[e]
-            re += c * pr
-            im += c * pi
-        values.append((re, im))
-    return values, bits
+    quartic = M0**4
+    if quartic == 0:
+        raise DegreeCollapseError(f"M0^4, so the leading x-coefficient, is 0 at M0 = {M0!r}")
+    r0 = 1 if n > 0 else M0**-2
+    try:
+        r1, q = ([c / quartic for c in p.at_meridian(M0)[0]]
+                 for p in (_r1_numerator(1 if n > 0 else -1), q_poly()))
+    except OverflowError:
+        r1 = q = [math.nan]
+    if not all(map(cmath.isfinite, [r0, *r1, *q])):
+        raise ValueError(f"P_2n at M0 = {M0!r} does not fit in double precision")
+    dr1, dq = ([k * c for k, c in enumerate(p)][1:] for p in (r1, q))
+
+    def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        qx, dqx = _horner(q, x), _horner(dq, x)
+        prev, dprev = r0, 0
+        cur, dcur = _horner(r1, x), _horner(dr1, x)
+        for _ in range(abs(n) - 1):
+            prev, dprev, cur, dcur = cur, dcur, qx * cur - prev, dqx * cur + qx * dcur - dprev
+            size = np.maximum(abs(cur), abs(dcur))
+            if size.max() > 1e100:
+                scale = np.where(size > 1e100, 1 / size, 1)
+                prev, dprev, cur, dcur = prev * scale, dprev * scale, cur * scale, dcur * scale
+        return cur, dcur
+
+    return evaluate
 
 
-def _scaled(v: float, bits: int) -> int:
-    """floor(v * 2^bits), exactly."""
-    num, den = v.as_integer_ratio()
-    return (num << bits) // den
+def _starts(n: int, M0: complex) -> np.ndarray:
+    """Starts for roots_of_rm: where c(x) = cos((j - 1/2) pi / |n|), j = 1..|n|.
 
-
-def _polish_root(z: complex, coeffs: Sequence[tuple[int, int]]) -> complex:
-    """Newton's method from z on fixed-point Gaussian-integer coefficients, highest power first.
-
-    P and P' come from one Horner pass; the step P / P' is taken as
-    P * conj(P') / |P'|^2 by integer division.  Raises NonConvergenceError,
-    naming the start, on a zero slope or when no step within _NEWTON_STEPS
-    falls to 2^-_STOP_BITS |x|.
+    With s = M0^2 + M0^-2 - 1 these are the roots of x (s + x)^2 =
+    2 - 2 cos(...), one cubic per j; the first 3|n| - (n < 0) are kept,
+    turned by (1 + 1e-3 i) off any line of symmetry.
     """
-    bits = _FRACTION_BITS
-    xr, xi = int(z.real * 2.0**bits), int(z.imag * 2.0**bits)
-    for _ in range(_NEWTON_STEPS):
-        pr, pi = coeffs[0]
-        dr = di = 0
-        for cr, ci in coeffs[1:]:
-            dr, di = ((dr * xr - di * xi) >> bits) + pr, ((dr * xi + di * xr) >> bits) + pi
-            pr, pi = ((pr * xr - pi * xi) >> bits) + cr, ((pr * xi + pi * xr) >> bits) + ci
-        slope = dr * dr + di * di
-        if not slope:
-            raise NonConvergenceError(f"Newton polishing from x = {z!r} met a zero slope")
-        sr = ((pr * dr + pi * di) << bits) // slope
-        si = ((pi * dr - pr * di) << bits) // slope
-        xr -= sr
-        xi -= si
-        if (sr * sr + si * si) << (2 * _STOP_BITS) <= xr * xr + xi * xi:
-            return complex(xr / (1 << bits), xi / (1 << bits))
-    raise NonConvergenceError(
-        f"Newton polishing from x = {z!r} met no stopping rule in {_NEWTON_STEPS} steps"
-    )
+    k = abs(n)
+    s = M0 * M0 + 1 / (M0 * M0) - 1
+    # the companion matrix of x^3 + 2s x^2 + s^2 x + 2 cos(...) - 2, one per j
+    companion = np.zeros((k, 3, 3), dtype=complex)
+    companion[:, 0] = [-2 * s, -s * s, 0]
+    companion[:, 0, 2] = 2 - 2 * np.cos((np.arange(1, k + 1) - 0.5) * math.pi / k)
+    companion[:, 1, 0] = companion[:, 2, 1] = 1
+    return np.linalg.eigvals(companion).ravel()[: 3 * k - (n < 0)] * (1 + 1e-3j)
 
 
 def longitude_eigen(n: int, M0: complex, x0: complex) -> complex:
@@ -430,7 +413,13 @@ def verify_point(n: int, M0: complex, x0: complex, tol: float, apoly=None) -> Ve
         apoly = family.apoly if family.apoly is not None else apoly_theorem(n)
     poly = apoly.poly if isinstance(apoly, APolyResult) else apoly
     values, bounds = family.apoly_at(M0) if poly is family.apoly else poly.at_meridian(M0)
-    apoly_residual = float(abs(_horner(values, L0)) / _horner(bounds, abs(L0)))
+    size = _horner(bounds, abs(L0))
+    if math.isinf(size):
+        # |L0|^k overflowed: the same ratio in 1/L0, whose powers cannot.  Not
+        # for every |L0| > 1: where |M0|^e underflows, that form can sum to 0
+        values, bounds, L0 = values[::-1], bounds[::-1], 1 / L0
+        size = _horner(bounds, abs(L0))
+    apoly_residual = float(abs(_horner(values, L0)) / size)
     passed = (
         relation_residual <= tol * cond_rel
         and longitude_mismatch <= tol * cond_lon
@@ -498,13 +487,14 @@ def verify_family(
 ) -> list[VerificationReport | BadPoint]:
     """verify_point over every root of P_2n at every provided meridian sample.
 
-    P_2n, A_2n and the two words are built once for the whole family.  The
-    roots come first for every sample; then both words are evaluated once
-    over all (sample, root) lanes, and each verify_point reads its lane;
-    A_2n is specialized once per meridian.  A sample whose roots cannot be
-    trusted (DegreeCollapseError, NonConvergenceError, RepeatedRootError)
-    gives one BadPoint in place of its reports, and a root where the
-    longitude eigenvalue is undefined (SingularPointError) or whose report
+    A_2n and the two words are built once for the whole family.  The roots
+    come first for every sample; then both words are evaluated once over
+    all (sample, root) lanes, and each verify_point reads its lane; A_2n is
+    specialized once per meridian.  A sample whose roots cannot be trusted
+    (DegreeCollapseError, NonConvergenceError, RepeatedRootError) gives one
+    BadPoint in place of its reports, and a root where the longitude
+    eigenvalue is undefined (SingularPointError), where a value leaves the
+    double range (off the unit circle, A_2n at M0 can), or whose report
     holds a non-finite number gives one in place of its report, so every
     report serializes as strict JSON.  n = 0, a tol that is not finite and
     positive, and an empty sample list (whose empty report list would read
@@ -514,7 +504,7 @@ def verify_family(
     if len(M_samples) == 0:
         raise ValueError("verify_family needs at least one meridian sample")
     apoly = apoly_theorem(n)
-    family = _Family(n, rm_closed(n).poly, apoly.poly)
+    family = _Family(n, apoly.poly)
     token = _FAMILY.set(family)
     reports: list[VerificationReport | BadPoint] = []
     try:
@@ -533,6 +523,10 @@ def verify_family(
                     report = verify_point(n, M0, x0, tol, apoly=apoly)
                 except SingularPointError as exc:
                     reports.append(BadPoint(n, complex(M0), f"{exc} at x0 = {x0!r}"))
+                    continue
+                except (OverflowError, ZeroDivisionError) as exc:
+                    reason = f"out of double range ({exc}) at x0 = {x0!r}"
+                    reports.append(BadPoint(n, complex(M0), reason))
                     continue
                 if not all(map(cmath.isfinite, vars(report).values())):
                     reason = f"non-finite value in the report at x0 = {report.root!r}"

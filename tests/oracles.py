@@ -84,8 +84,3 @@ def mpmath_polish_root(z, exact_coeffs) -> complex:
         if abs(step) < mp.mpf("1e-30"):
             break
     return complex(current)
-
-
-def mpmath_fixed_point(coeffs) -> list[tuple[int, int]]:
-    """mpmath complex coefficients as (real, imaginary) integers scaled by 2^160."""
-    return [(int(mp.ldexp(c.real, 160)), int(mp.ldexp(c.imag, 160))) for c in coeffs]

@@ -1,6 +1,7 @@
 """Tests for the numeric representation checks: words, matrices, roots, residuals."""
 
 import cmath
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -9,7 +10,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
-from oracles import mpmath_fixed_point, mpmath_polish_root, numpy_word_product
+from oracles import mpmath_polish_root, numpy_word_product
 
 from c2n3.apoly import substitution_x
 from c2n3.rmpoly import rm_closed
@@ -19,11 +20,8 @@ from c2n3.repcheck import (
     RepeatedRootError,
     SingularPointError,
     VerificationReport,
-    _columns,
     _eval_word_tracked,
-    _polish_root,
     _reduced,
-    _specialized,
     build_longitude,
     build_w,
     eval_word,
@@ -178,56 +176,51 @@ def test_roots_are_polished_to_tiny_residuals(n):
         assert abs(value) <= 1e-12 * scale
 
 
-def test_roots_that_polish_to_one_value_raise():
+def test_every_root_is_found_at_n_8():
+    # every seed-0 sample keeps all of its roots, distinct, at |n| = 8 (samples
+    # near +-i included) and beyond the acceptance grid
     samples = sample_unit_modulus(20, seed=0)
-    for n, picks in ((8, (1, 13, 16, 17)), (-8, (1, 13))):
-        for k in picks:
-            with pytest.raises(RepeatedRootError, match=f"n = {n} .* at M0 = "):
-                roots_of_rm(n, samples[k])
-    # honest roots are never that close: every seed-0 sample beyond the
-    # acceptance grid of |n| <= 4 keeps all of its roots
-    for n in (5, -5, 6, -6):
+    for n in (8, -8, 5, -5, 6, -6):
         for M0 in samples:
-            assert len(roots_of_rm(n, M0)) == 3 * abs(n) - (n < 0)
+            roots = roots_of_rm(n, M0)
+            assert len(roots) == 3 * abs(n) - (n < 0)
+            assert len(set(roots)) == len(roots)
 
 
 @pytest.mark.parametrize("n", [2, -3])
 def test_a_start_given_twice_polishes_to_a_repeated_root(monkeypatch, n):
-    # a stand-in eigenvalue step hands one start over twice, so two polishings meet
-    real_roots = np.roots
+    # a stand-in start generator hands one start over twice; the two iterates
+    # never see each other, so they move as one onto one root
+    import c2n3.repcheck as repcheck
 
-    def doubled(coeffs):
-        starts = real_roots(coeffs)
+    real_starts = repcheck._starts
+
+    def doubled(n, M0):
+        starts = real_starts(n, M0)
         starts[-1] = starts[0]
         return starts
 
-    monkeypatch.setattr(np, "roots", doubled)
+    monkeypatch.setattr(repcheck, "_starts", doubled)
     samples = sample_unit_modulus(3, seed=1)
-    with pytest.raises(RepeatedRootError, match=f"n = {n} polished to the same value .* at M0 = "):
+    with pytest.raises(RepeatedRootError, match=f"n = {n} converged to the same value .* at M0 = "):
         roots_of_rm(n, samples[0])
     reports = verify_family(n, samples, 1e-8)
     assert [type(r).__name__ for r in reports] == ["BadPoint"] * 3
     assert [r.M_sample for r in reports] == samples
-    assert all("polished to the same value" in r.reason and not r.passed for r in reports)
+    assert all("converged to the same value" in r.reason and not r.passed for r in reports)
 
 
 def test_polish_root_matches_the_mpmath_oracle():
-    # every seed-0 sample with |n| <= 8 that keeps all of its roots, each
-    # root polished from the same np.roots start by both kernels
+    # every root at every seed-0 sample with |n| <= 8 is where 40-digit Newton
+    # polishing on the exact coefficients, started from that root, ends
     samples = sample_unit_modulus(20, seed=0)
     for n in [k for k in range(-8, 9) if k]:
         poly = rm_closed(n).poly
         for M0 in samples:
-            try:
-                roots_of_rm(n, M0)
-            except RepeatedRootError:
-                continue
             with mp.workdps(40):
                 exact = poly.at_meridian(mp.mpc(M0))[0][::-1]
-                fixed = mpmath_fixed_point(exact)
-                for z in np.roots([complex(c) for c in exact]):
-                    x = _polish_root(complex(z), fixed)
-                    assert abs(x - mpmath_polish_root(z, exact)) <= 1e-25 * max(1.0, abs(x))
+                for x in roots_of_rm(n, M0):
+                    assert abs(x - mpmath_polish_root(x, exact)) <= 1e-13 * max(1.0, abs(x))
 
 
 @pytest.mark.parametrize("n, M0", [(n, M0) for n in range(-8, 9) if n
@@ -235,23 +228,19 @@ def test_polish_root_matches_the_mpmath_oracle():
                          + [(n, M0) for n in (3, -3, 12, -12) for M0 in (0.5, 2.0, 0.3 + 1.7j)]
                          + [(12, 0.3 - 0.4j), (-12, 0.3 - 0.4j), (40, 0.5)])
 def test_specialization_matches_the_mpmath_oracle(n, M0):
-    # each fixed-point coefficient is within 2^-133 of its term magnitudes
-    # (what 40 digits give), and as a double within 1 ulp of the 40-digit one;
-    # the last three cases need the guard bits for |M0| < 1: there M0^e has
-    # inexact fixed-point powers, or falls below 2^-160
+    # P_2n specialized at M0 through its recursion has the roots of the exact
+    # P_2n: all deg of them, distinct, each with a relative residual of at
+    # most 1e-12 against a 60-digit evaluation of rm_closed(n); off the unit
+    # circle too, where |M0|^e spans many orders of magnitude
     poly = rm_closed(n).poly
-    values, bits = _specialized(_columns(poly), complex(M0))
+    roots = roots_of_rm(n, M0)
+    assert len(roots) == poly.degree("x") == 3 * abs(n) - (n < 0)
+    for a, b in itertools.combinations(roots, 2):
+        assert abs(a - b) > 1e-12 * max(1.0, abs(a))
     with mp.workdps(60):
-        exact, sizes = poly.at_meridian(mp.mpc(M0))
-        for (re_, im_), want, size in zip(values, exact, sizes, strict=True):
-            got = mp.mpc(mp.ldexp(re_, -bits), mp.ldexp(im_, -bits))
-            assert abs(got - want) <= mp.ldexp(size, -133)
-    with mp.workdps(40):
-        digits40 = [complex(c) for c in poly.at_meridian(mp.mpc(M0))[0]]
-    one = 1 << bits
-    for (re_, im_), want in zip(values, digits40):
-        for got, ref in ((re_ / one, want.real), (im_ / one, want.imag)):
-            assert abs(got - ref) <= math.ulp(max(abs(got), abs(ref)))
+        values, sizes = poly.at_meridian(mp.mpc(M0))
+        for x in map(mp.mpc, roots):
+            assert abs(mp.polyval(values[::-1], x)) <= 1e-12 * mp.polyval(sizes[::-1], abs(x))
 
 
 @pytest.mark.parametrize("M0", [math.nan, math.inf, complex(1, -math.inf), complex(math.nan, 1)])
@@ -268,29 +257,33 @@ def test_meridians_whose_coefficients_overflow_doubles_are_rejected_by_name():
         roots_of_rm(2, 1e200)
 
 
-def test_polish_root_reports_non_convergence():
-    # Newton's method on x^3 - 2x + 2 cycles 0 -> 1 -> 0 -> ...
-    with mp.workdps(40):
-        cycle = mpmath_fixed_point([mp.mpc(c) for c in (1, 0, -2, 2)])
-        flat = mpmath_fixed_point([mp.mpc(c) for c in (1, 0, 1)])
-    with pytest.raises(NonConvergenceError, match=r"from x = 0j met no stopping rule in 50 steps"):
-        _polish_root(0j, cycle)
-    # x^2 + 1 has slope 0 at x = 0
-    with pytest.raises(NonConvergenceError, match=r"from x = 0j met a zero slope"):
-        _polish_root(0j, flat)
-    # from other starts both converge
-    x = _polish_root(-2 + 0j, cycle)
-    assert abs(x**3 - 2 * x + 2) <= 1e-14
-    assert abs(_polish_root(0.5 + 0.5j, flat) - 1j) <= 1e-30
+def test_polish_root_reports_non_convergence(monkeypatch):
+    import c2n3.repcheck as repcheck
+
+    M0 = sample_unit_modulus(1, seed=5)[0]
+    assert len(roots_of_rm(-3, M0)) == 8
+    # below the sweeps this point needs, the cap names the roots still moving
+    for cap, moving in ((0, 8), (1, 8)):
+        monkeypatch.setattr(repcheck, "_SWEEPS", cap)
+        with pytest.raises(NonConvergenceError,
+                           match=f"for {moving} of 8 roots in {cap} sweeps, for P_2n with n = -3"):
+            roots_of_rm(-3, M0)
+    monkeypatch.undo()
+    # a NaN iterate spreads to every root, and none ever meets the stopping rule
+    real_starts = repcheck._starts
+    monkeypatch.setattr(repcheck, "_starts",
+                        lambda n, M0: np.append(real_starts(n, M0)[1:], np.nan))
+    with pytest.raises(NonConvergenceError, match="for 8 of 8 roots in 100 sweeps"):
+        roots_of_rm(-3, M0)
 
 
 def test_non_convergence_names_the_point_and_becomes_a_bad_point(monkeypatch):
     import c2n3.repcheck as repcheck
 
-    # one step never meets the stopping rule from a double-precision start
-    monkeypatch.setattr(repcheck, "_NEWTON_STEPS", 1)
+    # one sweep never meets the stopping rule from the starting points
+    monkeypatch.setattr(repcheck, "_SWEEPS", 1)
     M0 = sample_unit_modulus(1, seed=5)[0]
-    message = f"in 1 steps, for P_2n with n = 2 at M0 = {M0!r}"
+    message = f"in 1 sweeps, for P_2n with n = 2 at M0 = {M0!r}"
     with pytest.raises(NonConvergenceError, match=re.escape(message)):
         roots_of_rm(2, M0)
     (bad,) = verify_family(2, [M0], 1e-8)

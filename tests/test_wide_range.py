@@ -12,9 +12,11 @@ from c2n3.repcheck import (
     NonConvergenceError,
     RepeatedRootError,
     VerificationReport,
+    longitude_eigen,
     roots_of_rm,
     sample_unit_modulus,
     verify_family,
+    verify_point,
 )
 from c2n3.rmpoly import rm_closed, rm_recursive
 
@@ -153,6 +155,96 @@ def test_unit_meridians_never_collapse_the_x_degree(n):
             roots_of_rm(n, M0)
         except (NonConvergenceError, RepeatedRootError):
             pass
+
+
+@pytest.mark.parametrize("n", [16, -16, 24, -24, 32, -32])
+def test_verify_family_checks_every_root_far_beyond_the_acceptance_grid(n):
+    reports = verify_family(n, sample_unit_modulus(20, 0), 1e-8)
+    assert not any(isinstance(r, BadPoint) for r in reports)
+    assert len(reports) == 20 * (3 * abs(n) - (n < 0))
+    assert all(r.passed for r in reports)
+
+
+def test_apoly_residual_stays_finite_where_powers_of_l0_overflow():
+    # at n = 64 A_2n has L-degree 192, and |L0| reaches 134 at this meridian,
+    # so |L0|^192 is far past the largest double
+    n, M0 = 64, sample_unit_modulus(20, 0)[0]
+    apoly = theorem_poly(n)
+    x0 = max(roots_of_rm(n, M0), key=lambda x: abs(longitude_eigen(n, M0, x)))
+    assert apoly.degree("L") * math.log2(abs(longitude_eigen(n, M0, x0))) > 1024
+    report = verify_point(n, M0, x0, 1e-8, apoly=apoly)
+    assert math.isfinite(report.apoly_residual) and report.apoly_residual <= 1e-8
+    assert report.passed
+
+
+def test_apoly_residual_keeps_its_direct_form_where_that_does_not_overflow():
+    # at M0 = 0.5 the terms of A_24 at high powers of L underflow to 0, so the form
+    # in 1/L0 would sum to 0 at roots with |L0| > 1
+    n, M0 = 12, 0.5
+    apoly = theorem_poly(n)
+    roots = roots_of_rm(n, M0)
+    assert max(abs(longitude_eigen(n, M0, x)) for x in roots) > 1e10
+    for x0 in roots:
+        assert math.isfinite(verify_point(n, M0, x0, 1e-8, apoly=apoly).apoly_residual)
+
+
+@pytest.mark.parametrize("n, M0", [(12, 2.0), (-12, 0.5)])
+def test_verify_family_off_the_unit_circle_reports_out_of_range_values_as_bad_points(n, M0):
+    # the roots are found there, but A_2n at M0 leaves the double range
+    reports = verify_family(n, [M0], 1e-8)
+    assert len(reports) == 3 * abs(n) - (n < 0)
+    bad = [r for r in reports if isinstance(r, BadPoint)]
+    assert bad and all("out of double range" in r.reason for r in bad)
+    assert not any(r.passed for r in reports)
+
+
+def squarefree_mod(coeffs, p):
+    """Whether gcd(f, f') = 1 over GF(p).
+
+    f is an integer coefficient list, lowest power first, whose last entry is nonzero mod p.
+    """
+
+    def trimmed(f):
+        while f and f[-1] % p == 0:
+            f.pop()
+        return f
+
+    def remainder(a, b):
+        inverse = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            quotient, shift = a[-1] * inverse % p, len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - quotient * c) % p
+            trimmed(a)
+        return a
+
+    f = trimmed([c % p for c in coeffs])
+    g = trimmed([k * c % p for k, c in enumerate(coeffs)][1:])
+    while g:
+        f, g = g, remainder(f, g)
+    return len(f) == 1
+
+
+PRIME = 2**31 - 1
+
+
+def test_squarefree_mod_finds_repeated_factors():
+    assert squarefree_mod([1, 0, 1], PRIME) and squarefree_mod([-2, 1, 1], PRIME)
+    assert not squarefree_mod([2, -3, 0, 1], PRIME)  # (x - 1)^2 (x + 2)
+    assert not squarefree_mod([1, 2, 1], PRIME) and not squarefree_mod([0, 0, 5], PRIME)
+    assert not squarefree_mod([1, 0, 1], 2)  # x^2 + 1 = (x + 1)^2 over GF(2)
+
+
+@pytest.mark.parametrize("n", NONZERO_N)
+def test_riley_polynomial_at_the_parabolic_meridian_is_squarefree(n):
+    # Riley 1972: the nonabelian parabolic representations are simple, so P_2n(x, 1)
+    # has no repeated root; squarefree with its full degree mod p gives that over Q
+    poly = rm_closed(n).poly
+    at_one = [0] * (poly.degree("x") + 1)
+    for (_, _, k), c in poly.terms():
+        at_one[k] += c
+    assert at_one[-1] % PRIME and len(at_one) == 3 * abs(n) - (n < 0) + 1
+    assert squarefree_mod(at_one, PRIME)
 
 
 @cache
