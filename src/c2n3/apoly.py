@@ -54,16 +54,17 @@ def apoly_theorem(n: int) -> APolyResult:
     # the sum run on 1-norms bounds every value it takes
     room = sum(abs(c) * base_num.norm1() ** i * x_num.norm1() ** j
                * den_base.norm1() ** (top_agg - i - j) for i, j, c in summation_indices(n))
-    base_num, den_base = base_num.packed(room), den_base.packed(room)
+    # every M-exponent here is even, so the slots step by M^2
+    base_num, den_base = base_num.packed(room, 2), den_base.packed(room, 2)
     # x_num and the M^-2 of each step up in j; the common M^m_top comes at the end
-    x_step = x_num.packed(room).shift(m=-2)
+    x_step = x_num.packed(room, 2).shift(m=-2)
     # agg falls as i grows, so its value at i = 0 bounds every power needed.
-    den_pow = [ONE.packed(room)]
+    den_pow = [ONE.packed(room, 2)]
     for _ in range(top_agg):
         den_pow.append(den_pow[-1] * den_base)
     # Horner's rule from the top index down: i + j at the top is top_agg, so
     # the top summand takes den^0 and no den power is left over at the end.
-    acc = ZERO.packed(room)
+    acc = ZERO.packed(room, 2)
     for i, j, c in reversed(summation_indices(n)):
         acc = acc * base_num
         if (i + 1) % 2:

@@ -184,15 +184,17 @@ class LaurentPoly:
                 base = base * base
         return result
 
-    def packed(self, room: int = 0) -> "_Rows":
+    def packed(self, room: int = 0, stride: int = 1) -> "_Rows":
         """This polynomial as packed rows, for a loop of ring operations unpacked once at its end.
 
         The rows support +, -, * (by rows or an int), shift (the product
         with a monomial) and unpack, which gives the LaurentPoly back.  Their
-        slot width holds room and this 1-norm, for them and every value
-        computed from them: pack all operands of a loop at one room.
+        slot width holds room and this 1-norm, and their slots step through
+        the M-exponents by stride from M^0, which must divide every one of
+        them; both hold for the rows and every value computed from them:
+        pack all operands of a loop at one room and one stride.
         """
-        return _Rows.pack(self._terms, room)
+        return _Rows.pack(self._terms, room, stride)
 
     # -- structural operations -------------------------------------------
 
@@ -217,8 +219,9 @@ class LaurentPoly:
         den, nonnegative exponents of var and clear_deg >= degree(var) so
         the result stays in the ring.  The sum is evaluated by Horner's rule
         in num, on packed rows whose cost follows each row's M-span /
-        stride, not its term count: num and den with sparse, unevenly
-        spaced M-exponents are slow here.
+        stride, not its term count; the stride is the gcd of every
+        M-exponent of self, num and den, so exponents that are sparse, or
+        evenly spaced off a multiple of their spacing (M^3 + M^5), are slow.
         """
         idx = _var_index(var)
         _checked_int(clear_deg, "clear_deg")
@@ -243,15 +246,16 @@ class LaurentPoly:
         num_norm, den_norm = max(num.norm1(), 1), den.norm1()
         room = sum(sum(map(abs, part.values())) * num_norm**k * den_norm ** (clear_deg - k)
                    for k, part in parts.items())
-        num, den = num.packed(room), den.packed(room)
-        den_pow = [ONE.packed(room)]
+        stride = math.gcd(*(m[1] for poly in (self, num, den) for m in poly._terms)) or 1
+        num, den = num.packed(room, stride), den.packed(room, stride)
+        den_pow = [ONE.packed(room, stride)]
         for _ in range(clear_deg - min(parts)):
             den_pow.append(den_pow[-1] * den)
-        out = ZERO.packed(room)
+        out = ZERO.packed(room, stride)
         for k in range(deg, -1, -1):
             out = out * num
             if k in parts:
-                out = out + _Rows.pack(parts[k], room) * den_pow[clear_deg - k]
+                out = out + _Rows.pack(parts[k], room, stride) * den_pow[clear_deg - k]
         return out.unpack()
 
     def normalize_unit(self) -> tuple["LaurentPoly", tuple, int]:
@@ -413,14 +417,6 @@ def _digits(value: int, width: int) -> list[int]:
     return [int.from_bytes(data[at:at + w], "little") - half for at in range(0, len(data), w)]
 
 
-def _spread(value: int, width: int, spacing: int) -> int:
-    """Move slot k to slot spacing * k, keeping every slot's value."""
-    digits = _digits(value, width)
-    spaced = [0] * (spacing * (len(digits) - 1) + 1)
-    spaced[::spacing] = digits
-    return _joined(spaced, width)
-
-
 class _Rows:
     """A polynomial as packed rows: {(expL, expX): (lowest expM, packed int)}.
 
@@ -429,16 +425,16 @@ class _Rows:
     the row evaluated at M^stride = 2^width (Kronecker substitution).  That
     evaluation is a ring homomorphism, so +, - and * of packed ints are
     exact whatever the width; only reading the slots back needs every
-    coefficient inside [-2^(width-1), 2^(width-1)).  The width is fixed
-    when a value is packed, from the room it is given, and every value
-    computed from it keeps it: operands of different widths raise
-    ValueError.  bound is an upper bound on the 1-norm of the polynomial,
-    hence on every coefficient; it grows by |a|_1 + |b|_1 for sums and
-    |a|_1 * |b|_1 for products, and an operation whose bound would not fit
-    the width raises OverflowError, so no slot is ever read back wrong.
-    stride divides every difference of M-exponents in the value (0 when
-    there is a single one), so rows of different M-parity share one slot
-    grid and products of rows landing in one output row line up.
+    coefficient inside [-2^(width-1), 2^(width-1)).  The width, from the
+    room a value is given, and the stride are fixed when it is packed;
+    every value computed from it keeps them, and operands that differ in
+    either raise ValueError.  The slot grid is anchored at M^0: every
+    M-exponent is a multiple of stride, so the rows of one value and the
+    products landing in one output row line up.  bound is an upper bound
+    on the 1-norm of the polynomial, hence on every coefficient; it grows
+    by |a|_1 + |b|_1 for sums and |a|_1 * |b|_1 for products, and an
+    operation whose bound would not fit the width raises OverflowError, so
+    no slot is ever read back wrong.
     """
 
     __slots__ = ("rows", "stride", "width", "bound")
@@ -453,74 +449,53 @@ class _Rows:
         self.bound = bound
 
     @classmethod
-    def pack(cls, terms: dict[tuple, int], room: int = 0) -> "_Rows":
-        """terms packed with slots for coefficients up to their 1-norm, and up to room."""
+    def pack(cls, terms: dict[tuple, int], room: int, stride: int) -> "_Rows":
+        """terms packed on M-steps of stride, with slots for coefficients up to their 1-norm and room."""
+        if stride < 1 or any(m[1] % stride for m in terms):
+            raise ValueError(f"M-exponents off the grid of stride {stride}")
         bound = sum(map(abs, terms.values()))
         width = _width(max(bound, room))
-        first = next(iter(terms), UNIT_MONOMIAL)[1]
-        stride = math.gcd(*(m[1] - first for m in terms))
-        step = stride or 1
         grouped: dict[tuple[int, int], dict[int, int]] = {}
         for m, c in terms.items():
             grouped.setdefault((m[0], m[2]), {})[m[1]] = c
         rows = {}
         for key, row in grouped.items():
             lo = min(row)
-            digits = [0] * ((max(row) - lo) // step + 1)
+            digits = [0] * ((max(row) - lo) // stride + 1)
             for e, c in row.items():
-                digits[(e - lo) // step] = c
+                digits[(e - lo) // stride] = c
             rows[key] = (lo, _joined(digits, width))
         return cls(rows, stride, width, bound)
 
     def unpack(self) -> LaurentPoly:
         """The polynomial itself, read slot by slot; zero slots are not terms."""
-        width, step = self.width, self.stride or 1
+        width, stride = self.width, self.stride
         out: dict[tuple, int] = {}
         for (l, x), (lo, value) in self.rows.items():
             coeffs = _digits(value, width)
-            keys = zip(repeat(l), range(lo, lo + len(coeffs) * step, step), repeat(x))
+            keys = zip(repeat(l), range(lo, lo + len(coeffs) * stride, stride), repeat(x))
             out.update(compress(zip(keys, coeffs), coeffs))
         return LaurentPoly._raw(out)
 
-    def _shared_width(self, other: "_Rows") -> int:
-        if other.width != self.width:
-            raise ValueError(f"packed rows of widths {self.width} and {other.width} do not combine")
-        return self.width
-
-    def _recast(self, stride: int) -> dict:
-        """The rows on the grid of a stride dividing self.stride."""
-        if stride == self.stride:
-            return self.rows
-        spacing = self.stride // stride if self.stride else 1
-        half = 1 << (self.width - 1)
-        rows = {}
-        for key, (lo, value) in self.rows.items():
-            if -half <= value < half:  # a single slot reads the same on every grid
-                rows[key] = (lo, value)
-            else:
-                rows[key] = (lo, _spread(value, self.width, spacing))
-        return rows
+    def _grid(self, other: "_Rows") -> None:
+        if (other.width, other.stride) != (self.width, self.stride):
+            raise ValueError(f"packed rows of widths {self.width} and {other.width}, strides "
+                             f"{self.stride} and {other.stride} do not combine")
 
     def __add__(self, other: "_Rows") -> "_Rows":
-        width = self._shared_width(other)
-        if not other.rows:
-            return self
-        if not self.rows:
-            return other
-        offset = next(iter(self.rows.values()))[0] - next(iter(other.rows.values()))[0]
-        stride = math.gcd(self.stride, other.stride, offset)
-        step = stride or 1
-        rows = dict(self._recast(stride))
-        for key, (lo, value) in other._recast(stride).items():
+        self._grid(other)
+        width, stride = self.width, self.stride
+        rows = dict(self.rows)
+        for key, (lo, value) in other.rows.items():
             have = rows.get(key)
             if have is None:
                 rows[key] = (lo, value)
                 continue
             lo0, value0 = have
             if lo >= lo0:
-                total = value0 + (value << ((lo - lo0) // step * width))
+                total = value0 + (value << ((lo - lo0) // stride * width))
             else:
-                lo0, total = lo, value + (value0 << ((lo0 - lo) // step * width))
+                lo0, total = lo, value + (value0 << ((lo0 - lo) // stride * width))
             if total:
                 rows[key] = (lo0, total)
             else:
@@ -538,10 +513,9 @@ class _Rows:
         if isinstance(other, int):
             rows = {key: (lo, value * other) for key, (lo, value) in self.rows.items() if other}
             return _Rows(rows, self.stride, self.width, self.bound * abs(other))
-        width = self._shared_width(other)
-        stride = math.gcd(self.stride, other.stride)
-        step = stride or 1
-        rows_a, rows_b = self._recast(stride), other._recast(stride)
+        self._grid(other)
+        width, stride = self.width, self.stride
+        rows_a, rows_b = self.rows, other.rows
         size_a = sum(value.bit_length() for _, value in rows_a.values())
         if size_a < sum(value.bit_length() for _, value in rows_b.values()):
             rows_a, rows_b = rows_b, rows_a
@@ -554,7 +528,7 @@ class _Rows:
             if -half <= vb < half or _slot_count(vb, width) > _THIN_ROW:
                 parts_b.append((lb, xb, lo_b, vb))
             else:
-                parts_b.extend((lb, xb, lo_b + k * step, c)
+                parts_b.extend((lb, xb, lo_b + k * stride, c)
                                for k, c in enumerate(_digits(vb, width)) if c)
         out: dict[tuple[int, int], tuple[int, int]] = {}
         for (la, xa), (lo_a, va) in rows_a.items():
@@ -565,14 +539,16 @@ class _Rows:
                 if have is None:
                     out[key] = (lo, va * vb)
                 elif lo >= have[0]:
-                    out[key] = (have[0], have[1] + ((va * vb) << ((lo - have[0]) // step * width)))
+                    out[key] = (have[0], have[1] + ((va * vb) << ((lo - have[0]) // stride * width)))
                 else:
-                    out[key] = (lo, va * vb + (have[1] << ((have[0] - lo) // step * width)))
+                    out[key] = (lo, va * vb + (have[1] << ((have[0] - lo) // stride * width)))
         rows = {key: row for key, row in out.items() if row[1]}
         return _Rows(rows, stride, width, self.bound * other.bound)
 
     def shift(self, l: int = 0, m: int = 0, x: int = 0) -> "_Rows":
         """The product with the monomial L^l * M^m * x^x: new keys and offsets, the same ints."""
+        if m % self.stride:
+            raise ValueError(f"an M-shift of {m} is off the grid of stride {self.stride}")
         rows = {(kl + l, kx + x): (lo + m, value) for (kl, kx), (lo, value) in self.rows.items()}
         return _Rows(rows, self.stride, self.width, self.bound)
 

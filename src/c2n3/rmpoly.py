@@ -95,7 +95,8 @@ def rm_recursive(n: int) -> RMResult:
     lower, room = prev.norm1(), cur.norm1()
     for _ in range(abs(n) - 1):
         lower, room = room, _Q.norm1() * room + lower
-    prev, cur, q = prev.packed(room), cur.packed(room), _Q.packed(room)
+    # every M-exponent here is even, so the slots step by M^2
+    prev, cur, q = prev.packed(room, 2), cur.packed(room, 2), _Q.packed(room, 2)
     for _ in range(abs(n) - 1):
         prev, cur = cur, q * cur - prev.shift(m=8)
     return RMResult(n, cur.unpack(), "recursive")
@@ -125,9 +126,10 @@ def rm_closed(n: int) -> RMResult:
         base, prefactor = -_BASE, -4 * n - 2
     # the sum run on 1-norms bounds every value it takes
     room = sum(abs(c) * base.norm1() ** i for i, _, c in summation_indices(n))
-    base = base.packed(room)
-    acc = ZERO.packed(room)
-    power = ONE.packed(room)
+    # every M-exponent here is even, so the slots step by M^2
+    base = base.packed(room, 2)
+    acc = ZERO.packed(room, 2)
+    power = ONE.packed(room, 2)
     for i, j, c in summation_indices(n):
         if i:
             power = power * base

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from c2n3 import laurent
 from c2n3.apoly import apoly_substitution, apoly_theorem
 from c2n3.laurent import (
     ONE,
@@ -265,8 +264,11 @@ limit_coefficients = st.one_of(
 
 
 @st.composite
-def packable_polys(draw):
-    """Rows of one to twelve terms, each row on its own M-offset and step, every exponent signed."""
+def packable_polys(draw, stride=1):
+    """Rows of one to twelve terms, each row on its own M-offset and step, every exponent signed.
+
+    Every M-exponent is a multiple of stride.
+    """
     terms = {}
     for _ in range(draw(st.integers(0, 3))):
         l = draw(st.integers(-3, 3))
@@ -274,17 +276,20 @@ def packable_polys(draw):
         start = draw(st.integers(-6, 6))
         step = draw(st.sampled_from([1, 2, 3, 4]))
         for k in range(draw(st.integers(1, 12))):
-            terms[(l, start + step * k, x)] = draw(limit_coefficients)
+            terms[(l, stride * (start + step * k), x)] = draw(limit_coefficients)
     return LaurentPoly(terms)
 
 
-@given(p=packable_polys(), q=packable_polys(), r=packable_polys(),
+@given(stride=st.sampled_from([1, 2, 3]), data=st.data(),
        c=limit_coefficients, shift=st.tuples(exponents, exponents, exponents))
-def test_packed_rows_match_naive_oracle(p, q, r, c, shift):
+def test_packed_rows_match_naive_oracle(stride, data, c, shift):
+    # every M-exponent, and the M-shift, on multiples of the stride the operands are packed at
+    p, q, r = (data.draw(packable_polys(stride)) for _ in range(3))
+    shift = (shift[0], stride * shift[1], shift[2])
     a, b, d = as_dict(p), as_dict(q), as_dict(r)
     # (|p| + |q| + |r|)^3 bounds the 1-norm of every sum and product below, and |p| |c| the scaling
     room = (p.norm1() + q.norm1() + r.norm1()) ** 3 + p.norm1() * abs(c)
-    pp, qq, rr = p.packed(room), q.packed(room), r.packed(room)
+    pp, qq, rr = p.packed(room, stride), q.packed(room, stride), r.packed(room, stride)
     assert as_dict(pp.unpack()) == a
     assert as_dict((pp * qq).unpack()) == naive_mul(a, b)
     assert as_dict((pp + qq).unpack()) == naive_add(a, b)
@@ -365,35 +370,54 @@ def test_packed_rows_hold_what_their_room_allows_and_refuse_the_rest():
     assert narrow.unpack() == pp.unpack() == p
 
 
-def test_packed_rows_of_different_strides_share_one_grid():
-    # rows on M-steps 2 and 3 at offsets of both parities; a stride kept per row misplaces slots
+def test_packed_rows_combine_only_on_one_stride():
+    # rows on M-steps 2 and 3 at offsets of both parities, all on the grid of stride 1
     a = LaurentPoly({(0, 2 * k, 0): k + 1 for k in range(10)}) + LaurentPoly(
         {(1, 3 * k + 1, 0): -(k + 2) for k in range(10)})
     b = LaurentPoly({(1, 2 * k + 1, 0): 2**40 + k for k in range(10)}) + mono(7, m=5)
-    assert (a.packed().stride, b.packed().stride) == (1, 2)
+    assert a.packed().stride == b.packed().stride == 1
     for lhs, rhs in ((a, b), (b, a), (a, a), (b, b)):
         assert as_dict(_packed(lhs, rhs)) == naive_mul(as_dict(lhs), as_dict(rhs))
         room = lhs.norm1() + rhs.norm1()
         assert (lhs.packed(room) + rhs.packed(room)).unpack() == lhs + rhs
+    # the grid is anchored at M^0, so evenly spaced odd exponents are off the grid of stride 2
+    for poly, stride in ((b, 2), (a, 2), (a, 3), (mono(1, m=3) + mono(1, m=5), 2),
+                         (ONE, 0), (ONE, -2)):
+        with pytest.raises(ValueError, match="off the grid"):
+            poly.packed(stride=stride)
+    even = LaurentPoly({(0, 2 * k, 0): k + 1 for k in range(10)}) + mono(-3, l=1, m=-6, x=2)
+    room = even.norm1() ** 2
+    on_two, on_one = even.packed(room, 2), even.packed(room)
+    assert (on_two * on_two).unpack() == even * even
+    moved = on_two.shift(l=1, m=-4, x=-1)
+    assert (moved + on_two).unpack() == even * mono(1, l=1, m=-4, x=-1) + even
+    # values packed at different strides do not combine, ZERO and ONE included
+    for mix in (lambda: on_two + on_one, lambda: on_one - on_two, lambda: on_two * on_one,
+                lambda: on_one * on_two, lambda: on_two + ZERO.packed(room),
+                lambda: ONE.packed(room) * on_two):
+        with pytest.raises(ValueError, match="strides"):
+            mix()
+    for m in (1, -3):
+        with pytest.raises(ValueError, match="off the grid"):
+            on_two.shift(m=m)
+    # nothing that failed changed its operands
+    assert on_two.unpack() == on_one.unpack() == even
 
 
-def test_route_builders_regrid_no_multi_slot_row(monkeypatch):
-    # each builder packs every operand at the room its own formula needs, so no row is repacked
-    spread = []
-    real_spread = laurent._spread
+def test_route_builders_pack_every_operand_at_stride_two(monkeypatch):
+    # every M-exponent the four routes meet is even, ONE and ZERO included, so every pack is at 2
+    strides = set()
+    real_pack = _Rows.pack.__func__
 
-    def counted(*args):
-        spread.append(args[-1])  # the spacing
-        return real_spread(*args)
+    def recorded(cls, terms, room, stride):
+        strides.add(stride)
+        return real_pack(cls, terms, room, stride)
 
-    monkeypatch.setattr(laurent, "_spread", counted)
+    monkeypatch.setattr(_Rows, "pack", classmethod(recorded))
     for n in range(-12, 13):
         for route in (rm_closed, rm_recursive, apoly_theorem, apoly_substitution):
             route(n)
-    assert spread == []
-    # operands of different strides still share one grid, through the counted re-grid
-    a = LaurentPoly({(0, 2 * k, 0): 1 for k in range(4)})
-    assert _packed(a, ONE + mono(1, m=1)) == a + a * mono(1, m=1) and spread == [2]
+    assert strides == {2}
 
 
 @given(p=polys, q=polys, r=polys)

@@ -1,6 +1,7 @@
 """A_2n and numeric checks over a wider n range than the pinned acceptance criteria."""
 
 import math
+from fractions import Fraction
 from functools import cache
 
 import pytest
@@ -49,11 +50,11 @@ def test_reciprocity(n):
 
 @pytest.mark.parametrize("n", [7, -7, 8, -8])
 def test_verify_family_beyond_the_acceptance_grid(n):
-    # every point verifies, and the only unverifiable samples are repeated roots
+    # every sample gives a root for every x-degree of P_2n, and every point verifies
     reports = verify_family(n, sample_unit_modulus(20, 0), 1e-8)
-    assert all(r.passed for r in reports if isinstance(r, VerificationReport))
-    assert all("polished to the same value" in r.reason for r in reports if isinstance(r, BadPoint))
-    assert sum(isinstance(r, VerificationReport) for r in reports) > 0
+    assert not any(isinstance(r, BadPoint) for r in reports)
+    assert len(reports) == 20 * (3 * abs(n) - (n < 0))
+    assert all(r.passed for r in reports)
 
 
 @pytest.mark.parametrize("n", [50, 60, -50, -60])
@@ -301,3 +302,49 @@ def test_newton_edge_polynomials_are_products_of_cyclotomics(n):
     assert len(edges) >= 4
     for edge in edges:
         assert edge[0] and edge[-1] and is_cyclotomic_product(edge), edge
+
+
+def continued_fractions(x):
+    """Every expansion x = 1/(b1 - 1/(b2 - ...)) with every |b_i| >= 2, for a Fraction 0 < |x| < 1."""
+    y = 1 / x
+    for b in {math.floor(y), math.ceil(y)}:
+        tail = b - y  # the next 1/(b2 - ...), which is 0 or below 1 in size
+        if abs(b) >= 2 and abs(tail) < 1:
+            if tail:
+                yield from ((b, *rest) for rest in continued_fractions(tail))
+            else:
+                yield (b,)
+
+
+def boundary_slopes(n):
+    """The boundary slopes of C(2n, 3), by Hatcher-Thurston 1985, from the fraction 2n/(6n + 1).
+
+    Each expansion r - k = 1/(b1 - 1/(b2 - ...)) of r = 2n/(6n + 1) over the
+    integers k with |r - k| < 1 gives one slope -2[(n+ - n-) - (n0+ - n0-)],
+    where n+ and n- count its positive and negative b_i, and n0+ and n0- those
+    of the unique expansion whose b_i are all even.  The sign in front is
+    the orientation of newton_polygon's (L, M) plane, pinned by 5_2 and 4_1.
+    """
+    r = Fraction(2 * n, 6 * n + 1)
+    expansions = [bs for k in (math.floor(r), math.ceil(r)) if 0 < abs(r - k) < 1
+                  for bs in continued_fractions(r - k)]
+    (all_even,) = [bs for bs in expansions if all(b % 2 == 0 for b in bs)]
+
+    def signs(bs):
+        return sum(b > 0 for b in bs) - sum(b < 0 for b in bs)
+
+    return {-2 * (signs(bs) - signs(all_even)) for bs in expansions}
+
+
+def test_boundary_slopes_of_the_first_knots():
+    # 5_2 = C(2, 3) and 4_1 = C(-2, 3) pin the orientation of the slopes
+    assert boundary_slopes(1) == {0, 4, 10}
+    assert boundary_slopes(-1) == {-4, 0, 4}
+    assert boundary_slopes(-2) == {-8, -2, 0, 4}
+
+
+@pytest.mark.parametrize("n", NONZERO_N)
+def test_newton_slopes_are_boundary_slopes(n):
+    # Cooper-Culler-Gillet-Long-Shalen 1994: the slopes of the Newton polygon are boundary slopes
+    slopes = set(newton_polygon(theorem_poly(n)).slopes)
+    assert slopes <= boundary_slopes(n), (slopes, boundary_slopes(n))
