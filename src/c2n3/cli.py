@@ -2,8 +2,9 @@
 
 Subcommands: compute (A-polynomial), rm (Riley-Mednykh polynomial),
 verify (seeded numeric representation checks), newton (Newton polygon).
-Exit codes: 0 on success, 1 when a verification or cross-path check fails,
-2 on malformed usage, including |n| > MAX_ABS_N and --samples > MAX_SAMPLES.
+Exit codes: 0 on success, 1 when a verification or cross-path check fails
+or the reader closes stdout early, 2 on malformed usage, including
+|n| > MAX_ABS_N and --samples > MAX_SAMPLES.
 All output is deterministic for fixed flags and seed.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .apoly import apoly_substitution, apoly_theorem, newton_polygon
@@ -179,7 +181,15 @@ def main(argv=None, out=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (c2n3 ... | head): point it at devnull, so
+        # that the flush at exit cannot fail again, and exit 1 with no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -8,11 +8,12 @@ predicted eigenvalue, and the A-polynomial must vanish at the induced
 entry-magnitude sum along the accumulated product) so tolerances scale
 with the numeric difficulty of large |n|.  The roots of P_2n come from
 Aberth-Ehrlich sweeps on the three-term recursion P_2n obeys, evaluated
-in doubles at every iterate at once (see roots_of_rm).  verify_family
-builds what depends on n alone (A_2n, the two words) once per family,
-evaluates the words once over all of its points with one numpy lane per
-point, and specializes A_2n once per meridian.  The numeric layer needs
-numpy alone.
+in doubles at every iterate at once (see roots_of_rm).  One point is
+checked by _report from its inputs alone: the two words at the point and
+A_2n specialized at its meridian.  verify_point builds both for one
+point; verify_family builds A_2n once, evaluates the words once over all
+of its points with one numpy lane per point, and specializes A_2n once
+per meridian.  The numeric layer needs numpy alone.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import cmath
 import itertools
 import math
 import random
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Sequence
@@ -153,65 +153,21 @@ def _product(word: Letters, steps) -> tuple[Lanes, np.ndarray]:
     return (a, b, c, d), cond
 
 
-# What verify_point reads of the two words at one point (M0, x0): the
+# What _report reads of the two words at one point (M0, x0): the
 # relator's four entries and peak, then the longitude's a and c and peak.
 Words = tuple[tuple[complex, complex, complex, complex], float, complex, complex, float]
 
 
-def _word_lanes(relator: Letters, longitude: Letters,
-                points: Sequence[tuple[complex, complex]]) -> list[Words]:
-    """The relator and the longitude at every (M0, x0) of points, in one pass over each word."""
+def _word_lanes(n: int, points: Sequence[tuple[complex, complex]]) -> list[Words]:
+    """The relator and the longitude of n at every (M0, x0) of points, in one pass over each word."""
     if not points:
         return []
     M0, x0 = (np.array(v, dtype=complex) for v in zip(*points))
     steps = _steps(*_rho_lanes(M0, x0))
-    rel, cond_rel = _product(relator, steps)
-    (a, _, c, _), cond_lon = _product(longitude, steps)
+    rel, cond_rel = _product(relator_word(n), steps)
+    (a, _, c, _), cond_lon = _product(build_longitude(n), steps)
     return list(zip(zip(*(v.tolist() for v in rel)), cond_rel.tolist(),
                     a.tolist(), c.tolist(), cond_lon.tolist()))
-
-
-class _Family:
-    """What depends on n alone in a check.
-
-    The two words always; A_2n where given; the two words at the points
-    given to evaluate_words.
-    """
-
-    def __init__(self, n: int, apoly: LaurentPoly | None = None):
-        self.n = n
-        self.apoly = apoly
-        self.relator = relator_word(n)
-        self.longitude = build_longitude(n)
-        self._words: dict[tuple[complex, complex], Words] = {}
-        self._meridian = None
-        self._apoly_lists = None
-
-    def evaluate_words(self, points: Sequence[tuple[complex, complex]]) -> None:
-        """Both words at every point, in one lane pass, kept for words_at."""
-        self._words = dict(zip(points, _word_lanes(self.relator, self.longitude, points)))
-
-    def words_at(self, M0: complex, x0: complex) -> Words:
-        """Both words at (M0, x0): the kept lane, or a pass over this one point."""
-        found = self._words.get((M0, x0))
-        if found is None:
-            (found,) = _word_lanes(self.relator, self.longitude, [(M0, x0)])
-        return found
-
-    def apoly_at(self, M0: complex) -> tuple[list, list]:
-        """A_2n specialized at M0, computed again only when M0 differs from the last one asked."""
-        if M0 != self._meridian:
-            self._meridian, self._apoly_lists = M0, self.apoly.at_meridian(M0)
-        return self._apoly_lists
-
-
-# The family that verify_family is checking in this context, if any.
-_FAMILY: ContextVar[_Family | None] = ContextVar("c2n3_repcheck_family", default=None)
-
-
-def _family(n: int) -> _Family | None:
-    family = _FAMILY.get()
-    return family if family is not None and family.n == n else None
 
 
 def roots_of_rm(n: int, M0: complex) -> list[complex]:
@@ -224,12 +180,13 @@ def roots_of_rm(n: int, M0: complex) -> list[complex]:
     step is at most 1e-14 max(1, |x|), or at most 1e-10 max(1, |x|) and
     more than half the step before it: there rounding, not distance, sets
     the step.  Roots come sorted by (real, imaginary).  Raises ValueError,
-    naming M0, when M0 is not finite or the recursion's coefficients there
-    do not fit in doubles; DegreeCollapseError when M0^4 is zero in
-    doubles, so that the leading x-coefficient of P_2n, a power of M0,
-    vanishes; NonConvergenceError, naming n and M0, when a root still
-    moves after _SWEEPS sweeps; and RepeatedRootError when two roots
-    converge to one value, so that no root goes unchecked without notice.
+    naming M0, when M0 is not finite; OverflowError, naming M0, when the
+    recursion's coefficients there do not fit in doubles (M0 = 1e200);
+    DegreeCollapseError when M0^4 is zero in doubles, so that the leading
+    x-coefficient of P_2n, a power of M0, vanishes; NonConvergenceError,
+    naming n and M0, when a root still moves after _SWEEPS sweeps; and
+    RepeatedRootError when two roots converge to one value, so that no
+    root goes unchecked without notice.
     """
     M0 = _finite_meridian(M0)
     if n == 0:
@@ -294,7 +251,7 @@ def _recurrence(n: int, M0: complex):
     except OverflowError:
         r1 = q = [math.nan]
     if not all(map(cmath.isfinite, [r0, *r1, *q])):
-        raise ValueError(f"P_2n at M0 = {M0!r} does not fit in double precision")
+        raise OverflowError(f"P_2n at M0 = {M0!r} does not fit in double precision")
     dr1, dq = ([k * c for k, c in enumerate(p)][1:] for p in (r1, q))
 
     def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -397,22 +354,33 @@ def verify_point(n: int, M0: complex, x0: complex, tol: float, apoly=None) -> Ve
     x0 should be a root of P_2n(., M0).  n = 0 is rejected as degenerate:
     the conjugating word is empty and the constant P_0 has no roots.  So is
     a tol that is not finite and positive: an infinite one would pass any
-    point, and NaN would fail every one without saying why.  A precomputed
-    A-polynomial may be passed to avoid recomputation in grids.
+    point, and NaN would fail every one without saying why.  A non-finite
+    M0 or x0 raises ValueError too, naming it, before anything is built.
+    The two words are evaluated on this one point's lane, and A_2n (or the
+    precomputed A-polynomial passed as apoly) is specialized at M0; then
+    _report makes the check.
     """
     _check_point_args(n, tol)
-    M0 = complex(M0)
+    M0 = _finite_meridian(M0)
     x0 = complex(x0)
-    family = _family(n) or _Family(n)
-    (a, b, c, d), cond_rel, lon_a, lon_c, cond_lon = family.words_at(M0, x0)
+    if not cmath.isfinite(x0):
+        raise ValueError(f"the root must be finite, got x0 = {x0!r}")
+    (words,) = _word_lanes(n, [(M0, x0)])
+    if apoly is None:
+        apoly = apoly_theorem(n)
+    poly = apoly.poly if isinstance(apoly, APolyResult) else apoly
+    return _report(n, M0, x0, tol, words, poly.at_meridian(M0))
+
+
+def _report(n: int, M0: complex, x0: complex, tol: float, words: Words,
+            apoly_lists: tuple[list, list]) -> VerificationReport:
+    """The check at (M0, x0), given both words there and A_2n's at_meridian(M0) lists."""
+    (a, b, c, d), cond_rel, lon_a, lon_c, cond_lon = words
     relation_residual = max(abs(a - 1), abs(b), abs(c), abs(d - 1))
     L0 = longitude_eigen(n, M0, x0)
     longitude_mismatch = abs(lon_a - L0)
     offdiag_residual = abs(lon_c)
-    if apoly is None:
-        apoly = family.apoly if family.apoly is not None else apoly_theorem(n)
-    poly = apoly.poly if isinstance(apoly, APolyResult) else apoly
-    values, bounds = family.apoly_at(M0) if poly is family.apoly else poly.at_meridian(M0)
+    values, bounds = apoly_lists
     size = _horner(bounds, abs(L0))
     if math.isinf(size):
         # |L0|^k overflowed: the same ratio in 1/L0, whose powers cannot.  Not
@@ -485,53 +453,52 @@ class BadPoint:
 def verify_family(
     n: int, M_samples: Sequence[complex], tol: float
 ) -> list[VerificationReport | BadPoint]:
-    """verify_point over every root of P_2n at every provided meridian sample.
+    """The check of verify_point at every root of P_2n at every provided meridian sample.
 
-    A_2n and the two words are built once for the whole family.  The roots
-    come first for every sample; then both words are evaluated once over
-    all (sample, root) lanes, and each verify_point reads its lane; A_2n is
-    specialized once per meridian.  A sample whose roots cannot be trusted
-    (DegreeCollapseError, NonConvergenceError, RepeatedRootError) gives one
-    BadPoint in place of its reports, and a root where the longitude
-    eigenvalue is undefined (SingularPointError), where a value leaves the
-    double range (off the unit circle, A_2n at M0 can), or whose report
-    holds a non-finite number gives one in place of its report, so every
-    report serializes as strict JSON.  n = 0, a tol that is not finite and
-    positive, and an empty sample list (whose empty report list would read
-    as a passed family) raise ValueError before anything is built.
+    A_2n is built once for the whole family.  The roots come first for
+    every sample; then both words are evaluated once over all (sample,
+    root) lanes, A_2n is specialized at most once per meridian, and
+    _report checks each root from its lane and its meridian's lists.  A
+    sample whose roots cannot be trusted (DegreeCollapseError,
+    NonConvergenceError, RepeatedRootError, or an OverflowError where
+    P_2n at M0 leaves the double range) gives one BadPoint in place of
+    its reports, and a root where the longitude eigenvalue is undefined
+    (SingularPointError), where a value leaves the double range (off the
+    unit circle, A_2n at M0 can), or whose report holds a non-finite
+    number gives one in place of its report, so every report serializes
+    as strict JSON.  n = 0, a tol that is not finite and positive, and an
+    empty sample list (whose empty report list would read as a passed
+    family) raise ValueError before anything is built.
     """
     _check_point_args(n, tol)
     if len(M_samples) == 0:
         raise ValueError("verify_family needs at least one meridian sample")
-    apoly = apoly_theorem(n)
-    family = _Family(n, apoly.poly)
-    token = _FAMILY.set(family)
+    apoly = apoly_theorem(n).poly
+    found = []
+    for M0 in map(complex, M_samples):
+        try:
+            found.append((M0, roots_of_rm(n, M0), None))
+        except (DegreeCollapseError, NonConvergenceError, RepeatedRootError, OverflowError) as exc:
+            found.append((M0, (), exc))
+    points = [(M0, x0) for M0, roots, _ in found for x0 in roots]
+    words = dict(zip(points, _word_lanes(n, points)))
     reports: list[VerificationReport | BadPoint] = []
-    try:
-        found = []
-        for M0 in M_samples:
+    for M0, roots, error in found:
+        if error is not None:
+            reports.append(BadPoint(n, M0, str(error)))
+        lists = None
+        for x0 in roots:
             try:
-                found.append((M0, roots_of_rm(n, M0), None))
-            except (DegreeCollapseError, NonConvergenceError, RepeatedRootError) as exc:
-                found.append((M0, (), exc))
-        family.evaluate_words([(complex(M0), complex(x0)) for M0, roots, _ in found for x0 in roots])
-        for M0, roots, error in found:
-            if error is not None:
-                reports.append(BadPoint(n, complex(M0), str(error)))
-            for x0 in roots:
-                try:
-                    report = verify_point(n, M0, x0, tol, apoly=apoly)
-                except SingularPointError as exc:
-                    reports.append(BadPoint(n, complex(M0), f"{exc} at x0 = {x0!r}"))
-                    continue
-                except (OverflowError, ZeroDivisionError) as exc:
-                    reason = f"out of double range ({exc}) at x0 = {x0!r}"
-                    reports.append(BadPoint(n, complex(M0), reason))
-                    continue
-                if not all(map(cmath.isfinite, vars(report).values())):
-                    reason = f"non-finite value in the report at x0 = {report.root!r}"
-                    report = BadPoint(n, complex(M0), reason)
-                reports.append(report)
-    finally:
-        _FAMILY.reset(token)
+                lists = lists or apoly.at_meridian(M0)
+                report = _report(n, M0, x0, tol, words[M0, x0], lists)
+            except SingularPointError as exc:
+                reports.append(BadPoint(n, M0, f"{exc} at x0 = {x0!r}"))
+                continue
+            except (OverflowError, ZeroDivisionError) as exc:
+                reports.append(BadPoint(n, M0, f"out of double range ({exc}) at x0 = {x0!r}"))
+                continue
+            if not all(map(cmath.isfinite, vars(report).values())):
+                reason = f"non-finite value in the report at x0 = {report.root!r}"
+                report = BadPoint(n, M0, reason)
+            reports.append(report)
     return reports

@@ -7,7 +7,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -183,12 +182,7 @@ def test_verify_output_is_strict_json(monkeypatch):
     json.loads(out, parse_constant=_reject_constant)
 
     # a non-finite residual must never reach stdout as NaN
-    real_verify_point = repcheck.verify_point
-
-    def nan_residual(*args, **kwargs):
-        return replace(real_verify_point(*args, **kwargs), apoly_residual=float("nan"))
-
-    monkeypatch.setattr(repcheck, "verify_point", nan_residual)
+    monkeypatch.setattr(repcheck, "longitude_eigen", lambda n, M0, x0: complex("nan"))
     code, out = run(["verify", "--n", "1", "--samples", "1"])
     assert code == 1
     (result,) = json.loads(out, parse_constant=_reject_constant)["results"]
@@ -274,14 +268,29 @@ def readme_example(command):
     return lines[at + 1][2:]
 
 
+def module_env():
+    """The environment with this checkout's src first on PYTHONPATH, for python -m c2n3.cli."""
+    path = [str(Path(c2n3.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 @pytest.mark.parametrize("command", ["compute --n -1", "newton --n -1"])
 def test_readme_examples_run_as_a_module(command):
-    path = [str(Path(c2n3.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     done = subprocess.run([sys.executable, "-m", "c2n3.cli", *command.split()],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=module_env(), timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == readme_example(command) + "\n"
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    # c2n3 compute --n -30..30 | head -n 1: megabytes, far past any pipe buffer
+    with subprocess.Popen([sys.executable, "-m", "c2n3.cli", "compute", "--n", "-30..30"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env()) as child:
+        assert child.stdout.readline().startswith(b"n=-30: ")
+        child.stdout.close()
+        stderr = child.stderr.read()
+        assert child.wait(timeout=120) == 1
+    assert stderr == b""
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,6 @@ import cmath
 import itertools
 import math
 import re
-from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -253,8 +252,17 @@ def test_non_finite_meridians_are_rejected_by_name(M0):
 
 
 def test_meridians_whose_coefficients_overflow_doubles_are_rejected_by_name():
-    with pytest.raises(ValueError, match=re.escape("M0 = (1e+200+0j) does not fit")):
+    with pytest.raises(OverflowError, match=re.escape("M0 = (1e+200+0j) does not fit")):
         roots_of_rm(2, 1e200)
+
+
+def test_an_overflowing_meridian_is_a_bad_point_and_the_family_goes_on():
+    unit = sample_unit_modulus(1, seed=0)[0]
+    bad, *rest = verify_family(3, [1e200, unit], 1e-8)
+    assert bad.to_json_obj()["status"] == "error"
+    assert bad.M_sample == 1e200 and "M0 = (1e+200+0j) does not fit" in bad.reason
+    assert rest == verify_family(3, [unit], 1e-8)
+    assert len(rest) == 9 and all(r.passed for r in rest)
 
 
 def test_polish_root_reports_non_convergence(monkeypatch):
@@ -358,6 +366,20 @@ def test_verify_family_rejects_an_empty_sample_list_before_building_anything(mon
             verify_family(3, samples, 1e-8)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(1, -math.inf), complex(math.nan, 1)])
+def test_verify_point_rejects_a_non_finite_meridian_or_root_by_name(value, monkeypatch):
+    import c2n3.repcheck as repcheck
+
+    def no_build(n):
+        raise AssertionError("built a polynomial for a non-finite point")
+
+    monkeypatch.setattr(repcheck, "apoly_theorem", no_build)
+    with pytest.raises(ValueError, match=re.escape(f"M0 = {complex(value)!r}")):
+        verify_point(1, value, 0.5, 1e-8)
+    with pytest.raises(ValueError, match=re.escape(f"x0 = {complex(value)!r}")):
+        verify_point(1, 1.0, value, 1e-8)
+
+
 def test_verify_point_rejects_a_zero_meridian():
     with pytest.raises(ValueError, match="must be nonzero"):
         verify_point(1, 0.0, 0.5, 1e-8)
@@ -413,17 +435,16 @@ def test_verify_family_reports_bad_points_in_place(monkeypatch):
             return [-M0 * M0] + real_roots(n, M0)  # M0^2 + x0 = 0: no longitude eigenvalue
         return real_roots(n, M0)
 
-    real_verify_point = repcheck.verify_point
+    real_longitude_eigen = repcheck.longitude_eigen
     poisoned_root = real_roots(1, samples[2])[1]
 
-    def faulty_point(n, M0, x0, tol, apoly=None):
-        report = real_verify_point(n, M0, x0, tol, apoly=apoly)
+    def faulty_eigen(n, M0, x0):
         if x0 == poisoned_root:
-            return replace(report, cond_longitude=math.inf)
-        return report
+            return complex(math.inf)
+        return real_longitude_eigen(n, M0, x0)
 
     monkeypatch.setattr(repcheck, "roots_of_rm", faulty_roots)
-    monkeypatch.setattr(repcheck, "verify_point", faulty_point)
+    monkeypatch.setattr(repcheck, "longitude_eigen", faulty_eigen)
     reports = verify_family(1, samples, 1e-8)
     kinds = [type(r).__name__ for r in reports]
     assert kinds == (["BadPoint", "BadPoint"] + ["VerificationReport"] * 4
