@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import LaurentPoly, ONE, UNIT_MONOMIAL, ZERO, mono
+from .laurent import LaurentPoly, ONE, UNIT_MONOMIAL, ZERO, mono, packed
 from .rmpoly import rm_recursive, summation_indices
 
 
@@ -54,17 +54,13 @@ def apoly_theorem(n: int) -> APolyResult:
     # the sum run on 1-norms bounds every value it takes
     room = sum(abs(c) * base_num.norm1() ** i * x_num.norm1() ** j
                * den_base.norm1() ** (top_agg - i - j) for i, j, c in summation_indices(n))
-    # every M-exponent here is even, so the slots step by M^2
-    base_num, den_base = base_num.packed(room, 2), den_base.packed(room, 2)
+    base_num, den_base, x_step, acc = packed(room, base_num, den_base, x_num, ZERO)
     # x_num and the M^-2 of each step up in j; the common M^m_top comes at the end
-    x_step = x_num.packed(room, 2).shift(m=-2)
+    x_step = x_step.shift(m=-2)
     # agg falls as i grows, so its value at i = 0 bounds every power needed.
-    den_pow = [ONE.packed(room, 2)]
-    for _ in range(top_agg):
-        den_pow.append(den_pow[-1] * den_base)
+    den_pow = den_base.powers(top_agg)
     # Horner's rule from the top index down: i + j at the top is top_agg, so
     # the top summand takes den^0 and no den power is left over at the end.
-    acc = ZERO.packed(room, 2)
     for i, j, c in reversed(summation_indices(n)):
         acc = acc * base_num
         if (i + 1) % 2:
@@ -137,10 +133,12 @@ def _cross(o, a, b):
 
 
 def newton_polygon(source) -> NewtonPolygon:
-    """Newton polygon of an A-polynomial result or any nonzero polynomial in L and M."""
+    """Newton polygon of an A-polynomial result or any nonzero polynomial in L and M, not x."""
     poly = source.poly if isinstance(source, APolyResult) else source
     if poly.is_zero():
         raise ValueError("the zero polynomial has no Newton polygon")
+    if poly.degree("x") or poly.min_exp("x"):
+        raise ValueError("newton_polygon needs a polynomial in L and M only, without x")
     points = sorted({(l, m) for (l, m, _), _ in poly.terms()})
     if len(points) == 1:
         return NewtonPolygon((points[0],), ())

@@ -184,18 +184,6 @@ class LaurentPoly:
                 base = base * base
         return result
 
-    def packed(self, room: int = 0, stride: int = 1) -> "_Rows":
-        """This polynomial as packed rows, for a loop of ring operations unpacked once at its end.
-
-        The rows support +, -, * (by rows or an int), shift (the product
-        with a monomial) and unpack, which gives the LaurentPoly back.  Their
-        slot width holds room and this 1-norm, and their slots step through
-        the M-exponents by stride from M^0, which must divide every one of
-        them; both hold for the rows and every value computed from them:
-        pack all operands of a loop at one room and one stride.
-        """
-        return _Rows.pack(self._terms, room, stride)
-
     # -- structural operations -------------------------------------------
 
     def coeff(self, var: str, k: int) -> "LaurentPoly":
@@ -218,8 +206,8 @@ class LaurentPoly:
         equals self(var := num/den) * den**clear_deg.  Requires a nonzero
         den, nonnegative exponents of var and clear_deg >= degree(var) so
         the result stays in the ring.  The sum is evaluated by Horner's rule
-        in num, on packed rows whose cost follows each row's M-span /
-        stride, not its term count; the stride is the gcd of every
+        in num, on rows from one packed() call, whose cost follows each row's
+        M-span / stride, not its term count; the stride is the gcd of every
         M-exponent of self, num and den, so exponents that are sparse, or
         evenly spaced off a multiple of their spacing (M^3 + M^5), are slow.
         """
@@ -246,16 +234,13 @@ class LaurentPoly:
         num_norm, den_norm = max(num.norm1(), 1), den.norm1()
         room = sum(sum(map(abs, part.values())) * num_norm**k * den_norm ** (clear_deg - k)
                    for k, part in parts.items())
-        stride = math.gcd(*(m[1] for poly in (self, num, den) for m in poly._terms)) or 1
-        num, den = num.packed(room, stride), den.packed(room, stride)
-        den_pow = [ONE.packed(room, stride)]
-        for _ in range(clear_deg - min(parts)):
-            den_pow.append(den_pow[-1] * den)
-        out = ZERO.packed(room, stride)
+        num, den, out, *rows = packed(room, num, den, ZERO, *map(LaurentPoly._raw, parts.values()))
+        parts = dict(zip(parts, rows))
+        den_pow = den.powers(clear_deg - min(parts))
         for k in range(deg, -1, -1):
             out = out * num
             if k in parts:
-                out = out + _Rows.pack(parts[k], room, stride) * den_pow[clear_deg - k]
+                out = out + parts[k] * den_pow[clear_deg - k]
         return out.unpack()
 
     def normalize_unit(self) -> tuple["LaurentPoly", tuple, int]:
@@ -417,6 +402,35 @@ def _digits(value: int, width: int) -> list[int]:
     return [int.from_bytes(data[at:at + w], "little") - half for at in range(0, len(data), w)]
 
 
+def packed(room: int, *polys: LaurentPoly) -> list["_Rows"]:
+    """polys as packed rows on one grid, for a loop of ring operations unpacked once at its end.
+
+    The rows support +, -, * (by rows or an int), shift (the product with
+    a monomial), powers and unpack, which gives the LaurentPoly back.  The
+    grid comes from the operands: slots step through the M-exponents by
+    their gcd (1 if every one is 0), and the slot width holds room and
+    every operand's 1-norm.  Every value computed from the rows keeps that
+    grid, so pack all operands of a loop in one call, with room for the
+    largest 1-norm the loop reaches.
+    """
+    stride = math.gcd(*(m[1] for poly in polys for m in poly._terms)) or 1
+    width = _width(max(room, *map(LaurentPoly.norm1, polys)))
+    out = []
+    for poly in polys:
+        grouped: dict[tuple[int, int], dict[int, int]] = {}
+        for m, c in poly._terms.items():
+            grouped.setdefault((m[0], m[2]), {})[m[1]] = c
+        rows = {}
+        for key, row in grouped.items():
+            lo = min(row)
+            digits = [0] * ((max(row) - lo) // stride + 1)
+            for e, c in row.items():
+                digits[(e - lo) // stride] = c
+            rows[key] = (lo, _joined(digits, width))
+        out.append(_Rows(rows, stride, width, poly.norm1()))
+    return out
+
+
 class _Rows:
     """A polynomial as packed rows: {(expL, expX): (lowest expM, packed int)}.
 
@@ -425,16 +439,16 @@ class _Rows:
     the row evaluated at M^stride = 2^width (Kronecker substitution).  That
     evaluation is a ring homomorphism, so +, - and * of packed ints are
     exact whatever the width; only reading the slots back needs every
-    coefficient inside [-2^(width-1), 2^(width-1)).  The width, from the
-    room a value is given, and the stride are fixed when it is packed;
-    every value computed from it keeps them, and operands that differ in
-    either raise ValueError.  The slot grid is anchored at M^0: every
-    M-exponent is a multiple of stride, so the rows of one value and the
-    products landing in one output row line up.  bound is an upper bound
-    on the 1-norm of the polynomial, hence on every coefficient; it grows
-    by |a|_1 + |b|_1 for sums and |a|_1 * |b|_1 for products, and an
-    operation whose bound would not fit the width raises OverflowError, so
-    no slot is ever read back wrong.
+    coefficient inside [-2^(width-1), 2^(width-1)).  packed() fixes the
+    width and the stride for all the values of one call; every value
+    computed from them keeps both, and operands that differ in either raise
+    ValueError.  The slot grid is anchored at M^0: every M-exponent is a
+    multiple of stride, so the rows of one value and the products landing
+    in one output row line up.  bound is an upper bound on the 1-norm of
+    the polynomial, hence on every coefficient; it grows by |a|_1 + |b|_1
+    for sums and |a|_1 * |b|_1 for products, and an operation whose bound
+    would not fit the width raises OverflowError, so no slot is ever read
+    back wrong.
     """
 
     __slots__ = ("rows", "stride", "width", "bound")
@@ -447,25 +461,6 @@ class _Rows:
         self.stride = stride
         self.width = width
         self.bound = bound
-
-    @classmethod
-    def pack(cls, terms: dict[tuple, int], room: int, stride: int) -> "_Rows":
-        """terms packed on M-steps of stride, with slots for coefficients up to their 1-norm and room."""
-        if stride < 1 or any(m[1] % stride for m in terms):
-            raise ValueError(f"M-exponents off the grid of stride {stride}")
-        bound = sum(map(abs, terms.values()))
-        width = _width(max(bound, room))
-        grouped: dict[tuple[int, int], dict[int, int]] = {}
-        for m, c in terms.items():
-            grouped.setdefault((m[0], m[2]), {})[m[1]] = c
-        rows = {}
-        for key, row in grouped.items():
-            lo = min(row)
-            digits = [0] * ((max(row) - lo) // stride + 1)
-            for e, c in row.items():
-                digits[(e - lo) // stride] = c
-            rows[key] = (lo, _joined(digits, width))
-        return cls(rows, stride, width, bound)
 
     def unpack(self) -> LaurentPoly:
         """The polynomial itself, read slot by slot; zero slots are not terms."""
@@ -503,8 +498,7 @@ class _Rows:
         return _Rows(rows, stride, width, self.bound + other.bound)
 
     def __neg__(self) -> "_Rows":
-        rows = {key: (lo, -value) for key, (lo, value) in self.rows.items()}
-        return _Rows(rows, self.stride, self.width, self.bound)
+        return self * -1
 
     def __sub__(self, other: "_Rows") -> "_Rows":
         return self + (-other)
@@ -544,6 +538,13 @@ class _Rows:
                     out[key] = (lo, va * vb + (have[1] << ((have[0] - lo) // stride * width)))
         rows = {key: row for key, row in out.items() if row[1]}
         return _Rows(rows, stride, width, self.bound * other.bound)
+
+    def powers(self, top: int) -> list["_Rows"]:
+        """[1, self, self^2, ..., self^top], all on this value's grid."""
+        out = [_Rows({(0, 0): (0, 1)}, self.stride, self.width, 1)]
+        for _ in range(top):
+            out.append(out[-1] * self)
+        return out
 
     def shift(self, l: int = 0, m: int = 0, x: int = 0) -> "_Rows":
         """The product with the monomial L^l * M^m * x^x: new keys and offsets, the same ints."""

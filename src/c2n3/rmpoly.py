@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, ONE, ZERO, mono
+from .laurent import LaurentPoly, ONE, ZERO, mono, packed
 
 
 def binom_z(a: int, b: int) -> int:
@@ -95,8 +95,7 @@ def rm_recursive(n: int) -> RMResult:
     lower, room = prev.norm1(), cur.norm1()
     for _ in range(abs(n) - 1):
         lower, room = room, _Q.norm1() * room + lower
-    # every M-exponent here is even, so the slots step by M^2
-    prev, cur, q = prev.packed(room, 2), cur.packed(room, 2), _Q.packed(room, 2)
+    prev, cur, q = packed(room, prev, cur, _Q)
     for _ in range(abs(n) - 1):
         prev, cur = cur, q * cur - prev.shift(m=8)
     return RMResult(n, cur.unpack(), "recursive")
@@ -126,10 +125,7 @@ def rm_closed(n: int) -> RMResult:
         base, prefactor = -_BASE, -4 * n - 2
     # the sum run on 1-norms bounds every value it takes
     room = sum(abs(c) * base.norm1() ** i for i, _, c in summation_indices(n))
-    # every M-exponent here is even, so the slots step by M^2
-    base = base.packed(room, 2)
-    acc = ZERO.packed(room, 2)
-    power = ONE.packed(room, 2)
+    base, acc, power = packed(room, base, ZERO, ONE)
     for i, j, c in summation_indices(n):
         if i:
             power = power * base

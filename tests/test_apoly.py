@@ -16,6 +16,7 @@ from c2n3.apoly import (
     substitution_x,
 )
 from c2n3.laurent import LaurentPoly, ONE, UNIT_MONOMIAL, ZERO, mono
+from c2n3.rmpoly import rm_closed
 from oracles import as_dict, naive_add, naive_mul, naive_pow
 
 # A_-2, derived by hand: the n = -1 knot is the figure-eight knot, whose
@@ -225,6 +226,13 @@ def test_newton_polygon_simple_shapes():
         newton_polygon(ZERO)
 
 
+def test_newton_polygon_refuses_a_polynomial_in_x():
+    # P_2n is a polynomial in x and M: its Newton polygon in (L, M) would drop x unseen
+    for poly in (rm_closed(1).poly, mono(1, x=1), ONE + mono(2, l=1, m=3, x=-1)):
+        with pytest.raises(ValueError, match="without x"):
+            newton_polygon(poly)
+
+
 def test_newton_polygon_frozen_fixtures():
     a2 = newton_polygon(apoly_theorem(1))
     assert a2.to_json() == (
@@ -248,9 +256,13 @@ points_lm = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
 
 @given(pts=st.sets(points_lm, min_size=1, max_size=12), xexp=st.integers(0, 2))
 def test_newton_polygon_hull_properties(pts, xexp):
-    poly = ZERO
+    poly = tagged = ZERO
     for i, (l, m) in enumerate(sorted(pts)):
-        poly = poly + mono(1, l=l, m=m, x=xexp if i % 2 else 0)
+        poly = poly + mono(1, l=l, m=m)
+        tagged = tagged + mono(1, l=l, m=m, x=xexp if i % 2 else 0)
+    if tagged != poly:
+        with pytest.raises(ValueError, match="without x"):
+            newton_polygon(tagged)
     polygon = newton_polygon(poly)
     vertices = polygon.vertices
 

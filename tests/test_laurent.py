@@ -11,14 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from c2n3 import apoly, laurent, rmpoly
 from c2n3.apoly import apoly_substitution, apoly_theorem
 from c2n3.laurent import (
     ONE,
     UNIT_MONOMIAL,
     ZERO,
     LaurentPoly,
-    _Rows,
     mono,
+    packed,
 )
 from c2n3.rmpoly import rm_closed, rm_recursive
 from oracles import as_dict, naive_add, naive_mul, naive_neg, naive_pow
@@ -174,8 +175,8 @@ def test_add_and_mul_match_naive_oracle(p, q):
 
 def _packed(p, q):
     """p * q through packed rows, the multiply the route builders use, both packed at room for it."""
-    room = p.norm1() * q.norm1()
-    out = (p.packed(room) * q.packed(room)).unpack()
+    pp, qq = packed(p.norm1() * q.norm1(), p, q)
+    out = (pp * qq).unpack()
     assert all(type(m) is tuple and c for m, c in out._terms.items())
     return out
 
@@ -283,13 +284,17 @@ def packable_polys(draw, stride=1):
 @given(stride=st.sampled_from([1, 2, 3]), data=st.data(),
        c=limit_coefficients, shift=st.tuples(exponents, exponents, exponents))
 def test_packed_rows_match_naive_oracle(stride, data, c, shift):
-    # every M-exponent, and the M-shift, on multiples of the stride the operands are packed at
+    # every M-exponent on multiples of the drawn stride, and the M-shift on the derived one
     p, q, r = (data.draw(packable_polys(stride)) for _ in range(3))
-    shift = (shift[0], stride * shift[1], shift[2])
     a, b, d = as_dict(p), as_dict(q), as_dict(r)
     # (|p| + |q| + |r|)^3 bounds the 1-norm of every sum and product below, and |p| |c| the scaling
     room = (p.norm1() + q.norm1() + r.norm1()) ** 3 + p.norm1() * abs(c)
-    pp, qq, rr = p.packed(room, stride), q.packed(room, stride), r.packed(room, stride)
+    pp, qq, rr = packed(room, p, q, r)
+    if any(e[1] for e in (*a, *b, *d)):
+        assert pp.stride % stride == 0
+    else:
+        assert pp.stride == 1
+    shift = (shift[0], pp.stride * shift[1], shift[2])
     assert as_dict(pp.unpack()) == a
     assert as_dict((pp * qq).unpack()) == naive_mul(a, b)
     assert as_dict((pp + qq).unpack()) == naive_add(a, b)
@@ -308,12 +313,11 @@ def test_packed_rows_match_naive_oracle(stride, data, c, shift):
 def test_packed_rows_cancel_to_zero():
     p = LaurentPoly({(0, k, 0): (-1) ** (k % 2) * (2**64 - 1) for k in range(-5, 6)})
     q = mono(2**64 - 1, l=1, m=3, x=-1) + mono(5, m=-1)
-    room = 2 * p.norm1() * q.norm1()
-    pp, qq = p.packed(room), q.packed(room)
+    low_half = LaurentPoly({m: c for m, c in p.terms() if m[1] < 0})
+    pp, qq, low = packed(2 * p.norm1() * q.norm1(), p, q, low_half)
     assert (pp * qq - qq * pp).unpack().is_zero()
     assert not (pp + (-pp)).rows
-    low_half = LaurentPoly({m: c for m, c in p.terms() if m[1] < 0})
-    kept = (pp - low_half.packed(room)).unpack()
+    kept = (pp - low).unpack()
     assert kept == p - low_half and min(m[1] for m, _ in kept.terms()) == 0
 
 
@@ -323,47 +327,47 @@ def test_packed_slots_hold_a_coefficient_equal_to_the_bound(bits):
     top, low = 2**bits - 1, -(2 ** (bits - 1))
     for c in (top, low, -top):
         row = LaurentPoly({(0, 2 * k, 0): c if k == 3 else 0 for k in range(5)})
-        assert row.packed().unpack() == row
-    a, b = mono(2 ** (bits - 1), m=1), mono(-2, m=-3, x=1)
-    room = 2**bits
-    assert (a.packed(room) * b.packed(room)).unpack() == mono(-(2**bits), m=-2, x=1)
-    assert (a.packed(room) + a.packed(room)).unpack() == mono(2**bits, m=1)
-    assert (a.packed(room) * -2).unpack() == mono(-(2**bits), m=1)
+        assert packed(0, row)[0].unpack() == row
+    a, b = packed(2**bits, mono(2 ** (bits - 1), m=1), mono(-2, m=-3, x=1))
+    assert (a * b).unpack() == mono(-(2**bits), m=-2, x=1)
+    assert (a + a).unpack() == mono(2**bits, m=1)
+    assert (a * -2).unpack() == mono(-(2**bits), m=1)
 
 
 def test_packed_rows_hold_what_their_room_allows_and_refuse_the_rest():
     p = LaurentPoly({(0, k, 0): k + 1 for k in range(12)}) + mono(-3, l=1, m=5)
     norm = p.norm1()
     assert norm == 81
-    pp = p.packed(norm**7)
+    (pp,) = packed(norm**7, p)
     power, expected = pp, as_dict(p)
     for _ in range(6):  # products
         power = power * pp
         expected = naive_mul(expected, as_dict(p))
         assert as_dict(power.unpack()) == expected
-    total = ready = p.packed(71 * norm)
+    total = ready = packed(71 * norm, p)[0]
     for k in range(70):  # sums
         total = total + ready.shift(m=2 * k)
     assert total.unpack() == p * LaurentPoly({(0, 2 * k, 0): 1 + (k == 0) for k in range(70)})
-    scaled = p.packed(norm * 3**90) * (3**90)  # int scaling
+    scaled = packed(norm * 3**90, p)[0] * (3**90)  # int scaling
     assert scaled.unpack() == p * (3**90)
     # every value keeps the width it was packed at
     assert power.width == pp.width == 48 and total.width == 16 and scaled.width == 152
     # packed at its own 1-norm only, p has 8-bit slots, and no result may outgrow them
-    narrow = p.packed()
+    (narrow,) = packed(0, p)
     assert narrow.width == 8
     for outgrow in (lambda: narrow * narrow, lambda: narrow + narrow,
                     lambda: narrow - narrow.shift(m=1), lambda: narrow * 2):
         with pytest.raises(OverflowError, match="outgrows 8-bit slots"):
             outgrow()
     # a bound of 2^7 - 1 is the most 8-bit slots hold
-    half = mono(63, m=1).packed(127)
-    assert (half + mono(64).packed(127)).unpack() == mono(63, m=1) + 64
+    half, low = packed(127, mono(63, m=1), mono(64))
+    assert (half + low).unpack() == mono(63, m=1) + 64
+    half, high = packed(127, mono(63, m=1), mono(65))
     with pytest.raises(OverflowError):
-        half + mono(65).packed(127)
+        half + high
     # operands packed at different widths do not combine
     for mix in (lambda: narrow + pp, lambda: pp - narrow, lambda: narrow * pp,
-                lambda: pp * ZERO.packed(), lambda: ZERO.packed() + pp):
+                lambda: pp * packed(0, ZERO)[0], lambda: packed(0, ZERO)[0] + pp):
         with pytest.raises(ValueError, match="widths"):
             mix()
     # nothing that failed changed its operands
@@ -375,26 +379,23 @@ def test_packed_rows_combine_only_on_one_stride():
     a = LaurentPoly({(0, 2 * k, 0): k + 1 for k in range(10)}) + LaurentPoly(
         {(1, 3 * k + 1, 0): -(k + 2) for k in range(10)})
     b = LaurentPoly({(1, 2 * k + 1, 0): 2**40 + k for k in range(10)}) + mono(7, m=5)
-    assert a.packed().stride == b.packed().stride == 1
+    assert packed(0, a)[0].stride == packed(0, b)[0].stride == 1
     for lhs, rhs in ((a, b), (b, a), (a, a), (b, b)):
         assert as_dict(_packed(lhs, rhs)) == naive_mul(as_dict(lhs), as_dict(rhs))
-        room = lhs.norm1() + rhs.norm1()
-        assert (lhs.packed(room) + rhs.packed(room)).unpack() == lhs + rhs
-    # the grid is anchored at M^0, so evenly spaced odd exponents are off the grid of stride 2
-    for poly, stride in ((b, 2), (a, 2), (a, 3), (mono(1, m=3) + mono(1, m=5), 2),
-                         (ONE, 0), (ONE, -2)):
-        with pytest.raises(ValueError, match="off the grid"):
-            poly.packed(stride=stride)
+        ll, rr = packed(lhs.norm1() + rhs.norm1(), lhs, rhs)
+        assert (ll + rr).unpack() == lhs + rhs
     even = LaurentPoly({(0, 2 * k, 0): k + 1 for k in range(10)}) + mono(-3, l=1, m=-6, x=2)
     room = even.norm1() ** 2
-    on_two, on_one = even.packed(room, 2), even.packed(room)
+    # packed alone even lands on M-steps of 2, and beside an odd exponent on steps of 1
+    (on_two,), (on_one, _) = packed(room, even), packed(room, even, mono(1, m=1))
+    assert (on_two.stride, on_one.stride) == (2, 1)
     assert (on_two * on_two).unpack() == even * even
     moved = on_two.shift(l=1, m=-4, x=-1)
     assert (moved + on_two).unpack() == even * mono(1, l=1, m=-4, x=-1) + even
-    # values packed at different strides do not combine, ZERO and ONE included
+    # values packed in separate calls at different strides do not combine, ZERO and ONE included
     for mix in (lambda: on_two + on_one, lambda: on_one - on_two, lambda: on_two * on_one,
-                lambda: on_one * on_two, lambda: on_two + ZERO.packed(room),
-                lambda: ONE.packed(room) * on_two):
+                lambda: on_one * on_two, lambda: on_two + packed(room, ZERO)[0],
+                lambda: packed(room, ONE)[0] * on_two):
         with pytest.raises(ValueError, match="strides"):
             mix()
     for m in (1, -3):
@@ -404,20 +405,42 @@ def test_packed_rows_combine_only_on_one_stride():
     assert on_two.unpack() == on_one.unpack() == even
 
 
+def test_packed_derives_the_stride_and_width_from_its_operands():
+    cases = [
+        ((mono(1, m=-6), mono(1, m=9)), 3),
+        ((mono(1, m=3) + mono(1, m=5),), 1),  # the grid is anchored at M^0
+        ((ZERO, ONE), 1),
+        ((mono(-2, l=1, m=-4, x=3), mono(5, m=6) - mono(1, m=10)), 2),
+    ]
+    for polys, stride in cases:
+        rows = packed(0, *polys)
+        assert [(r.stride, r.width) for r in rows] == [(stride, 8)] * len(polys)
+        assert [r.unpack() for r in rows] == list(polys)
+    # the width holds the largest of the room and every operand's 1-norm, in whole bytes
+    small, big = mono(3, m=2), mono(200, m=4) - mono(55, x=1)
+    for room, width in ((0, 16), (255, 16), (2**15 - 1, 16), (2**15, 24), (2**40, 48)):
+        assert [r.width for r in packed(room, small, big)] == [width, width]
+    assert [r.bound for r in packed(2**40, small, big)] == [3, 255]
+
+
 def test_route_builders_pack_every_operand_at_stride_two(monkeypatch):
-    # every M-exponent the four routes meet is even, ONE and ZERO included, so every pack is at 2
-    strides = set()
-    real_pack = _Rows.pack.__func__
+    # every M-exponent the four routes meet is even, so every packed() call lands on M-steps of 2
+    grids = []
 
-    def recorded(cls, terms, room, stride):
-        strides.add(stride)
-        return real_pack(cls, terms, room, stride)
+    def recorded(room, *polys):
+        rows = packed(room, *polys)  # this module's own name for it is left unpatched
+        grids.append({(r.stride, r.width) for r in rows})
+        return rows
 
-    monkeypatch.setattr(_Rows, "pack", classmethod(recorded))
+    for module in (laurent, rmpoly, apoly):
+        monkeypatch.setattr(module, "packed", recorded)
     for n in range(-12, 13):
         for route in (rm_closed, rm_recursive, apoly_theorem, apoly_substitution):
             route(n)
-    assert strides == {2}
+    # one call per loop: apoly_substitution runs two (rm_recursive and substitute), and
+    # rm_recursive(0) runs none, as P_0 needs no loop
+    assert len(grids) == 24 * 5 + 3
+    assert all(len(grid) == 1 and next(iter(grid))[0] == 2 for grid in grids)
 
 
 @given(p=polys, q=polys, r=polys)
@@ -469,6 +492,15 @@ def test_substitute_examples():
     assert mono(1, x=1).substitute("x", num, den, 1) == num
     assert ONE.substitute("x", num, den, 3) == den**3
     assert ZERO.substitute("x", num, den, 2) == ZERO
+
+
+def test_substitute_takes_a_numerator_wider_than_the_sum():
+    # with no power of var, num never reaches the sum, so its 1-norm can outgrow the sum's
+    # bound; it is packed with the rest all the same and must share their slot width
+    big = mono(1000, m=2)
+    assert ONE.substitute("x", big, ONE, 0) == ONE
+    assert mono(1, l=1).substitute("x", big, ONE, 0) == mono(1, l=1)
+    assert mono(3, l=1).substitute("x", big, mono(1, m=2), 1) == mono(3, l=1, m=2)
 
 
 def test_substitute_rejects_bad_inputs():

@@ -1,5 +1,6 @@
 """A_2n and numeric checks over a wider n range than the pinned acceptance criteria."""
 
+import hashlib
 import math
 from fractions import Fraction
 from functools import cache
@@ -27,6 +28,22 @@ NONZERO_N = [n for n in range(-20, 21) if n]
 @cache
 def theorem_poly(n):
     return apoly_theorem(n).poly
+
+
+# SHA-256 of the to_json() lines of each route for n in [-20, 20], one per line.  Route
+# agreement cannot see a kernel fault that both routes of a family share; these pins can.
+FAMILY_SHA256 = {
+    rm_closed: "873c9382b126c6723b226e6904b3557252aa7ee28678a457d29621f489e8da38",
+    rm_recursive: "873c9382b126c6723b226e6904b3557252aa7ee28678a457d29621f489e8da38",
+    apoly_theorem: "cc0a93f257551a01f5dc4573fc8a1e8d7359fe670388c7c8292cf0920006b64b",
+    apoly_substitution: "cc0a93f257551a01f5dc4573fc8a1e8d7359fe670388c7c8292cf0920006b64b",
+}
+
+
+@pytest.mark.parametrize("route", FAMILY_SHA256, ids=lambda route: route.__name__)
+def test_every_route_is_pinned_from_minus_20_to_20(route):
+    lines = "".join(route(n).poly.to_json() + "\n" for n in range(-20, 21))
+    assert hashlib.sha256(lines.encode()).hexdigest() == FAMILY_SHA256[route]
 
 
 @pytest.mark.parametrize("n", [15, 16, 17, 18, -15, -16, -17, -18])
