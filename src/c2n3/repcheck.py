@@ -23,14 +23,11 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .apoly import APolyResult, apoly_theorem
-from .laurent import LaurentPoly
-from .rmpoly import q_poly, rm_closed
 
 
 class SingularPointError(ValueError):
@@ -173,33 +170,38 @@ def _word_lanes(n: int, points: Sequence[tuple[complex, complex]]) -> list[Words
 def roots_of_rm(n: int, M0: complex) -> list[complex]:
     """All roots of x -> P_2n(x, M0), by Aberth-Ehrlich sweeps on the recursion P_2n obeys.
 
-    R_k = P_2k / M^(4k) obeys R_k = 2c R_(k-1) - R_(k-2) with 2c = Q / M^4
-    (see q_poly), so P_2n(x, M0) = M0^(4|n|) R_|n|(x), and _recurrence
-    gives R_|n| and R_|n|' at every iterate at once with no expanded
-    coefficients.  The sweeps start from _starts.  A root stops once its
-    step is at most 1e-14 max(1, |x|), or at most 1e-10 max(1, |x|) and
-    more than half the step before it: there rounding, not distance, sets
-    the step.  Roots come sorted by (real, imaginary).  Raises ValueError,
-    naming M0, when M0 is not finite; OverflowError, naming M0, when the
-    recursion's coefficients there do not fit in doubles (M0 = 1e200);
+    At M0 the recursion depends on M0 through s = M0^2 + M0^-2 - 1 alone,
+    computed here once: _recurrence gives R_|n| and R_|n|', with
+    P_2n(x, M0) a power of M0 times R_|n|(x), at every iterate at once
+    with no expanded coefficients.  The sweeps start from _starts.  A
+    root stops once its step is at most 1e-14 max(1, |x|), or at most
+    1e-10 max(1, |x|) and more than half the step before it: there
+    rounding, not distance, sets the step.  Roots come sorted by (real,
+    imaginary).  Raises ValueError, naming M0, when M0 is not finite;
     DegreeCollapseError when M0^4 is zero in doubles, so that the leading
-    x-coefficient of P_2n, a power of M0, vanishes; NonConvergenceError,
-    naming n and M0, when a root still moves after _SWEEPS sweeps; and
-    RepeatedRootError when two roots converge to one value, so that no
-    root goes unchecked without notice.
+    x-coefficient of P_2n, a power of M0, vanishes; OverflowError, naming
+    M0, when s^2 does not fit in doubles (M0 = 1e80 or 1e-80);
+    NonConvergenceError, naming n and M0, when a root still moves after
+    _SWEEPS sweeps; and RepeatedRootError when two roots converge to one
+    value, so that no root goes unchecked without notice.
     """
     M0 = _finite_meridian(M0)
     if n == 0:
         return []
-    recurrence = _recurrence(n, M0)
-    z = _starts(n, M0)
+    sq = M0 * M0
+    if sq * sq == 0:
+        raise DegreeCollapseError(f"M0^4, so the leading x-coefficient, is 0 at M0 = {M0!r}")
+    s = sq + 1 / sq - 1
+    if not cmath.isfinite(s * s):
+        raise OverflowError(f"P_2n at M0 = {M0!r} does not fit in double precision")
+    z = _starts(n, s)
     moving = np.ones(len(z), dtype=bool)
     last = np.full(len(z), math.inf)
     with np.errstate(all="ignore"):
         for _ in range(_SWEEPS):
             at = np.flatnonzero(moving)
             x = z[at]
-            value, slope = recurrence(x)
+            value, slope = _recurrence(n, s, x)
             gaps = x[:, None] - z
             repulsion = np.divide(1, gaps, out=np.zeros_like(gaps), where=gaps != 0).sum(axis=1)
             step = value / (slope - value * repulsion)
@@ -227,57 +229,39 @@ def roots_of_rm(n: int, M0: complex) -> list[complex]:
 _SWEEPS = 100
 
 
-@cache
-def _r1_numerator(sign: int) -> LaurentPoly:
-    """P_2 for sign 1, P_-2 for sign -1."""
-    return rm_closed(sign).poly
+def _recurrence(n: int, s: complex, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R_|n|(x), R_|n|'(x)) over an array x, both divided by one factor per x.
 
-
-def _recurrence(n: int, M0: complex):
-    """x -> (R_|n|(x), R_|n|'(x)) over an array, both divided by one factor per x.
-
-    R_0 = 1 and R_1 = P_2 / M0^4 for n > 0, or R_0 = M0^-2 and
-    R_1 = P_-2 / M0^4 for n < 0.  Whenever R_j or R_j' passes 1e100 at
-    some x, the four values carried there are divided by the larger: only
-    the ratio is used, and R_100 itself would overflow.
+    With u = s + x, 2c = 2 - x u^2 = Q / M^4 and t = x u + 1 = P_-2 / M^2.
+    R_k = 2c R_(k-1) - R_(k-2) runs from R_0 = 1 and R_1 = 2c - t =
+    P_2 / M^4 for n > 0, or R_1 = t for n < 0, so that P_2n is
+    M^(4|n|) R_|n| for n > 0 and M^(4|n| - 2) R_|n| for n < 0.  Whenever
+    R_j or R_j' passes 1e100 at some x, the four values carried there are
+    divided by the larger: only the ratio is used, and R_100 itself would
+    overflow.
     """
-    quartic = M0**4
-    if quartic == 0:
-        raise DegreeCollapseError(f"M0^4, so the leading x-coefficient, is 0 at M0 = {M0!r}")
-    r0 = 1 if n > 0 else M0**-2
-    try:
-        r1, q = ([c / quartic for c in p.at_meridian(M0)[0]]
-                 for p in (_r1_numerator(1 if n > 0 else -1), q_poly()))
-    except OverflowError:
-        r1 = q = [math.nan]
-    if not all(map(cmath.isfinite, [r0, *r1, *q])):
-        raise OverflowError(f"P_2n at M0 = {M0!r} does not fit in double precision")
-    dr1, dq = ([k * c for k, c in enumerate(p)][1:] for p in (r1, q))
-
-    def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        qx, dqx = _horner(q, x), _horner(dq, x)
-        prev, dprev = r0, 0
-        cur, dcur = _horner(r1, x), _horner(dr1, x)
-        for _ in range(abs(n) - 1):
-            prev, dprev, cur, dcur = cur, dcur, qx * cur - prev, dqx * cur + qx * dcur - dprev
-            size = np.maximum(abs(cur), abs(dcur))
-            if size.max() > 1e100:
-                scale = np.where(size > 1e100, 1 / size, 1)
-                prev, dprev, cur, dcur = prev * scale, dprev * scale, cur * scale, dcur * scale
-        return cur, dcur
-
-    return evaluate
+    u = s + x
+    qx, dqx = 2 - x * u * u, -u * (u + 2 * x)
+    t, dt = x * u + 1, u + x
+    prev, dprev = 1, 0
+    cur, dcur = (qx - t, dqx - dt) if n > 0 else (t, dt)
+    for _ in range(abs(n) - 1):
+        prev, dprev, cur, dcur = cur, dcur, qx * cur - prev, dqx * cur + qx * dcur - dprev
+        size = np.maximum(abs(cur), abs(dcur))
+        if size.max() > 1e100:
+            scale = np.where(size > 1e100, 1 / size, 1)
+            prev, dprev, cur, dcur = prev * scale, dprev * scale, cur * scale, dcur * scale
+    return cur, dcur
 
 
-def _starts(n: int, M0: complex) -> np.ndarray:
+def _starts(n: int, s: complex) -> np.ndarray:
     """Starts for roots_of_rm: where c(x) = cos((j - 1/2) pi / |n|), j = 1..|n|.
 
-    With s = M0^2 + M0^-2 - 1 these are the roots of x (s + x)^2 =
+    At s = M0^2 + M0^-2 - 1 these are the roots of x (s + x)^2 =
     2 - 2 cos(...), one cubic per j; the first 3|n| - (n < 0) are kept,
     turned by (1 + 1e-3 i) off any line of symmetry.
     """
     k = abs(n)
-    s = M0 * M0 + 1 / (M0 * M0) - 1
     # the companion matrix of x^3 + 2s x^2 + s^2 x + 2 cos(...) - 2, one per j
     companion = np.zeros((k, 3, 3), dtype=complex)
     companion[:, 0] = [-2 * s, -s * s, 0]

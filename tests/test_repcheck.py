@@ -12,6 +12,7 @@ from hypothesis import assume, given, strategies as st
 from oracles import mpmath_polish_root, numpy_word_product
 
 from c2n3.apoly import substitution_x
+from c2n3.laurent import ONE, LaurentPoly, mono
 from c2n3.rmpoly import rm_closed
 from c2n3.repcheck import (
     DegreeCollapseError,
@@ -156,8 +157,36 @@ def test_roots_degenerate_cases():
     assert roots_of_rm(0, 0.9 + 0.1j) == []
     with pytest.raises(DegreeCollapseError):
         roots_of_rm(1, 0.0)
-    with pytest.raises(DegreeCollapseError):  # the leading M0^4 underflows to 0 in doubles
-        roots_of_rm(1, 1e-200)
+    for M0 in (1e-100, 1e-200):  # the leading M0^4 underflows to 0 in doubles
+        with pytest.raises(DegreeCollapseError):
+            roots_of_rm(1, M0)
+
+
+def test_the_s_form_of_the_recursion_is_p_2n_exactly():
+    # in the exact kernel, the recursion that roots_of_rm runs on
+    # s = M^2 + M^-2 - 1 gives rm_closed(n) up to the power of M it leaves out
+    x, s = mono(1, x=1), mono(1, m=2) + mono(1, m=-2) - 1
+    u = s + x
+    two_c, t = 2 - x * u * u, x * u + 1
+    for sign in (1, -1):
+        prev, cur = ONE, two_c - t if sign > 0 else t
+        for k in range(1, 21):
+            n = sign * k
+            assert mono(1, m=4 * k - 2 * (n < 0)) * cur == rm_closed(n).poly, n
+            prev, cur = cur, two_c * cur - prev
+
+
+@pytest.mark.parametrize("n", [1, -1, 5, -5])
+def test_root_finding_calls_nothing_from_the_exact_kernel(monkeypatch, n):
+    import c2n3.rmpoly
+
+    def no_kernel(*args):
+        raise AssertionError("root finding called the exact kernel")
+
+    monkeypatch.setattr(LaurentPoly, "at_meridian", no_kernel)
+    monkeypatch.setattr(c2n3.rmpoly, "rm_closed", no_kernel)
+    for M0 in sample_unit_modulus(3, seed=2) + [0.5, 2.0, 0.3 + 1.7j]:
+        assert len(roots_of_rm(n, M0)) == 3 * abs(n) - (n < 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, -2])
@@ -251,18 +280,24 @@ def test_non_finite_meridians_are_rejected_by_name(M0):
         rho_matrices(M0, 0.5)
 
 
+# at 1e80 (and 1e-80) M0^4 itself leaves the double range; the error still names M0
+_HUGE_MERIDIANS = (1e200, 1e80, 1e-80)
+
+
 def test_meridians_whose_coefficients_overflow_doubles_are_rejected_by_name():
-    with pytest.raises(OverflowError, match=re.escape("M0 = (1e+200+0j) does not fit")):
-        roots_of_rm(2, 1e200)
+    for M0 in _HUGE_MERIDIANS:
+        with pytest.raises(OverflowError, match=re.escape(f"M0 = {complex(M0)!r} does not fit")):
+            roots_of_rm(2, M0)
 
 
 def test_an_overflowing_meridian_is_a_bad_point_and_the_family_goes_on():
     unit = sample_unit_modulus(1, seed=0)[0]
-    bad, *rest = verify_family(3, [1e200, unit], 1e-8)
-    assert bad.to_json_obj()["status"] == "error"
-    assert bad.M_sample == 1e200 and "M0 = (1e+200+0j) does not fit" in bad.reason
-    assert rest == verify_family(3, [unit], 1e-8)
-    assert len(rest) == 9 and all(r.passed for r in rest)
+    for M0 in _HUGE_MERIDIANS:
+        bad, *rest = verify_family(3, [M0, unit], 1e-8)
+        assert bad.to_json_obj()["status"] == "error"
+        assert bad.M_sample == M0 and f"M0 = {complex(M0)!r} does not fit" in bad.reason
+        assert rest == verify_family(3, [unit], 1e-8)
+        assert len(rest) == 9 and all(r.passed for r in rest)
 
 
 def test_polish_root_reports_non_convergence(monkeypatch):
@@ -346,7 +381,6 @@ def test_verify_family_rejects_the_degenerate_n_before_building_anything(monkeyp
         raise AssertionError("built a polynomial for n = 0")
 
     monkeypatch.setattr(repcheck, "apoly_theorem", no_build)
-    monkeypatch.setattr(repcheck, "rm_closed", no_build)
     for samples in (sample_unit_modulus(3, seed=0), []):
         with pytest.raises(ValueError, match="n = 0 is degenerate"):
             verify_family(0, samples, 1e-8)
@@ -360,7 +394,6 @@ def test_verify_family_rejects_an_empty_sample_list_before_building_anything(mon
         raise AssertionError(f"built a polynomial for n = {n} with no samples")
 
     monkeypatch.setattr(repcheck, "apoly_theorem", no_build)
-    monkeypatch.setattr(repcheck, "rm_closed", no_build)
     for samples in ([], (), np.array([], dtype=complex)):
         with pytest.raises(ValueError, match="at least one meridian sample"):
             verify_family(3, samples, 1e-8)
