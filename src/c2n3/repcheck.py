@@ -8,7 +8,10 @@ predicted eigenvalue, and the A-polynomial must vanish at the induced
 entry-magnitude sum along the accumulated product) so tolerances scale
 with the numeric difficulty of large |n|.  The roots of P_2n come from
 Aberth-Ehrlich sweeps on the three-term recursion P_2n obeys, evaluated
-in doubles at every iterate at once (see roots_of_rm).  One point is
+in doubles at every iterate at once (see roots_of_rm); verify_family
+sweeps all of its meridians together, one numpy lane per (meridian,
+root) pair, and each lane gives the roots its meridian gets alone (see
+_roots_batch).  One point is
 checked by _report from its inputs alone: the two words at the point and
 A_2n specialized at its meridian.  verify_point builds both for one
 point; verify_family builds A_2n once, evaluates the words once over all
@@ -19,7 +22,6 @@ per meridian.  The numeric layer needs numpy alone.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -167,11 +169,15 @@ def _word_lanes(n: int, points: Sequence[tuple[complex, complex]]) -> list[Words
                     a.tolist(), c.tolist(), cond_lon.tolist()))
 
 
+# What roots_of_rm gives at one meridian: its roots, or the error it raises there.
+Found = list[complex] | ArithmeticError
+
+
 def roots_of_rm(n: int, M0: complex) -> list[complex]:
     """All roots of x -> P_2n(x, M0), by Aberth-Ehrlich sweeps on the recursion P_2n obeys.
 
     At M0 the recursion depends on M0 through s = M0^2 + M0^-2 - 1 alone,
-    computed here once: _recurrence gives R_|n| and R_|n|', with
+    computed once per M0: _recurrence gives R_|n| and R_|n|', with
     P_2n(x, M0) a power of M0 times R_|n|(x), at every iterate at once
     with no expanded coefficients.  The sweeps start from _starts.  A
     root stops once its step is at most 1e-14 max(1, |x|), or at most
@@ -183,26 +189,85 @@ def roots_of_rm(n: int, M0: complex) -> list[complex]:
     M0, when s^2 does not fit in doubles (M0 = 1e80 or 1e-80);
     NonConvergenceError, naming n and M0, when a root still moves after
     _SWEEPS sweeps; and RepeatedRootError when two roots converge to one
-    value, so that no root goes unchecked without notice.
+    value, so that no root goes unchecked without notice.  It is
+    _roots_batch on the one meridian M0.
     """
-    M0 = _finite_meridian(M0)
+    (roots,) = _roots_batch(n, [M0])
+    if isinstance(roots, ArithmeticError):
+        raise roots
+    return roots
+
+
+# A root still moving after this many Aberth sweeps raises NonConvergenceError.
+_SWEEPS = 100
+# One batch of sweeps holds at most this many iterate gaps, d^2 per meridian
+# for d roots (but at least one meridian), so each of its temporary arrays
+# stays near 1 MiB.
+_BATCH_GAPS = 2**16
+
+
+def _roots_batch(n: int, M_samples: Sequence[complex]) -> list[Found]:
+    """What roots_of_rm gives at each meridian of M_samples: its roots, or the error it raises.
+
+    A non-finite meridian raises ValueError before any sweep.  Every other
+    meridian first gets the checks of roots_of_rm; those that pass them
+    are swept together by _sweeps, in groups of _BATCH_GAPS // d^2 meridians.
+    """
+    meridians = [_finite_meridian(M0) for M0 in M_samples]
     if n == 0:
-        return []
+        return [[] for _ in meridians]
+    found: list[Found] = []
+    swept: list[tuple[int, complex, complex]] = []  # (index in found, M0, s)
+    for M0 in meridians:
+        try:
+            s = _recursion_number(M0)
+        except (DegreeCollapseError, OverflowError) as exc:
+            found.append(exc)
+            continue
+        swept.append((len(found), M0, s))
+        found.append([])
+    d = 3 * abs(n) - (n < 0)
+    size = max(1, _BATCH_GAPS // (d * d))
+    for k in range(0, len(swept), size):
+        index, group, s_values = zip(*swept[k : k + size])
+        for i, roots in zip(index, _sweeps(n, group, s_values)):
+            found[i] = roots
+    return found
+
+
+def _recursion_number(M0: complex) -> complex:
+    """s = M0^2 + M0^-2 - 1, the one number P_2n's recursion at M0 depends on."""
     sq = M0 * M0
     if sq * sq == 0:
         raise DegreeCollapseError(f"M0^4, so the leading x-coefficient, is 0 at M0 = {M0!r}")
     s = sq + 1 / sq - 1
     if not cmath.isfinite(s * s):
         raise OverflowError(f"P_2n at M0 = {M0!r} does not fit in double precision")
-    z = _starts(n, s)
-    moving = np.ones(len(z), dtype=bool)
-    last = np.full(len(z), math.inf)
+    return s
+
+
+def _sweeps(n: int, group: Sequence[complex], s_values: Sequence[complex]) -> list[Found]:
+    """The sweeps of roots_of_rm at every meridian of group, with its s in s_values, at once.
+
+    Each (meridian, root) pair is one lane of a flat array, with the s of
+    its meridian; its repulsion sums over its own meridian's iterates
+    alone, and it stops by itself.  So every lane does the arithmetic that
+    a group of one meridian would.  Gives each meridian's roots,
+    NonConvergenceError with its own count of moving roots, or
+    RepeatedRootError for the first close pair in combinations order.
+    """
+    rows = np.stack([_starts(n, s) for s in s_values])
+    m, d = rows.shape
+    z = rows.reshape(-1)  # a view: each update of z moves the rows that the repulsion reads
+    s = np.repeat(s_values, d)
+    moving = np.ones(m * d, dtype=bool)
+    last = np.full(m * d, math.inf)
     with np.errstate(all="ignore"):
         for _ in range(_SWEEPS):
             at = np.flatnonzero(moving)
             x = z[at]
-            value, slope = _recurrence(n, s, x)
-            gaps = x[:, None] - z
+            value, slope = _recurrence(n, s[at], x)
+            gaps = x[:, None] - rows[at // d]
             repulsion = np.divide(1, gaps, out=np.zeros_like(gaps), where=gaps != 0).sum(axis=1)
             step = value / (slope - value * repulsion)
             z[at] = x - step
@@ -211,26 +276,34 @@ def roots_of_rm(n: int, M0: complex) -> list[complex]:
             last[at] = size
             if not moving.any():
                 break
-        else:
-            raise NonConvergenceError(
-                f"Aberth sweeps met no stopping rule for {moving.sum()} of {len(z)} roots in "
+    found: list[Found] = []
+    for M0, row, still in zip(group, rows, moving.reshape(m, d)):
+        if still.any():
+            found.append(NonConvergenceError(
+                f"Aberth sweeps met no stopping rule for {still.sum()} of {d} roots in "
                 f"{_SWEEPS} sweeps, for P_2n with n = {n} at M0 = {M0!r}"
-            )
-    roots = sorted(map(complex, z), key=lambda v: (v.real, v.imag))
-    for a, b in itertools.combinations(roots, 2):
-        if abs(a - b) < 1e-12 * max(1.0, abs(a)):
-            raise RepeatedRootError(
-                f"two roots of P_2n for n = {n} converged to the same value {a!r} at M0 = {M0!r}"
-            )
-    return roots
+            ))
+            continue
+        roots = sorted(map(complex, row), key=lambda v: (v.real, v.imag))
+        a = _first_repeat(roots)
+        found.append(roots if a is None else RepeatedRootError(
+            f"two roots of P_2n for n = {n} converged to the same value {a!r} at M0 = {M0!r}"
+        ))
+    return found
 
 
-# A root still moving after this many Aberth sweeps raises NonConvergenceError.
-_SWEEPS = 100
+def _first_repeat(roots: list[complex]) -> complex | None:
+    """a of the first pair (a, b) of roots, in combinations order, within 1e-12 max(1, |a|).
+
+    None when no pair is that close.
+    """
+    r = np.array(roots)
+    close = np.triu(abs(r[:, None] - r) < 1e-12 * np.maximum(1, abs(r))[:, None], 1)
+    return roots[close.argmax() // len(roots)] if close.any() else None
 
 
-def _recurrence(n: int, s: complex, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(R_|n|(x), R_|n|'(x)) over an array x, both divided by one factor per x.
+def _recurrence(n: int, s: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R_|n|(x), R_|n|'(x)) at each x[i] with s = s[i], both divided by one factor per x.
 
     With u = s + x, 2c = 2 - x u^2 = Q / M^4 and t = x u + 1 = P_-2 / M^2.
     R_k = 2c R_(k-1) - R_(k-2) runs from R_0 = 1 and R_1 = 2c - t =
@@ -238,7 +311,7 @@ def _recurrence(n: int, s: complex, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     M^(4|n|) R_|n| for n > 0 and M^(4|n| - 2) R_|n| for n < 0.  Whenever
     R_j or R_j' passes 1e100 at some x, the four values carried there are
     divided by the larger: only the ratio is used, and R_100 itself would
-    overflow.
+    overflow.  A NaN at one x leaves the rescaling at the others as it is.
     """
     u = s + x
     qx, dqx = 2 - x * u * u, -u * (u + 2 * x)
@@ -248,8 +321,9 @@ def _recurrence(n: int, s: complex, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     for _ in range(abs(n) - 1):
         prev, dprev, cur, dcur = cur, dcur, qx * cur - prev, dqx * cur + qx * dcur - dprev
         size = np.maximum(abs(cur), abs(dcur))
-        if size.max() > 1e100:
-            scale = np.where(size > 1e100, 1 / size, 1)
+        big = size > 1e100
+        if big.any():
+            scale = np.where(big, 1 / size, 1)
             prev, dprev, cur, dcur = prev * scale, dprev * scale, cur * scale, dcur * scale
     return cur, dcur
 
@@ -439,8 +513,10 @@ def verify_family(
 ) -> list[VerificationReport | BadPoint]:
     """The check of verify_point at every root of P_2n at every provided meridian sample.
 
-    A_2n is built once for the whole family.  The roots come first for
-    every sample; then both words are evaluated once over all (sample,
+    A_2n is built once for the whole family.  The roots come first, for
+    every sample in one batch of sweeps (_roots_batch, which gives at each
+    sample what roots_of_rm gives there, and raises ValueError for a
+    non-finite one); then both words are evaluated once over all (sample,
     root) lanes, A_2n is specialized at most once per meridian, and
     _report checks each root from its lane and its meridian's lists.  A
     sample whose roots cannot be trusted (DegreeCollapseError,
@@ -458,18 +534,15 @@ def verify_family(
     if len(M_samples) == 0:
         raise ValueError("verify_family needs at least one meridian sample")
     apoly = apoly_theorem(n).poly
-    found = []
-    for M0 in map(complex, M_samples):
-        try:
-            found.append((M0, roots_of_rm(n, M0), None))
-        except (DegreeCollapseError, NonConvergenceError, RepeatedRootError, OverflowError) as exc:
-            found.append((M0, (), exc))
-    points = [(M0, x0) for M0, roots, _ in found for x0 in roots]
+    found = list(zip(map(complex, M_samples), _roots_batch(n, M_samples)))
+    points = [(M0, x0) for M0, roots in found
+              if not isinstance(roots, ArithmeticError) for x0 in roots]
     words = dict(zip(points, _word_lanes(n, points)))
     reports: list[VerificationReport | BadPoint] = []
-    for M0, roots, error in found:
-        if error is not None:
-            reports.append(BadPoint(n, M0, str(error)))
+    for M0, roots in found:
+        if isinstance(roots, ArithmeticError):
+            reports.append(BadPoint(n, M0, str(roots)))
+            continue
         lists = None
         for x0 in roots:
             try:

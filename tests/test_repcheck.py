@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import re
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -21,7 +22,9 @@ from c2n3.repcheck import (
     SingularPointError,
     VerificationReport,
     _eval_word_tracked,
+    _first_repeat,
     _reduced,
+    _roots_batch,
     build_longitude,
     build_w,
     eval_word,
@@ -278,6 +281,8 @@ def test_non_finite_meridians_are_rejected_by_name(M0):
         roots_of_rm(2, M0)
     with pytest.raises(ValueError, match=message):
         rho_matrices(M0, 0.5)
+    with pytest.raises(ValueError, match=message):
+        verify_family(2, [M0], 1e-8)
 
 
 # at 1e80 (and 1e-80) M0^4 itself leaves the double range; the error still names M0
@@ -332,6 +337,114 @@ def test_non_convergence_names_the_point_and_becomes_a_bad_point(monkeypatch):
     (bad,) = verify_family(2, [M0], 1e-8)
     assert bad.to_json_obj()["status"] == "error"
     assert bad.M_sample == M0 and "met no stopping rule" in bad.reason
+
+
+def _bits(roots):
+    return np.array(roots, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, -1, 5, -5, 12, -40, 100])
+def test_every_meridian_of_a_batch_gets_its_roots_alone_bit_for_bit(n):
+    # the lanes of one meridian see none of another's; n = -40 sweeps these
+    # five meridians in groups of 4 and 1, n = 100 one by one
+    samples = sample_unit_modulus(5, seed=4)
+    found = _roots_batch(n, samples)
+    assert len(found) == 5
+    for M0, roots in zip(samples, found):
+        assert len(roots) == 3 * abs(n) - (n < 0)
+        assert _bits(roots) == _bits(roots_of_rm(n, M0))
+
+
+def test_meridians_that_fail_their_checks_leave_the_batch_alone():
+    units = sample_unit_modulus(3, seed=6)
+    samples = [units[0], 1e200, units[1], 1e-100, units[2]]
+    found = _roots_batch(4, samples)
+    for M0, roots in zip(units, found[::2]):
+        assert _bits(roots) == _bits(roots_of_rm(4, M0))
+    reports = verify_family(4, samples, 1e-8)
+    assert len(reports) == 3 * 12 + 2
+    assert [(r.M_sample, r.reason) for r in (reports[12], reports[25])] == [
+        (1e200, f"P_2n at M0 = {complex(1e200)!r} does not fit in double precision"),
+        (1e-100, f"M0^4, so the leading x-coefficient, is 0 at M0 = {complex(1e-100)!r}"),
+    ]
+    assert all(r.passed for r in reports[:12] + reports[13:25] + reports[26:])
+
+
+def test_a_nan_start_fails_its_own_meridian_alone(monkeypatch):
+    # the NaN spreads over every root of its meridian and no further; at n = 40
+    # the meridian 10.0 shares its group and has its values rescaled, which
+    # the NaN lanes must not stop
+    import c2n3.repcheck as repcheck
+
+    real_starts = repcheck._starts
+    calls = []
+
+    def nan_at_first(n, s):
+        calls.append(s)
+        starts = real_starts(n, s)
+        if len(calls) == 1:
+            starts[0] = np.nan
+        return starts
+
+    units = sample_unit_modulus(2, seed=8)
+    samples = [units[0], 10.0, units[1]]
+    monkeypatch.setattr(repcheck, "_starts", nan_at_first)
+    first, *rest = _roots_batch(40, samples)
+    assert len(calls) == 3
+    message = f"for 120 of 120 roots in 100 sweeps, for P_2n with n = 40 at M0 = {units[0]!r}"
+    assert isinstance(first, NonConvergenceError) and message in str(first)
+    calls.clear()
+    bad, *reports = verify_family(40, units, 1e-8)
+    assert bad.M_sample == units[0] and message in bad.reason
+    assert len(reports) == 120 and all(r.passed for r in reports)
+    monkeypatch.undo()
+    for M0, roots in zip(samples[1:], rest):
+        assert _bits(roots) == _bits(roots_of_rm(40, M0))
+
+
+@pytest.mark.parametrize("n, count, groups", [(6, 20, [20]), (-6, 20, [20]), (12, 51, [50, 1]),
+                                               (-40, 5, [4, 1]), (100, 3, [1, 1, 1])])
+def test_a_family_is_swept_in_groups_of_at_most_2_16_gaps(monkeypatch, n, count, groups):
+    import c2n3.repcheck as repcheck
+
+    real_sweeps = repcheck._sweeps
+    seen = []
+    monkeypatch.setattr(repcheck, "_sweeps",
+                        lambda n, group, s: seen.append(len(group)) or real_sweeps(n, group, s))
+    _roots_batch(n, sample_unit_modulus(count, seed=0))
+    assert seen == groups
+
+
+def test_the_root_stage_of_a_family_at_n_100_stays_small():
+    # one meridian a group peaks near 4.4 MiB; all 8 in one group near 33 MiB
+    samples = sample_unit_modulus(8, seed=0)
+    tracemalloc.start()
+    try:
+        _roots_batch(100, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def _first_repeat_reference(roots):
+    for a, b in itertools.combinations(roots, 2):
+        if abs(a - b) < 1e-12 * max(1.0, abs(a)):
+            return a
+    return None
+
+
+def test_first_repeat_matches_the_pairwise_loop():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        roots = list(map(complex, rng.normal(size=8) + 1j * rng.normal(size=8)))
+        for _ in range(rng.integers(0, 3)):
+            i, j = rng.integers(0, 8, size=2)
+            roots[j] = roots[i] * (1 + rng.choice([0, 5e-13, 2e-12]))
+        roots.sort(key=lambda v: (v.real, v.imag))
+        assert _first_repeat(roots) == _first_repeat_reference(roots)
+    assert _first_repeat([0j, 5e-13j, 1.0]) == 0j
+    assert _first_repeat([0j, 2e-12j, 1.0]) is None
 
 
 # -- longitude eigenvalue ----------------------------------------------------
@@ -459,24 +572,26 @@ def test_verify_family_reports_bad_points_in_place(monkeypatch):
     import c2n3.repcheck as repcheck
 
     samples = sample_unit_modulus(3, seed=5)
-    real_roots = repcheck.roots_of_rm
+    real_batch = repcheck._roots_batch
 
-    def faulty_roots(n, M0):
-        if M0 == samples[0]:
-            raise RepeatedRootError("two roots coincide")
-        if M0 == samples[1]:
-            return [-M0 * M0] + real_roots(n, M0)  # M0^2 + x0 = 0: no longitude eigenvalue
-        return real_roots(n, M0)
+    def faulty_batch(n, M_samples):
+        found = real_batch(n, M_samples)
+        for i, M0 in enumerate(M_samples):
+            if M0 == samples[0]:
+                found[i] = RepeatedRootError("two roots coincide")
+            if M0 == samples[1]:
+                found[i] = [-M0 * M0] + found[i]  # M0^2 + x0 = 0: no longitude eigenvalue
+        return found
 
     real_longitude_eigen = repcheck.longitude_eigen
-    poisoned_root = real_roots(1, samples[2])[1]
+    poisoned_root = roots_of_rm(1, samples[2])[1]
 
     def faulty_eigen(n, M0, x0):
         if x0 == poisoned_root:
             return complex(math.inf)
         return real_longitude_eigen(n, M0, x0)
 
-    monkeypatch.setattr(repcheck, "roots_of_rm", faulty_roots)
+    monkeypatch.setattr(repcheck, "_roots_batch", faulty_batch)
     monkeypatch.setattr(repcheck, "longitude_eigen", faulty_eigen)
     reports = verify_family(1, samples, 1e-8)
     kinds = [type(r).__name__ for r in reports]
