@@ -11,29 +11,35 @@ Aberth-Ehrlich sweeps on the three-term recursion P_2n obeys, evaluated
 in doubles at every iterate at once (see roots_of_rm); verify_family
 sweeps all of its meridians together, one numpy lane per (meridian,
 root) pair, and each lane gives the roots its meridian gets alone (see
-_roots_batch).  One point is
-checked by _report from its inputs alone: the two words at the point and
-A_2n specialized at its meridian.  verify_point builds both for one
-point; verify_family builds A_2n once, evaluates the words once over all
-of its points with one numpy lane per point, and specializes A_2n once
-per meridian.  The numeric layer needs numpy alone.
+_roots_batch).  The check of those points runs on lanes too (see
+_check): both words once over every lane, A_2n specialized at every
+meridian in one pass over its terms, and the residuals of every point
+on real and imaginary float arrays, in the formulas of CPython's scalar
+complex arithmetic, so each lane is bit for bit the report that scalar
+code gives.  verify_point is a family of one.  The numeric layer needs
+numpy alone.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .apoly import APolyResult, apoly_theorem
+from .laurent import LaurentPoly
 
 
 class SingularPointError(ValueError):
     """The longitude eigenvalue formula was evaluated at its pole M0^2 + x0 = 0."""
+
+
+_SINGULAR = "longitude eigenvalue undefined: M0^2 + x0 = 0"
 
 
 class DegreeCollapseError(ArithmeticError):
@@ -152,21 +158,17 @@ def _product(word: Letters, steps) -> tuple[Lanes, np.ndarray]:
     return (a, b, c, d), cond
 
 
-# What _report reads of the two words at one point (M0, x0): the
-# relator's four entries and peak, then the longitude's a and c and peak.
-Words = tuple[tuple[complex, complex, complex, complex], float, complex, complex, float]
+def _word_lanes(n: int, M0: np.ndarray, x0: np.ndarray) -> tuple[Lanes, np.ndarray, np.ndarray,
+                                                                 np.ndarray, np.ndarray]:
+    """The relator and the longitude of n at every lane (M0[i], x0[i]), in one pass over each word.
 
-
-def _word_lanes(n: int, points: Sequence[tuple[complex, complex]]) -> list[Words]:
-    """The relator and the longitude of n at every (M0, x0) of points, in one pass over each word."""
-    if not points:
-        return []
-    M0, x0 = (np.array(v, dtype=complex) for v in zip(*points))
+    Gives the relator's four entries and peak, then the longitude's a and c
+    and peak, each an array with one lane per point.
+    """
     steps = _steps(*_rho_lanes(M0, x0))
     rel, cond_rel = _product(relator_word(n), steps)
     (a, _, c, _), cond_lon = _product(build_longitude(n), steps)
-    return list(zip(zip(*(v.tolist() for v in rel)), cond_rel.tolist(),
-                    a.tolist(), c.tolist(), cond_lon.tolist()))
+    return rel, cond_rel, a, c, cond_lon
 
 
 # What roots_of_rm gives at one meridian: its roots, or the error it raises there.
@@ -200,10 +202,11 @@ def roots_of_rm(n: int, M0: complex) -> list[complex]:
 
 # A root still moving after this many Aberth sweeps raises NonConvergenceError.
 _SWEEPS = 100
-# One batch of sweeps holds at most this many iterate gaps, d^2 per meridian
-# for d roots (but at least one meridian), so each of its temporary arrays
-# stays near 1 MiB.
-_BATCH_GAPS = 2**16
+# One batch of meridians holds at most this many cells (but at least one
+# meridian), so each of its temporary arrays stays near 1 MiB: d^2 iterate
+# gaps per meridian for d roots in a batch of sweeps, one product per term
+# of A_2n in a batch of its specializations.
+_BATCH_CELLS = 2**16
 
 
 def _roots_batch(n: int, M_samples: Sequence[complex]) -> list[Found]:
@@ -211,7 +214,7 @@ def _roots_batch(n: int, M_samples: Sequence[complex]) -> list[Found]:
 
     A non-finite meridian raises ValueError before any sweep.  Every other
     meridian first gets the checks of roots_of_rm; those that pass them
-    are swept together by _sweeps, in groups of _BATCH_GAPS // d^2 meridians.
+    are swept together by _sweeps, in groups of _BATCH_CELLS // d^2 meridians.
     """
     meridians = [_finite_meridian(M0) for M0 in M_samples]
     if n == 0:
@@ -227,7 +230,7 @@ def _roots_batch(n: int, M_samples: Sequence[complex]) -> list[Found]:
         swept.append((len(found), M0, s))
         found.append([])
     d = 3 * abs(n) - (n < 0)
-    size = max(1, _BATCH_GAPS // (d * d))
+    size = max(1, _BATCH_CELLS // (d * d))
     for k in range(0, len(swept), size):
         index, group, s_values = zip(*swept[k : k + size])
         for i, roots in zip(index, _sweeps(n, group, s_values)):
@@ -256,7 +259,7 @@ def _sweeps(n: int, group: Sequence[complex], s_values: Sequence[complex]) -> li
     NonConvergenceError with its own count of moving roots, or
     RepeatedRootError for the first close pair in combinations order.
     """
-    rows = np.stack([_starts(n, s) for s in s_values])
+    rows = _starts(n, s_values)
     m, d = rows.shape
     z = rows.reshape(-1)  # a view: each update of z moves the rows that the repulsion reads
     s = np.repeat(s_values, d)
@@ -276,30 +279,35 @@ def _sweeps(n: int, group: Sequence[complex], s_values: Sequence[complex]) -> li
             last[at] = size
             if not moving.any():
                 break
+    # each row sorted by (real, imaginary), in the order Python's sorted gives
+    rows = np.take_along_axis(rows, np.lexsort((rows.imag, rows.real)), axis=1)
     found: list[Found] = []
-    for M0, row, still in zip(group, rows, moving.reshape(m, d)):
+    for M0, row, still, repeat in zip(group, rows, moving.reshape(m, d), _first_repeat(rows)):
         if still.any():
             found.append(NonConvergenceError(
                 f"Aberth sweeps met no stopping rule for {still.sum()} of {d} roots in "
                 f"{_SWEEPS} sweeps, for P_2n with n = {n} at M0 = {M0!r}"
             ))
-            continue
-        roots = sorted(map(complex, row), key=lambda v: (v.real, v.imag))
-        a = _first_repeat(roots)
-        found.append(roots if a is None else RepeatedRootError(
-            f"two roots of P_2n for n = {n} converged to the same value {a!r} at M0 = {M0!r}"
-        ))
+        elif repeat < 0:
+            found.append(row.tolist())
+        else:
+            found.append(RepeatedRootError(f"two roots of P_2n for n = {n} converged to the same "
+                                           f"value {complex(row[repeat])!r} at M0 = {M0!r}"))
     return found
 
 
-def _first_repeat(roots: list[complex]) -> complex | None:
-    """a of the first pair (a, b) of roots, in combinations order, within 1e-12 max(1, |a|).
+def _first_repeat(rows: np.ndarray) -> np.ndarray:
+    """Per row of sorted roots, the index of a in the first close pair (a, b) in combinations order.
 
-    None when no pair is that close.
+    A pair is close within 1e-12 max(1, |a|); -1 for a row with no close
+    pair.  One pass serves every row of a group.
     """
-    r = np.array(roots)
-    close = np.triu(abs(r[:, None] - r) < 1e-12 * np.maximum(1, abs(r))[:, None], 1)
-    return roots[close.argmax() // len(roots)] if close.any() else None
+    d = rows.shape[1]
+    with np.errstate(invalid="ignore"):
+        gaps = abs(rows[:, :, None] - rows[:, None])
+        close = np.triu(gaps < 1e-12 * np.maximum(1, abs(rows))[:, :, None], 1)
+    close = close.reshape(len(rows), d * d)
+    return np.where(close.any(axis=1), close.argmax(axis=1) // d, -1)
 
 
 def _recurrence(n: int, s: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -328,20 +336,24 @@ def _recurrence(n: int, s: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.nd
     return cur, dcur
 
 
-def _starts(n: int, s: complex) -> np.ndarray:
-    """Starts for roots_of_rm: where c(x) = cos((j - 1/2) pi / |n|), j = 1..|n|.
+def _starts(n: int, s_values: Sequence[complex]) -> np.ndarray:
+    """Starts for roots_of_rm, a row per s of s_values: where c(x) = cos((j - 1/2) pi / |n|).
 
     At s = M0^2 + M0^-2 - 1 these are the roots of x (s + x)^2 =
-    2 - 2 cos(...), one cubic per j; the first 3|n| - (n < 0) are kept,
-    turned by (1 + 1e-3 i) off any line of symmetry.
+    2 - 2 cos(...), one cubic per j = 1..|n|; the first 3|n| - (n < 0)
+    are kept, turned by (1 + 1e-3 i) off any line of symmetry.  One
+    eigvals call serves every row.  2s and s^2 come from Python's complex
+    arithmetic: numpy's rounds differently, which changes the roots found
+    at meridians off the unit circle.
     """
     k = abs(n)
-    # the companion matrix of x^3 + 2s x^2 + s^2 x + 2 cos(...) - 2, one per j
-    companion = np.zeros((k, 3, 3), dtype=complex)
-    companion[:, 0] = [-2 * s, -s * s, 0]
-    companion[:, 0, 2] = 2 - 2 * np.cos((np.arange(1, k + 1) - 0.5) * math.pi / k)
-    companion[:, 1, 0] = companion[:, 2, 1] = 1
-    return np.linalg.eigvals(companion).ravel()[: 3 * k - (n < 0)] * (1 + 1e-3j)
+    # the companion matrix of x^3 + 2s x^2 + s^2 x + 2 cos(...) - 2, one per (s, j)
+    companion = np.zeros((len(s_values), k, 3, 3), dtype=complex)
+    companion[:, :, 0, :2] = [[(-2 * s, -s * s)] for s in s_values]
+    companion[:, :, 0, 2] = 2 - 2 * np.cos((np.arange(1, k + 1) - 0.5) * math.pi / k)
+    companion[:, :, 1, 0] = companion[:, :, 2, 1] = 1
+    roots = np.linalg.eigvals(companion).reshape(len(s_values), 3 * k)
+    return roots[:, : 3 * k - (n < 0)] * (1 + 1e-3j)
 
 
 def longitude_eigen(n: int, M0: complex, x0: complex) -> complex:
@@ -352,7 +364,7 @@ def longitude_eigen(n: int, M0: complex, x0: complex) -> complex:
         raise ValueError("the meridian eigenvalue must be nonzero")
     denom = M0 * M0 + x0
     if denom == 0:
-        raise SingularPointError("longitude eigenvalue undefined: M0^2 + x0 = 0")
+        raise SingularPointError(_SINGULAR)
     return -(M0 ** (-4 * n - 2)) * (M0**-2 + x0) / denom
 
 
@@ -391,14 +403,6 @@ class VerificationReport:
         }
 
 
-def _horner(coeffs: Sequence, z):
-    """sum_k coeffs[k] * z**k by Horner's rule."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
 def _check_point_args(n: int, tol: float) -> None:
     if n == 0:
         raise ValueError("n = 0 is degenerate: empty conjugating word and constant P_0")
@@ -413,78 +417,264 @@ def verify_point(n: int, M0: complex, x0: complex, tol: float, apoly=None) -> Ve
     the conjugating word is empty and the constant P_0 has no roots.  So is
     a tol that is not finite and positive: an infinite one would pass any
     point, and NaN would fail every one without saying why.  A non-finite
-    M0 or x0 raises ValueError too, naming it, before anything is built.
-    The two words are evaluated on this one point's lane, and A_2n (or the
-    precomputed A-polynomial passed as apoly) is specialized at M0; then
-    _report makes the check.
+    M0 or x0, or M0 = 0, raises ValueError too, naming it, before anything
+    is built.  The point is checked by _check as a family of one meridian
+    and one root, with A_2n built unless the A-polynomial is passed as
+    apoly.  An error the check meets there is raised: SingularPointError
+    where M0^2 + x0 = 0, OverflowError or ZeroDivisionError where a value
+    leaves the double range.
     """
     _check_point_args(n, tol)
     M0 = _finite_meridian(M0)
     x0 = complex(x0)
     if not cmath.isfinite(x0):
         raise ValueError(f"the root must be finite, got x0 = {x0!r}")
-    (words,) = _word_lanes(n, [(M0, x0)])
+    if M0 == 0:
+        raise ValueError("the meridian eigenvalue must be nonzero")
     if apoly is None:
         apoly = apoly_theorem(n)
     poly = apoly.poly if isinstance(apoly, APolyResult) else apoly
-    return _report(n, M0, x0, tol, words, poly.at_meridian(M0))
+    (report,) = _check(n, [(M0, [x0])], tol, poly)
+    if isinstance(report, Exception):
+        raise report
+    return report
 
 
-def _report(n: int, M0: complex, x0: complex, tol: float, words: Words,
-            apoly_lists: tuple[list, list]) -> VerificationReport:
-    """The check at (M0, x0), given both words there and A_2n's at_meridian(M0) lists."""
-    (a, b, c, d), cond_rel, lon_a, lon_c, cond_lon = words
-    relation_residual = max(abs(a - 1), abs(b), abs(c), abs(d - 1))
-    L0 = longitude_eigen(n, M0, x0)
-    longitude_mismatch = abs(lon_a - L0)
-    offdiag_residual = abs(lon_c)
-    values, bounds = apoly_lists
-    size = _horner(bounds, abs(L0))
-    if math.isinf(size):
-        # |L0|^k overflowed: the same ratio in 1/L0, whose powers cannot.  Not
-        # for every |L0| > 1: where |M0|^e underflows, that form can sum to 0
-        values, bounds, L0 = values[::-1], bounds[::-1], 1 / L0
-        size = _horner(bounds, abs(L0))
-    apoly_residual = float(abs(_horner(values, L0)) / size)
-    passed = (
-        relation_residual <= tol * cond_rel
-        and longitude_mismatch <= tol * cond_lon
-        and offdiag_residual <= tol * cond_lon
-        and apoly_residual <= tol
-    )
-    return VerificationReport(
-        n=n,
-        M_sample=M0,
-        root=x0,
-        relation_residual=relation_residual,
-        longitude_mismatch=longitude_mismatch,
-        offdiag_residual=offdiag_residual,
-        apoly_residual=apoly_residual,
-        cond_relator=cond_rel,
-        cond_longitude=cond_lon,
-        passed=passed,
-    )
+# A complex number per lane, as the arrays of its real and imaginary parts.
+Parts = tuple[np.ndarray, np.ndarray]
+# A mask of lanes, and the error the scalar check raises at each lane of it.
+Stage = tuple[np.ndarray, Callable[[int], Exception]]
+
+
+def _mul(a: Parts, b: Parts) -> Parts:
+    """CPython's complex product per lane: (ac - bd, ad + bc), each operation rounded alone."""
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _quot(a: Parts, b: Parts) -> Parts:
+    """CPython's complex quotient per lane: Smith's method, scaled by the larger part of b.
+
+    NaN where a part of b is NaN, as in CPython, and where b = 0, where
+    CPython raises ZeroDivisionError.
+    """
+    (ar, ai), (br, bi) = a, b
+    real = abs(br) >= abs(bi)
+    ratio = np.where(real, bi / br, br / bi)
+    den = np.where(real, br + bi * ratio, br * ratio + bi)
+    return (np.where(real, ar + ai * ratio, ar * ratio + ai) / den,
+            np.where(real, ai - ar * ratio, ai * ratio - ar) / den)
+
+
+def _abs(z: Parts) -> tuple[np.ndarray, np.ndarray]:
+    """CPython's abs per lane (libm's hypot, as np.hypot), and where it raises OverflowError.
+
+    abs raises where both parts are finite and their hypot is not.
+    """
+    size = np.hypot(*z)
+    return size, np.isfinite(z[0]) & np.isfinite(z[1]) & np.isinf(size)
+
+
+def _overflow(lane: int) -> OverflowError:
+    return OverflowError("absolute value too large")
+
+
+def _check(n: int, family: Sequence[tuple[complex, Sequence[complex]]], tol: float,
+           poly: LaurentPoly) -> list[VerificationReport | Exception]:
+    """The check of every root x0 of every meridian M0 of family, one lane per (M0, x0) pair.
+
+    Gives per root, in family order, its report or the first error the
+    scalar check meets there: the error of A_2n's at_meridian(M0), then an
+    overflow of abs in the relation residual, then the errors of
+    longitude_eigen (SingularPointError where M0^2 + x0 = 0), then an
+    overflow in the longitude residuals, then the errors of the A residual.
+    The lanes run the formulas of CPython's scalar complex arithmetic on
+    real and imaginary float arrays (_mul, _quot, _abs), on the same
+    operands in the same order, so that every report is bit for bit what
+    Python's complex numbers give; numpy's own complex *, / and abs round
+    differently.  The relation residual is Python's max of its four parts:
+    a NaN part wins only when it comes first.
+    """
+    at = np.repeat(np.arange(len(family)), [len(roots) for _, roots in family])
+    meridians = [M0 for M0, _ in family]
+    x0 = np.array([x for _, roots in family for x in roots], dtype=complex)
+    M0 = np.array(meridians, dtype=complex)[at]
+    rel, cond_rel, lon_a, lon_c, cond_lon = _word_lanes(n, M0, x0)
+    errors: dict[int, Exception] = {}
+
+    def fail(stages: Iterable[Stage]) -> None:
+        for mask, error in stages:
+            for i in np.flatnonzero(mask).tolist():
+                errors.setdefault(i, error(i))
+
+    # Python's floats overflow and divide silently, and so do the lanes
+    with np.errstate(all="ignore"):
+        values, bounds, failed_at = _apoly_at(poly, meridians)
+        fail([(np.isin(at, list(failed_at)), lambda i: failed_at[at[i]])])
+        a, b, c, d = rel
+        parts = [_abs((a.real - 1, a.imag)), _abs((b.real, b.imag)),
+                 _abs((c.real, c.imag)), _abs((d.real - 1, d.imag))]
+        relation = parts[0][0]
+        for part, _ in parts[1:]:
+            relation = np.where(part > relation, part, relation)
+        fail([(np.any([over for _, over in parts], axis=0), _overflow)])
+        L0, stages = _longitude_lanes(n, meridians, at, x0)
+        fail(stages)
+        mismatch, over_mismatch = _abs((lon_a.real - L0[0], lon_a.imag - L0[1]))
+        offdiag, over_offdiag = _abs((lon_c.real, lon_c.imag))
+        fail([(over_mismatch | over_offdiag, _overflow)])
+        residual, stages = _apoly_residual(values, bounds, at, L0)
+        fail(stages)
+        passed = ((relation <= tol * cond_rel) & (mismatch <= tol * cond_lon)
+                  & (offdiag <= tol * cond_lon) & (residual <= tol))
+    columns = (x0, at, relation, mismatch, offdiag, residual, cond_rel, cond_lon, passed)
+    return [errors[i] if i in errors else VerificationReport(n, meridians[k], x, *fields)
+            for i, (x, k, *fields) in enumerate(zip(*(v.tolist() for v in columns)))]
+
+
+def _longitude_lanes(n: int, meridians: Sequence[complex], at: np.ndarray,
+                     x0: np.ndarray) -> tuple[Parts, list[Stage]]:
+    """longitude_eigen(n, meridians[at[i]], x0[i]) at every lane i, and where it raises.
+
+    M0^2, -(M0^(-4n-2)) and M0^-2 come from Python's complex arithmetic
+    once per meridian; the sums, the product and the quotient run on the
+    lanes.  It raises SingularPointError where M0^2 + x0 = 0, and
+    otherwise the error a power of M0 raises at its meridian.
+    """
+    powers: list[tuple[complex, complex, complex]] = []
+    failed: dict[int, Exception] = {}
+    for k, M0 in enumerate(meridians):
+        try:
+            powers.append((M0 * M0, -(M0 ** (-4 * n - 2)), M0**-2))
+        except (OverflowError, ZeroDivisionError) as exc:
+            powers.append((0j, 0j, 0j))
+            failed[k] = exc
+    square, scale, inverse = np.array(powers, dtype=complex).reshape(-1, 3)[at].T
+    denom = (square.real + x0.real, square.imag + x0.imag)
+    numer = _mul((scale.real, scale.imag), (inverse.real + x0.real, inverse.imag + x0.imag))
+    L0 = _quot(numer, denom)
+    singular = (denom[0] == 0) & (denom[1] == 0)
+    return L0, [(singular, lambda i: SingularPointError(_SINGULAR)),
+                (np.isin(at, list(failed)), lambda i: failed[at[i]])]
+
+
+def _apoly_at(poly: LaurentPoly, meridians: Sequence[complex]) -> tuple[Parts, np.ndarray,
+                                                                        dict[int, Exception]]:
+    """poly.at_meridian(M0) at every meridian, bit for bit, and the error it raises there.
+
+    Gives the real and imaginary parts of the coefficient lists and the
+    term-magnitude lists, one row per meridian and one column per power of
+    L, and the errors by meridian.  Each distinct M0 ** e and abs(M0) ** e
+    comes from Python's **, in the order at_meridian first needs them, so
+    the first to raise is the one it raises.  np.add.at sums the terms in
+    at_meridian's order, with CPython's product of an int c and a complex
+    a + bi, (ca - 0b, cb + 0a).  Meridians go in batches of _BATCH_CELLS
+    terms.
+    """
+    terms = poly._terms  # in storage order, the order at_meridian sums in
+    if any(l < 0 or x for l, _, x in terms):
+        raise ValueError("the A-polynomial must be a polynomial in L and M")
+    power_of_l = np.fromiter((l for l, _, _ in terms), int, len(terms))
+    power_of_m = np.fromiter((m for _, m, _ in terms), int, len(terms))
+    exps, first_use, column = np.unique(power_of_m, return_index=True, return_inverse=True)
+    order = np.argsort(first_use)
+    exps = exps[order].tolist()  # the distinct powers of M, first use first
+    column = np.argsort(order)[column]
+    coeff = np.fromiter(map(float, terms.values()), float, len(terms))
+    width = int(power_of_l.max()) + 1
+    re, im, bounds = (np.zeros((len(meridians), width)) for _ in range(3))
+    failed: dict[int, Exception] = {}
+    batch = max(1, _BATCH_CELLS // len(terms))
+    for first in range(0, len(meridians), batch):
+        rows = range(first, min(first + batch, len(meridians)))
+        table = np.zeros((len(rows), len(exps), 2), dtype=complex)
+        for row, k in zip(table, rows):
+            M0 = meridians[k]
+            zero = 0 * M0
+            re[k], im[k] = zero.real, zero.imag
+            try:
+                modulus = abs(M0)
+                row.flat = np.fromiter((v for e in exps for v in (M0**e, modulus**e)), complex,
+                                       2 * len(exps))
+            except (OverflowError, ZeroDivisionError) as exc:
+                failed[k] = exc
+        power, modulus = table[:, column, 0], table[:, column, 1].real
+        index = (np.arange(first, rows.stop)[:, None] * width + power_of_l).ravel()
+        np.add.at(re.reshape(-1), index, (coeff * power.real - 0.0 * power.imag).ravel())
+        np.add.at(im.reshape(-1), index, (coeff * power.imag + 0.0 * power.real).ravel())
+        np.add.at(bounds.reshape(-1), index, (abs(coeff) * modulus).ravel())
+    return (re, im), bounds, failed
+
+
+def _apoly_residual(values: Parts, bounds: np.ndarray, at: np.ndarray,
+                    L0: Parts) -> tuple[np.ndarray, list[Stage]]:
+    """|A_2n(L0, M0)| over its term-magnitude sum at |L0| per lane, and where that raises.
+
+    Lane i reads the rows of its meridian, at[i].  Both sums run by
+    Horner's rule from a zero accumulator.  Where the magnitude sum
+    overflows, both run on the reversed rows at 1/L0, which gives the same
+    ratio without the powers of L0.  Not for every |L0| > 1: where |M0|^e
+    underflows, that form can sum to 0.
+    """
+    modulus, over = _abs(L0)
+    flip = np.zeros(len(at), dtype=bool)
+    size = _horner(bounds, at, modulus, flip)
+    stages = [(over, _overflow)]
+    flip = np.isinf(size)
+    if flip.any():
+        inverse = _quot((1.0, 0.0), L0)
+        zero = flip & (L0[0] == 0) & (L0[1] == 0)
+        L0 = (np.where(flip, inverse[0], L0[0]), np.where(flip, inverse[1], L0[1]))
+        modulus, over = _abs(L0)
+        stages += [(zero, lambda i: ZeroDivisionError("complex division by zero")),
+                   (flip & over, _overflow)]
+        size = _horner(bounds, at, modulus, flip)
+    value, over = _abs(_horner_parts(values, at, L0, flip))
+    stages += [(over, _overflow),
+               (size == 0, lambda i: ZeroDivisionError("float division by zero"))]
+    return value / size, stages
+
+
+def _horner(rows: np.ndarray, at: np.ndarray, z: np.ndarray, flip: np.ndarray) -> np.ndarray:
+    """Sum over k of rows[at, k] z^k per lane by Horner's rule, with the row reversed where flip."""
+    top = rows.shape[1] - 1
+    acc = np.zeros(len(at))
+    for j in range(top + 1):
+        acc = acc * z + rows[at, np.where(flip, j, top - j)]
+    return acc
+
+
+def _horner_parts(rows: Parts, at: np.ndarray, z: Parts, flip: np.ndarray) -> Parts:
+    """_horner with complex rows and z, as Parts, in CPython's complex product."""
+    top = rows[0].shape[1] - 1
+    acc = np.zeros(len(at)), np.zeros(len(at))
+    for j in range(top + 1):
+        k = np.where(flip, j, top - j)
+        re, im = _mul(acc, z)
+        acc = re + rows[0][at, k], im + rows[1][at, k]
+    return acc
 
 
 _EXCLUDED_ROOT_ORDERS = range(1, 13)
+# The angles in [0, 2 pi] of the roots of unity sample_unit_modulus keeps away from, sorted.
+_SPECIAL_ANGLES = sorted({2 * math.pi * k / q for q in _EXCLUDED_ROOT_ORDERS for k in range(q + 1)})
+# An angle can keep margin away from every special one only below half the widest gap.
+_REACH = max(b - a for a, b in zip(_SPECIAL_ANGLES, _SPECIAL_ANGLES[1:])) / 2
 
 
 def sample_unit_modulus(count: int, seed: int, margin: float = 0.05) -> list[complex]:
     """Seeded unit-circle meridian samples kept margin away from low-order roots of unity."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    special = sorted(
-        {2 * math.pi * k / q for q in _EXCLUDED_ROOT_ORDERS for k in range(q + 1)}
-    )
-    # an angle can keep margin away from every special one only below half the widest gap
-    reach = max(b - a for a, b in zip(special, special[1:])) / 2
-    if not 0 <= margin < reach:
-        raise ValueError(f"margin must be in [0, {reach!r}), got {margin!r}")
+    if not 0 <= margin < _REACH:
+        raise ValueError(f"margin must be in [0, {_REACH!r}), got {margin!r}")
     rng = random.Random(seed)
     samples: list[complex] = []
     while len(samples) < count:
         theta = rng.uniform(0.0, 2.0 * math.pi)
-        if any(abs(theta - a) < margin for a in special):
+        # the special angle nearest theta is one of the two around it (0.0 is the first)
+        i = bisect.bisect(_SPECIAL_ANGLES, theta)
+        if any(abs(theta - a) < margin for a in _SPECIAL_ANGLES[i - 1 : i + 1]):
             continue
         samples.append(cmath.exp(1j * theta))
     return samples
@@ -513,49 +703,40 @@ def verify_family(
 ) -> list[VerificationReport | BadPoint]:
     """The check of verify_point at every root of P_2n at every provided meridian sample.
 
-    A_2n is built once for the whole family.  The roots come first, for
-    every sample in one batch of sweeps (_roots_batch, which gives at each
-    sample what roots_of_rm gives there, and raises ValueError for a
-    non-finite one); then both words are evaluated once over all (sample,
-    root) lanes, A_2n is specialized at most once per meridian, and
-    _report checks each root from its lane and its meridian's lists.  A
-    sample whose roots cannot be trusted (DegreeCollapseError,
-    NonConvergenceError, RepeatedRootError, or an OverflowError where
-    P_2n at M0 leaves the double range) gives one BadPoint in place of
-    its reports, and a root where the longitude eigenvalue is undefined
-    (SingularPointError), where a value leaves the double range (off the
-    unit circle, A_2n at M0 can), or whose report holds a non-finite
-    number gives one in place of its report, so every report serializes
-    as strict JSON.  n = 0, a tol that is not finite and positive, and an
-    empty sample list (whose empty report list would read as a passed
-    family) raise ValueError before anything is built.
+    A non-finite sample raises ValueError, naming it, before anything is
+    built.  Then A_2n is built once, the roots at every sample come from
+    one batch of sweeps (_roots_batch, which gives at each sample what
+    roots_of_rm gives there), and _check checks every (sample, root) pair
+    at once, one lane each.  A sample whose roots cannot be trusted
+    (DegreeCollapseError, NonConvergenceError, RepeatedRootError, or an
+    OverflowError where P_2n at M0 leaves the double range) gives one
+    BadPoint in place of its reports, and a root where the longitude
+    eigenvalue is undefined (SingularPointError), where a value leaves the
+    double range (off the unit circle, A_2n at M0 can), or whose report
+    holds a non-finite number gives one in place of its report, so every
+    report serializes as strict JSON.  n = 0, a tol that is not finite and
+    positive, and an empty sample list (whose empty report list would read
+    as a passed family) raise ValueError before anything is built.
     """
     _check_point_args(n, tol)
     if len(M_samples) == 0:
         raise ValueError("verify_family needs at least one meridian sample")
+    meridians = [_finite_meridian(M0) for M0 in M_samples]
     apoly = apoly_theorem(n).poly
-    found = list(zip(map(complex, M_samples), _roots_batch(n, M_samples)))
-    points = [(M0, x0) for M0, roots in found
-              if not isinstance(roots, ArithmeticError) for x0 in roots]
-    words = dict(zip(points, _word_lanes(n, points)))
+    found = list(zip(meridians, _roots_batch(n, meridians)))
+    family = [(M0, roots) for M0, roots in found if not isinstance(roots, ArithmeticError)]
+    checked = iter(_check(n, family, tol, apoly))
     reports: list[VerificationReport | BadPoint] = []
     for M0, roots in found:
         if isinstance(roots, ArithmeticError):
             reports.append(BadPoint(n, M0, str(roots)))
             continue
-        lists = None
-        for x0 in roots:
-            try:
-                lists = lists or apoly.at_meridian(M0)
-                report = _report(n, M0, x0, tol, words[M0, x0], lists)
-            except SingularPointError as exc:
-                reports.append(BadPoint(n, M0, f"{exc} at x0 = {x0!r}"))
-                continue
-            except (OverflowError, ZeroDivisionError) as exc:
-                reports.append(BadPoint(n, M0, f"out of double range ({exc}) at x0 = {x0!r}"))
-                continue
-            if not all(map(cmath.isfinite, vars(report).values())):
-                reason = f"non-finite value in the report at x0 = {report.root!r}"
-                report = BadPoint(n, M0, reason)
+        for x0, report in zip(roots, checked):
+            if isinstance(report, SingularPointError):
+                report = BadPoint(n, M0, f"{report} at x0 = {x0!r}")
+            elif isinstance(report, Exception):
+                report = BadPoint(n, M0, f"out of double range ({report}) at x0 = {x0!r}")
+            elif not all(map(cmath.isfinite, vars(report).values())):
+                report = BadPoint(n, M0, f"non-finite value in the report at x0 = {x0!r}")
             reports.append(report)
     return reports

@@ -4,12 +4,23 @@ Polynomials here are plain dicts mapping (expL, expM, expX) to int.
 Nothing is shared with the LaurentPoly internals: products and sums are
 accumulated pairwise so the library results can be checked against a
 second, deliberately naive implementation.  The numeric-layer oracles at
-the end keep the earlier numpy and mpmath kernels of c2n3.repcheck; mpmath
-is a test-only dependency.
+the end keep the earlier numpy, mpmath and scalar kernels of c2n3.repcheck;
+mpmath is a test-only dependency.
 """
+
+import cmath
+import math
 
 import mpmath as mp
 import numpy as np
+
+from c2n3.repcheck import (
+    BadPoint,
+    SingularPointError,
+    VerificationReport,
+    _word_lanes,
+    longitude_eigen,
+)
 
 
 def naive_add(a: dict, b: dict) -> dict:
@@ -84,3 +95,73 @@ def mpmath_polish_root(z, exact_coeffs) -> complex:
         if abs(step) < mp.mpf("1e-30"):
             break
     return complex(current)
+
+
+def _horner(coeffs, z):
+    """sum_k coeffs[k] * z**k by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def scalar_report(n, M0, x0, tol, words, apoly_lists) -> VerificationReport:
+    """The check at (M0, x0) in Python's scalar arithmetic.
+
+    words are the two words there, apoly_lists A_2n's at_meridian(M0).
+    """
+    (a, b, c, d), cond_rel, lon_a, lon_c, cond_lon = words
+    relation_residual = max(abs(a - 1), abs(b), abs(c), abs(d - 1))
+    L0 = longitude_eigen(n, M0, x0)
+    longitude_mismatch = abs(lon_a - L0)
+    offdiag_residual = abs(lon_c)
+    values, bounds = apoly_lists
+    size = _horner(bounds, abs(L0))
+    if math.isinf(size):
+        values, bounds, L0 = values[::-1], bounds[::-1], 1 / L0
+        size = _horner(bounds, abs(L0))
+    apoly_residual = float(abs(_horner(values, L0)) / size)
+    passed = (
+        relation_residual <= tol * cond_rel
+        and longitude_mismatch <= tol * cond_lon
+        and offdiag_residual <= tol * cond_lon
+        and apoly_residual <= tol
+    )
+    return VerificationReport(n, M0, x0, relation_residual, longitude_mismatch, offdiag_residual,
+                              apoly_residual, cond_rel, cond_lon, passed)
+
+
+def scalar_verify_family(n, M_samples, tol, poly, found) -> list:
+    """verify_family with at_meridian once per meridian and scalar_report once per root.
+
+    poly is A_2n, and found what c2n3.repcheck._roots_batch gives at
+    M_samples; the words come from its lanes, read back as Python numbers.
+    """
+    found = list(zip(map(complex, M_samples), found))
+    points = [(M0, x0) for M0, roots in found
+              if not isinstance(roots, ArithmeticError) for x0 in roots]
+    M0s = np.array([M0 for M0, _ in points], dtype=complex)
+    x0s = np.array([x0 for _, x0 in points], dtype=complex)
+    rel, cond_rel, lon_a, lon_c, cond_lon = _word_lanes(n, M0s, x0s)
+    words = dict(zip(points, zip(zip(*(v.tolist() for v in rel)), cond_rel.tolist(),
+                                 lon_a.tolist(), lon_c.tolist(), cond_lon.tolist())))
+    reports = []
+    for M0, roots in found:
+        if isinstance(roots, ArithmeticError):
+            reports.append(BadPoint(n, M0, str(roots)))
+            continue
+        lists = None
+        for x0 in roots:
+            try:
+                lists = lists or poly.at_meridian(M0)
+                report = scalar_report(n, M0, x0, tol, words[M0, x0], lists)
+            except SingularPointError as exc:
+                reports.append(BadPoint(n, M0, f"{exc} at x0 = {x0!r}"))
+                continue
+            except (OverflowError, ZeroDivisionError) as exc:
+                reports.append(BadPoint(n, M0, f"out of double range ({exc}) at x0 = {x0!r}"))
+                continue
+            if not all(map(cmath.isfinite, vars(report).values())):
+                report = BadPoint(n, M0, f"non-finite value in the report at x0 = {x0!r}")
+            reports.append(report)
+    return reports

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -181,8 +182,15 @@ def test_verify_output_is_strict_json(monkeypatch):
     assert code == 0
     json.loads(out, parse_constant=_reject_constant)
 
-    # a non-finite residual must never reach stdout as NaN
-    monkeypatch.setattr(repcheck, "longitude_eigen", lambda n, M0, x0: complex("nan"))
+    # a non-finite residual must never reach stdout as NaN: the longitude
+    # eigenvalue complex("nan") at every root
+    real_longitude_lanes = repcheck._longitude_lanes
+
+    def nan_lanes(*args):
+        (re, im), stages = real_longitude_lanes(*args)
+        return (re + math.nan, im * 0.0), stages
+
+    monkeypatch.setattr(repcheck, "_longitude_lanes", nan_lanes)
     code, out = run(["verify", "--n", "1", "--samples", "1"])
     assert code == 1
     (result,) = json.loads(out, parse_constant=_reject_constant)["results"]

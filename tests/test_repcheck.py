@@ -3,16 +3,18 @@
 import cmath
 import itertools
 import math
+import random
 import re
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
-from oracles import mpmath_polish_root, numpy_word_product
+from oracles import mpmath_polish_root, numpy_word_product, scalar_verify_family
 
-from c2n3.apoly import substitution_x
+from c2n3.apoly import apoly_theorem, substitution_x
 from c2n3.laurent import ONE, LaurentPoly, mono
 from c2n3.rmpoly import rm_closed
 from c2n3.repcheck import (
@@ -22,9 +24,13 @@ from c2n3.repcheck import (
     SingularPointError,
     VerificationReport,
     _eval_word_tracked,
+    _abs,
     _first_repeat,
+    _mul,
+    _quot,
     _reduced,
     _roots_batch,
+    _starts,
     build_longitude,
     build_w,
     eval_word,
@@ -226,9 +232,9 @@ def test_a_start_given_twice_polishes_to_a_repeated_root(monkeypatch, n):
 
     real_starts = repcheck._starts
 
-    def doubled(n, M0):
-        starts = real_starts(n, M0)
-        starts[-1] = starts[0]
+    def doubled(n, s_values):
+        starts = real_starts(n, s_values)
+        starts[:, -1] = starts[:, 0]
         return starts
 
     monkeypatch.setattr(repcheck, "_starts", doubled)
@@ -319,8 +325,8 @@ def test_polish_root_reports_non_convergence(monkeypatch):
     monkeypatch.undo()
     # a NaN iterate spreads to every root, and none ever meets the stopping rule
     real_starts = repcheck._starts
-    monkeypatch.setattr(repcheck, "_starts",
-                        lambda n, M0: np.append(real_starts(n, M0)[1:], np.nan))
+    monkeypatch.setattr(repcheck, "_starts", lambda n, s_values: np.append(
+        real_starts(n, s_values)[:, 1:], np.full((len(s_values), 1), np.nan), axis=1))
     with pytest.raises(NonConvergenceError, match="for 8 of 8 roots in 100 sweeps"):
         roots_of_rm(-3, M0)
 
@@ -379,11 +385,11 @@ def test_a_nan_start_fails_its_own_meridian_alone(monkeypatch):
     real_starts = repcheck._starts
     calls = []
 
-    def nan_at_first(n, s):
-        calls.append(s)
-        starts = real_starts(n, s)
-        if len(calls) == 1:
-            starts[0] = np.nan
+    def nan_at_first(n, s_values):
+        starts = real_starts(n, s_values)
+        if not calls:
+            starts[0, 0] = np.nan
+        calls.extend(s_values)
         return starts
 
     units = sample_unit_modulus(2, seed=8)
@@ -435,16 +441,34 @@ def _first_repeat_reference(roots):
 
 
 def test_first_repeat_matches_the_pairwise_loop():
+    # one call checks every row of a group
     rng = np.random.default_rng(3)
+    rows = []
     for _ in range(200):
         roots = list(map(complex, rng.normal(size=8) + 1j * rng.normal(size=8)))
         for _ in range(rng.integers(0, 3)):
             i, j = rng.integers(0, 8, size=2)
             roots[j] = roots[i] * (1 + rng.choice([0, 5e-13, 2e-12]))
-        roots.sort(key=lambda v: (v.real, v.imag))
-        assert _first_repeat(roots) == _first_repeat_reference(roots)
-    assert _first_repeat([0j, 5e-13j, 1.0]) == 0j
-    assert _first_repeat([0j, 2e-12j, 1.0]) is None
+        rows.append(sorted(roots, key=lambda v: (v.real, v.imag)))
+    for roots, index in zip(rows, _first_repeat(np.array(rows))):
+        assert (roots[index] if index >= 0 else None) == _first_repeat_reference(roots)
+    assert _first_repeat(np.array([[0j, 5e-13j, 1.0], [0j, 2e-12j, 1.0]])).tolist() == [0, -1]
+
+
+@pytest.mark.parametrize("n", [1, -1, 6, -12, 40])
+def test_one_eigvals_call_gives_every_row_its_starts_alone_bit_for_bit(n):
+    s_values = [M0 * M0 + 1 / (M0 * M0) - 1
+                for M0 in sample_unit_modulus(4, seed=9) + [0.5, 2.0, 0.3 + 1.7j]]
+    rows = _starts(n, s_values)
+    assert rows.shape == (7, 3 * abs(n) - (n < 0))
+    for s, row in zip(s_values, rows):
+        assert _bits(row) == _bits(_starts(n, [s])[0])
+
+
+@pytest.mark.parametrize("n", [3, -7, 12])
+def test_roots_come_in_the_order_python_sorts_them(n):
+    for roots in _roots_batch(n, sample_unit_modulus(10, seed=2) + [0.5, 2.0]):
+        assert roots == sorted(roots, key=lambda v: (v.real, v.imag))
 
 
 # -- longitude eigenvalue ----------------------------------------------------
@@ -510,6 +534,19 @@ def test_verify_family_rejects_an_empty_sample_list_before_building_anything(mon
     for samples in ([], (), np.array([], dtype=complex)):
         with pytest.raises(ValueError, match="at least one meridian sample"):
             verify_family(3, samples, 1e-8)
+
+
+@pytest.mark.parametrize("M0", [math.nan, math.inf, complex(1, -math.inf), complex(math.nan, 1)])
+def test_verify_family_rejects_a_non_finite_meridian_before_building_anything(monkeypatch, M0):
+    import c2n3.repcheck as repcheck
+
+    # building A_200 first would take seconds
+    def no_build(n):
+        raise AssertionError(f"built a polynomial for n = {n} at a non-finite meridian")
+
+    monkeypatch.setattr(repcheck, "apoly_theorem", no_build)
+    with pytest.raises(ValueError, match=re.escape(f"M0 = {complex(M0)!r}")):
+        verify_family(100, sample_unit_modulus(2, seed=0) + [M0], 1e-8)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, complex(1, -math.inf), complex(math.nan, 1)])
@@ -583,16 +620,17 @@ def test_verify_family_reports_bad_points_in_place(monkeypatch):
                 found[i] = [-M0 * M0] + found[i]  # M0^2 + x0 = 0: no longitude eigenvalue
         return found
 
-    real_longitude_eigen = repcheck.longitude_eigen
+    real_longitude_lanes = repcheck._longitude_lanes
     poisoned_root = roots_of_rm(1, samples[2])[1]
 
-    def faulty_eigen(n, M0, x0):
-        if x0 == poisoned_root:
-            return complex(math.inf)
-        return real_longitude_eigen(n, M0, x0)
+    def faulty_lanes(n, meridians, at, x0):
+        # the longitude eigenvalue complex(inf) at the poisoned root alone
+        (re, im), stages = real_longitude_lanes(n, meridians, at, x0)
+        poisoned = x0 == poisoned_root
+        return (np.where(poisoned, math.inf, re), np.where(poisoned, 0.0, im)), stages
 
     monkeypatch.setattr(repcheck, "_roots_batch", faulty_batch)
-    monkeypatch.setattr(repcheck, "longitude_eigen", faulty_eigen)
+    monkeypatch.setattr(repcheck, "_longitude_lanes", faulty_lanes)
     reports = verify_family(1, samples, 1e-8)
     kinds = [type(r).__name__ for r in reports]
     assert kinds == (["BadPoint", "BadPoint"] + ["VerificationReport"] * 4
@@ -633,6 +671,125 @@ def test_verify_family_covers_every_root(n, roots_per_sample):
     assert {r.n for r in reports} == {n}
 
 
+# -- the lanes against Python's scalar complex arithmetic ---------------------
+
+
+def _wide_floats(rng, size):
+    # both signs, magnitudes from 1e-320 to 1e308, and one in ten a special value
+    values = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-320, 308, size)
+    special = rng.choice([0.0, -0.0, 1.0, math.inf, -math.inf, math.nan, 5e-324, 1.7e308], size)
+    return np.where(rng.random(size) < 0.1, special, values)
+
+
+def test_lane_arithmetic_is_cpythons_complex_arithmetic_bit_for_bit():
+    # numpy's own complex *, / and abs round differently in many of these
+    # cases; repr gives each part to its last bit and the sign of each zero
+    rng = np.random.default_rng(5)
+    ar, ai, br, bi = (_wide_floats(rng, 20000) for _ in range(4))
+    ar[:5000], br[:5000] = rng.normal(size=5000), rng.normal(size=5000)
+    with np.errstate(all="ignore"):
+        product, quotient = _mul((ar, ai), (br, bi)), _quot((ar, ai), (br, bi))
+        size, over = _abs((ar, ai))
+    for i, (a, b) in enumerate(zip(map(complex, ar, ai), map(complex, br, bi))):
+        assert repr(complex(product[0][i], product[1][i])) == repr(a * b), (a, b)
+        if b:
+            assert repr(complex(quotient[0][i], quotient[1][i])) == repr(a / b), (a, b)
+        try:
+            assert repr(float(size[i])) == repr(abs(a)) and not over[i], a
+        except OverflowError:
+            assert over[i], a
+
+
+def test_word_entries_that_are_nan_or_huge_give_what_python_gives(monkeypatch):
+    # max(nan, b, c, d) is nan, while max(a, nan, c, d) passes the NaN over;
+    # abs(complex(1.5e308, 1.5e308)) raises OverflowError
+    import c2n3.repcheck as repcheck
+
+    M0 = sample_unit_modulus(1, seed=4)[0]
+    clean = verify_family(2, [M0], 1e-8)
+    real_word_lanes = repcheck._word_lanes
+
+    def faulty_words(n, M0, x0):
+        (a, b, c, d), cond_rel, lon_a, lon_c, cond_lon = real_word_lanes(n, M0, x0)
+        a, b, lon_c = a.copy(), b.copy(), lon_c.copy()
+        a[0] = b[1] = complex(math.nan, 0)
+        lon_c[2] = complex(1.5e308, 1.5e308)
+        return (a, b, c, d), cond_rel, lon_a, lon_c, cond_lon
+
+    monkeypatch.setattr(repcheck, "_word_lanes", faulty_words)
+    first, second, third, *rest = verify_family(2, [M0], 1e-8)
+    assert first.reason == f"non-finite value in the report at x0 = {clean[0].root!r}"
+    (a, _, c, d), *_ = real_word_lanes(2, np.array([M0]), np.array([clean[1].root]))
+    parts = abs(complex(a[0]) - 1), abs(complex(c[0])), abs(complex(d[0]) - 1)
+    assert second.relation_residual == max(parts) and second.passed
+    with pytest.raises(OverflowError) as raised:
+        abs(complex(1.5e308, 1.5e308))
+    assert third.reason == f"out of double range ({raised.value}) at x0 = {clean[2].root!r}"
+    assert rest == clean[3:]
+
+
+def test_an_overflow_inside_the_lanes_is_as_silent_as_in_python():
+    # 1e20 * 2.0**1000 is inf in Python's floats, without a warning; the A
+    # residual is then inf / inf
+    apoly = mono(10**20, l=1, m=1000) + ONE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_point(1, 2.0, 0.5, 1e-8, apoly=apoly)
+    assert math.isnan(report.apoly_residual) and not report.passed
+
+
+_OFF_CIRCLE = [0.5, 2.0, 0.3 + 1.7j, 1e200, 1e-100, 1e30]
+
+
+def _lanes_and_scalar(monkeypatch, n, samples):
+    # both checks of one family, on one A_2n and one set of roots
+    import c2n3.repcheck as repcheck
+
+    apoly, found = apoly_theorem(n), _roots_batch(n, samples)
+    monkeypatch.setattr(repcheck, "apoly_theorem", lambda n: apoly)
+    monkeypatch.setattr(repcheck, "_roots_batch", lambda n, M_samples: found)
+    lanes = verify_family(n, samples, 1e-8)
+    return lanes, scalar_verify_family(n, samples, 1e-8, apoly.poly, found)
+
+
+def _exactly(reports):
+    # repr gives every float to its last bit
+    return [(type(r).__name__, repr(vars(r))) for r in reports]
+
+
+@pytest.mark.parametrize("n", [k for k in range(-12, 13) if k])
+def test_the_lanes_give_the_scalar_check_bit_for_bit(monkeypatch, n):
+    # off the unit circle too: there every error kind of the scalar check
+    # occurs, "out of double range" where Python's ** or / raises (n = -12 at
+    # M0 = 0.5 divides by a magnitude sum of 0), M0^2 + x0 = 0 and non-finite
+    # reports at n = -1, M0 = 1e30
+    lanes, scalar = _lanes_and_scalar(monkeypatch, n, sample_unit_modulus(20, seed=3) + _OFF_CIRCLE)
+    assert _exactly(lanes) == _exactly(scalar)
+
+
+@pytest.mark.parametrize("n", [40, -40, 64, 100, -100])
+def test_the_lanes_give_the_scalar_check_bit_for_bit_at_large_n(monkeypatch, n):
+    # at n = 64 and n = +-100 some roots take the form in 1/L0, where |L0|^deg
+    # overflows
+    samples = sample_unit_modulus(3, seed=0)
+    lanes, scalar = _lanes_and_scalar(monkeypatch, n, samples)
+    assert _exactly(lanes) == _exactly(scalar)
+    assert len(lanes) == 3 * (3 * abs(n) - (n < 0)) and all(r.passed for r in lanes)
+
+
+def test_a_family_of_1000_meridians_stays_small():
+    # the scalar check peaked at 32.0 MiB here, A_24's build included
+    samples = sample_unit_modulus(1000, seed=0)
+    tracemalloc.start()
+    try:
+        reports = verify_family(12, samples, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 36000
+    assert peak < 32 * 2**20
+
+
 # -- meridian sampling ---------------------------------------------------------
 
 
@@ -662,3 +819,23 @@ def test_sample_unit_modulus_rejects_a_margin_no_angle_can_keep(margin):
     with pytest.raises(ValueError, match="margin must be in"):
         sample_unit_modulus(3, seed=0, margin=margin)
     assert len(sample_unit_modulus(3, seed=0, margin=0.25)) == 3
+
+
+def _sample_by_linear_scan(count, seed, margin):
+    # each draw tested against every special angle
+    special = sorted({2 * math.pi * k / q for q in range(1, 13) for k in range(q + 1)})
+    rng = random.Random(seed)
+    samples = []
+    while len(samples) < count:
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        if not any(abs(theta - a) < margin for a in special):
+            samples.append(cmath.exp(1j * theta))
+    return samples
+
+
+@pytest.mark.parametrize("margin", [0, 0.05, 0.1])
+def test_sample_unit_modulus_tests_each_draw_against_its_two_neighbours_alone(margin):
+    for seed in range(300):
+        for count in (1, 7, 20, 100):
+            want = _sample_by_linear_scan(count, seed, margin)
+            assert sample_unit_modulus(count, seed, margin) == want
