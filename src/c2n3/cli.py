@@ -91,26 +91,25 @@ def _cmd_routes(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    """verify: one JSON document, each n's entry in its results written as soon as it is checked.
+
+    The bytes are those of json.dumps of the whole document (tol is a
+    float, which json writes as its repr); n = 0 has no reports and the
+    status "degenerate".
+    """
     samples = sample_unit_modulus(args.samples, args.seed)
-    results = []
-    all_passed = True
-    for n in args.n:
-        if n == 0:
-            results.append({"n": 0, "status": "degenerate", "reports": []})
-            continue
-        reports = verify_family(n, samples, args.tol)
+    out.write(f'{{"seed":{args.seed},"samples":{args.samples},"tol":{args.tol!r},"results":[')
+    status = 0
+    for i, n in enumerate(args.n):
+        reports = verify_family(n, samples, args.tol) if n else []
         ok = all(r.passed for r in reports)
-        all_passed = all_passed and ok
-        results.append(
-            {
-                "n": n,
-                "status": "passed" if ok else "failed",
-                "reports": [r.to_json_obj() for r in reports],
-            }
-        )
-    doc = {"seed": args.seed, "samples": args.samples, "tol": args.tol, "results": results}
-    out.write(json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n")
-    return 0 if all_passed else 1
+        if not ok:
+            status = 1
+        entry = {"n": n, "status": "degenerate" if n == 0 else "passed" if ok else "failed",
+                 "reports": [r.to_json_obj() for r in reports]}
+        out.write(("," if i else "") + json.dumps(entry, separators=(",", ":"), allow_nan=False))
+    out.write("]}\n")
+    return status
 
 
 def _cmd_newton(args, out) -> int:

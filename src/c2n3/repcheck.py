@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .apoly import APolyResult, apoly_theorem
+from .apoly import apoly_theorem
 from .laurent import LaurentPoly
 
 
@@ -410,7 +410,7 @@ def _check_point_args(n: int, tol: float) -> None:
         raise ValueError(f"tol must be a finite positive number, got {tol!r}")
 
 
-def verify_point(n: int, M0: complex, x0: complex, tol: float, apoly=None) -> VerificationReport:
+def verify_point(n: int, M0: complex, x0: complex, tol: float) -> VerificationReport:
     """Check the relation, longitude, and A-polynomial residuals at one point.
 
     x0 should be a root of P_2n(., M0).  n = 0 is rejected as degenerate:
@@ -419,10 +419,9 @@ def verify_point(n: int, M0: complex, x0: complex, tol: float, apoly=None) -> Ve
     point, and NaN would fail every one without saying why.  A non-finite
     M0 or x0, or M0 = 0, raises ValueError too, naming it, before anything
     is built.  The point is checked by _check as a family of one meridian
-    and one root, with A_2n built unless the A-polynomial is passed as
-    apoly.  An error the check meets there is raised: SingularPointError
-    where M0^2 + x0 = 0, OverflowError or ZeroDivisionError where a value
-    leaves the double range.
+    and one root, on A_2n from apoly_theorem.  An error the check meets
+    there is raised: SingularPointError where M0^2 + x0 = 0, OverflowError
+    or ZeroDivisionError where a value leaves the double range.
     """
     _check_point_args(n, tol)
     M0 = _finite_meridian(M0)
@@ -431,10 +430,7 @@ def verify_point(n: int, M0: complex, x0: complex, tol: float, apoly=None) -> Ve
         raise ValueError(f"the root must be finite, got x0 = {x0!r}")
     if M0 == 0:
         raise ValueError("the meridian eigenvalue must be nonzero")
-    if apoly is None:
-        apoly = apoly_theorem(n)
-    poly = apoly.poly if isinstance(apoly, APolyResult) else apoly
-    (report,) = _check(n, [(M0, [x0])], tol, poly)
+    (report,) = _check(n, [(M0, [x0])], tol, apoly_theorem(n).poly)
     if isinstance(report, Exception):
         raise report
     return report
@@ -562,6 +558,7 @@ def _apoly_at(poly: LaurentPoly, meridians: Sequence[complex]) -> tuple[Parts, n
                                                                         dict[int, Exception]]:
     """poly.at_meridian(M0) at every meridian, bit for bit, and the error it raises there.
 
+    poly is A_2n as apoly_theorem gives it, a polynomial in L and M.
     Gives the real and imaginary parts of the coefficient lists and the
     term-magnitude lists, one row per meridian and one column per power of
     L, and the errors by meridian.  Each distinct M0 ** e and abs(M0) ** e
@@ -572,8 +569,6 @@ def _apoly_at(poly: LaurentPoly, meridians: Sequence[complex]) -> tuple[Parts, n
     terms.
     """
     terms = poly._terms  # in storage order, the order at_meridian sums in
-    if any(l < 0 or x for l, _, x in terms):
-        raise ValueError("the A-polynomial must be a polynomial in L and M")
     power_of_l = np.fromiter((l for l, _, _ in terms), int, len(terms))
     power_of_m = np.fromiter((m for _, m, _ in terms), int, len(terms))
     exps, first_use, column = np.unique(power_of_m, return_index=True, return_inverse=True)
@@ -658,23 +653,21 @@ def _horner_parts(rows: Parts, at: np.ndarray, z: Parts, flip: np.ndarray) -> Pa
 _EXCLUDED_ROOT_ORDERS = range(1, 13)
 # The angles in [0, 2 pi] of the roots of unity sample_unit_modulus keeps away from, sorted.
 _SPECIAL_ANGLES = sorted({2 * math.pi * k / q for q in _EXCLUDED_ROOT_ORDERS for k in range(q + 1)})
-# An angle can keep margin away from every special one only below half the widest gap.
-_REACH = max(b - a for a, b in zip(_SPECIAL_ANGLES, _SPECIAL_ANGLES[1:])) / 2
+# How far, in angle, every sample keeps from each special angle.
+_MARGIN = 0.05
 
 
-def sample_unit_modulus(count: int, seed: int, margin: float = 0.05) -> list[complex]:
-    """Seeded unit-circle meridian samples kept margin away from low-order roots of unity."""
+def sample_unit_modulus(count: int, seed: int) -> list[complex]:
+    """Seeded unit-circle meridian samples kept _MARGIN away from low-order roots of unity."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    if not 0 <= margin < _REACH:
-        raise ValueError(f"margin must be in [0, {_REACH!r}), got {margin!r}")
     rng = random.Random(seed)
     samples: list[complex] = []
     while len(samples) < count:
         theta = rng.uniform(0.0, 2.0 * math.pi)
         # the special angle nearest theta is one of the two around it (0.0 is the first)
         i = bisect.bisect(_SPECIAL_ANGLES, theta)
-        if any(abs(theta - a) < margin for a in _SPECIAL_ANGLES[i - 1 : i + 1]):
+        if any(abs(theta - a) < _MARGIN for a in _SPECIAL_ANGLES[i - 1 : i + 1]):
             continue
         samples.append(cmath.exp(1j * theta))
     return samples

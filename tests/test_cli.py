@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ import c2n3
 from c2n3 import cli, repcheck
 from c2n3.apoly import APolyResult, apoly_theorem
 from c2n3.laurent import LaurentPoly
-from c2n3.repcheck import sample_unit_modulus
+from c2n3.repcheck import sample_unit_modulus, verify_family
 from c2n3.rmpoly import RMResult, rm_closed
 from test_apoly import A2_JSON, A2_TEXT
 
@@ -202,6 +203,48 @@ def test_verify_output_is_strict_json(monkeypatch):
         assert entry["reason"].startswith("non-finite value in the report at x0 = ")
 
 
+def _whole_document(argv):
+    # the verify document built in one piece and dumped by one json.dumps
+    args = cli.build_parser().parse_args(cli._merge_n_flag(argv))
+    samples = sample_unit_modulus(args.samples, args.seed)
+    results, all_passed = [], True
+    for n in args.n:
+        if n == 0:
+            results.append({"n": 0, "status": "degenerate", "reports": []})
+            continue
+        reports = verify_family(n, samples, args.tol)
+        ok = all(r.passed for r in reports)
+        all_passed = all_passed and ok
+        results.append({"n": n, "status": "passed" if ok else "failed",
+                        "reports": [r.to_json_obj() for r in reports]})
+    doc = {"seed": args.seed, "samples": args.samples, "tol": args.tol, "results": results}
+    return 0 if all_passed else 1, json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("command, code", [
+    ("verify --n -3..3 --samples 5 --seed 1", 0),  # n = 0 included
+    ("verify --n 1..2 --samples 2 --tol 1e-30", 1),  # failed families
+])
+def test_verify_writes_the_bytes_of_the_whole_document(command, code):
+    want = _whole_document(command.split())
+    assert want[0] == code
+    assert run(command.split()) == want
+
+
+def test_verify_holds_one_family_at_a_time():
+    # every n's entry is written as soon as it is checked, into a sink that
+    # keeps nothing; building the whole document first peaks at 12.7 MiB
+    with open(os.devnull, "w") as sink:
+        tracemalloc.start()
+        try:
+            code = cli.main(["verify", "--n", "-12..12", "--samples", "20", "--seed", "0"], out=sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * 2**20
+
+
 def test_verify_at_n_8_gives_every_root():
     # every one of the 24 roots of P_16 at each of the 20 seed-0 meridians is
     # found and verified, those near +-i included
@@ -291,14 +334,18 @@ def test_readme_examples_run_as_a_module(command):
 
 
 def test_a_closed_stdout_exits_1_without_a_traceback():
-    # c2n3 compute --n -30..30 | head -n 1: megabytes, far past any pipe buffer
-    with subprocess.Popen([sys.executable, "-m", "c2n3.cli", "compute", "--n", "-30..30"],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env()) as child:
-        assert child.stdout.readline().startswith(b"n=-30: ")
-        child.stdout.close()
-        stderr = child.stderr.read()
-        assert child.wait(timeout=120) == 1
-    assert stderr == b""
+    # c2n3 compute --n -30..30 | head -n 1 and c2n3 verify --n 10..20 | head -c 8:
+    # megabytes, far past any pipe buffer
+    for command, start in [("compute --n -30..30", b"n=-30: "),
+                           ("verify --n 10..20 --samples 20 --seed 0", b'{"seed":')]:
+        with subprocess.Popen([sys.executable, "-m", "c2n3.cli", *command.split()],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=module_env()) as child:
+            assert child.stdout.read(len(start)) == start
+            child.stdout.close()
+            stderr = child.stderr.read()
+            assert child.wait(timeout=120) == 1
+        assert stderr == b"", command
 
 
 @pytest.mark.parametrize(

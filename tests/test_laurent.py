@@ -110,6 +110,15 @@ def test_constructor_rejects_non_integers():
         LaurentPoly({(0, 0.5, 0): 1})
     with pytest.raises(TypeError):
         LaurentPoly({(0, 0, 0): True})
+    with pytest.raises(TypeError, match="monomial key must be a 3-tuple"):
+        LaurentPoly({(1, 2): 3})
+
+
+def test_the_zero_polynomial_has_no_degree_and_no_least_exponent():
+    with pytest.raises(ValueError, match="no degree"):
+        ZERO.degree("L")
+    with pytest.raises(ValueError, match="no exponents"):
+        ZERO.min_exp("M")
 
 
 def test_add_examples():
@@ -729,7 +738,7 @@ def test_text_and_latex_round_trip(p):
     assert LaurentPoly.from_latex(p.to_latex()) == p
 
 
-@pytest.mark.parametrize("text", ["", "L +", "2**L", "L^", "y^2", "3*L 4", "1..2"])
+@pytest.mark.parametrize("text", ["", "L +", "2**L", "L^", "y^2", "3*L 4", "1..2", "x + -", "x*3"])
 def test_text_parse_rejects_malformed(text):
     with pytest.raises(ValueError):
         LaurentPoly.from_text(text)

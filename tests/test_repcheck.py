@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from oracles import mpmath_polish_root, numpy_word_product, scalar_verify_family
 
-from c2n3.apoly import apoly_theorem, substitution_x
+from c2n3.apoly import APolyResult, apoly_theorem, substitution_x
 from c2n3.laurent import ONE, LaurentPoly, mono
 from c2n3.rmpoly import rm_closed
 from c2n3.repcheck import (
@@ -568,6 +568,14 @@ def test_verify_point_rejects_a_zero_meridian():
         verify_point(1, 0.0, 0.5, 1e-8)
 
 
+def test_verify_point_raises_the_error_its_lane_meets():
+    # A_24 at M0 = 2.0 leaves the double range, as at_meridian shows
+    with pytest.raises(OverflowError, match="complex exponentiation"):
+        apoly_theorem(12).poly.at_meridian(complex(2.0))
+    with pytest.raises(OverflowError, match="complex exponentiation"):
+        verify_point(12, 2.0, 0.5, 1e-8)
+
+
 def test_verify_point_passes_on_true_representation_points():
     omega = complex(-0.5, math.sqrt(3) / 2)
     report = verify_point(-1, 1.0, omega, 1e-8)
@@ -728,13 +736,16 @@ def test_word_entries_that_are_nan_or_huge_give_what_python_gives(monkeypatch):
     assert rest == clean[3:]
 
 
-def test_an_overflow_inside_the_lanes_is_as_silent_as_in_python():
+def test_an_overflow_inside_the_lanes_is_as_silent_as_in_python(monkeypatch):
     # 1e20 * 2.0**1000 is inf in Python's floats, without a warning; the A
     # residual is then inf / inf
+    import c2n3.repcheck as repcheck
+
     apoly = mono(10**20, l=1, m=1000) + ONE
+    monkeypatch.setattr(repcheck, "apoly_theorem", lambda n: APolyResult(n, apoly, "theorem"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = verify_point(1, 2.0, 0.5, 1e-8, apoly=apoly)
+        report = verify_point(1, 2.0, 0.5, 1e-8)
     assert math.isnan(report.apoly_residual) and not report.passed
 
 
@@ -777,6 +788,33 @@ def test_the_lanes_give_the_scalar_check_bit_for_bit_at_large_n(monkeypatch, n):
     assert len(lanes) == 3 * (3 * abs(n) - (n < 0)) and all(r.passed for r in lanes)
 
 
+def test_a_longitude_power_past_the_double_range_fails_every_lane_bit_for_bit(monkeypatch):
+    # |M0|^-402 overflows at this meridian while the powers of M0 in A_200
+    # only underflow, so every root is found and every lane fails in the
+    # longitude eigenvalue alone
+    import c2n3.repcheck as repcheck
+
+    n, M0 = 100, 0.16177803993223905 + 0.05004381214183469j
+    with pytest.raises(OverflowError, match="complex exponentiation"):
+        M0 ** (-4 * n - 2)
+    real_longitude_lanes, stages = repcheck._longitude_lanes, []
+
+    def longitude_lanes(*args):
+        L0, found = real_longitude_lanes(*args)
+        stages.extend(found)
+        return L0, found
+
+    monkeypatch.setattr(repcheck, "_longitude_lanes", longitude_lanes)
+    lanes, scalar = _lanes_and_scalar(monkeypatch, n, [M0])
+    assert _exactly(lanes) == _exactly(scalar)
+    assert len(lanes) == 300
+    assert all(r.reason.startswith("out of double range (complex exponentiation) at x0 = ")
+               for r in lanes)
+    (singular, _), (failed, error) = stages
+    assert not singular.any() and failed.all()
+    assert repr(error(0)) == "OverflowError('complex exponentiation')"
+
+
 def test_a_family_of_1000_meridians_stays_small():
     # the scalar check peaked at 32.0 MiB here, A_24's build included
     samples = sample_unit_modulus(1000, seed=0)
@@ -812,30 +850,19 @@ def test_sample_unit_modulus_avoids_low_order_roots_of_unity():
         assert min(abs(theta - a) for a in special) >= 0.05 - 1e-9
 
 
-@pytest.mark.parametrize("margin", [math.pi / 12, 0.3, -0.01, math.nan, math.inf])
-def test_sample_unit_modulus_rejects_a_margin_no_angle_can_keep(margin):
-    # the widest gap between roots of unity of order <= 12 is 2 pi / 12, so
-    # from pi / 12 on no angle keeps its distance from all of them
-    with pytest.raises(ValueError, match="margin must be in"):
-        sample_unit_modulus(3, seed=0, margin=margin)
-    assert len(sample_unit_modulus(3, seed=0, margin=0.25)) == 3
-
-
-def _sample_by_linear_scan(count, seed, margin):
-    # each draw tested against every special angle
+def _sample_by_linear_scan(count, seed):
+    # each draw tested against every special angle, at the sampler's margin of 0.05
     special = sorted({2 * math.pi * k / q for q in range(1, 13) for k in range(q + 1)})
     rng = random.Random(seed)
     samples = []
     while len(samples) < count:
         theta = rng.uniform(0.0, 2.0 * math.pi)
-        if not any(abs(theta - a) < margin for a in special):
+        if not any(abs(theta - a) < 0.05 for a in special):
             samples.append(cmath.exp(1j * theta))
     return samples
 
 
-@pytest.mark.parametrize("margin", [0, 0.05, 0.1])
-def test_sample_unit_modulus_tests_each_draw_against_its_two_neighbours_alone(margin):
+def test_sample_unit_modulus_tests_each_draw_against_its_two_neighbours_alone():
     for seed in range(300):
         for count in (1, 7, 20, 100):
-            want = _sample_by_linear_scan(count, seed, margin)
-            assert sample_unit_modulus(count, seed, margin) == want
+            assert sample_unit_modulus(count, seed) == _sample_by_linear_scan(count, seed)

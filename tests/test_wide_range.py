@@ -7,7 +7,8 @@ from functools import cache
 
 import pytest
 
-from c2n3.apoly import apoly_substitution, apoly_theorem, newton_polygon
+from c2n3 import repcheck
+from c2n3.apoly import APolyResult, apoly_substitution, apoly_theorem, newton_polygon
 from c2n3.laurent import LaurentPoly, mono
 from c2n3.repcheck import (
     BadPoint,
@@ -183,27 +184,34 @@ def test_verify_family_checks_every_root_far_beyond_the_acceptance_grid(n):
     assert all(r.passed for r in reports)
 
 
-def test_apoly_residual_stays_finite_where_powers_of_l0_overflow():
+def _cached_theorem(monkeypatch):
+    # verify_point builds A_2n by apoly_theorem; hand it the cached one
+    monkeypatch.setattr(repcheck, "apoly_theorem",
+                        lambda n: APolyResult(n, theorem_poly(n), "theorem"))
+
+
+def test_apoly_residual_stays_finite_where_powers_of_l0_overflow(monkeypatch):
     # at n = 64 A_2n has L-degree 192, and |L0| reaches 134 at this meridian,
     # so |L0|^192 is far past the largest double
     n, M0 = 64, sample_unit_modulus(20, 0)[0]
     apoly = theorem_poly(n)
     x0 = max(roots_of_rm(n, M0), key=lambda x: abs(longitude_eigen(n, M0, x)))
     assert apoly.degree("L") * math.log2(abs(longitude_eigen(n, M0, x0))) > 1024
-    report = verify_point(n, M0, x0, 1e-8, apoly=apoly)
+    _cached_theorem(monkeypatch)
+    report = verify_point(n, M0, x0, 1e-8)
     assert math.isfinite(report.apoly_residual) and report.apoly_residual <= 1e-8
     assert report.passed
 
 
-def test_apoly_residual_keeps_its_direct_form_where_that_does_not_overflow():
+def test_apoly_residual_keeps_its_direct_form_where_that_does_not_overflow(monkeypatch):
     # at M0 = 0.5 the terms of A_24 at high powers of L underflow to 0, so the form
     # in 1/L0 would sum to 0 at roots with |L0| > 1
     n, M0 = 12, 0.5
-    apoly = theorem_poly(n)
     roots = roots_of_rm(n, M0)
     assert max(abs(longitude_eigen(n, M0, x)) for x in roots) > 1e10
+    _cached_theorem(monkeypatch)
     for x0 in roots:
-        assert math.isfinite(verify_point(n, M0, x0, 1e-8, apoly=apoly).apoly_residual)
+        assert math.isfinite(verify_point(n, M0, x0, 1e-8).apoly_residual)
 
 
 @pytest.mark.parametrize("n, M0", [(12, 2.0), (-12, 0.5)])
