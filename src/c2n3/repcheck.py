@@ -14,10 +14,8 @@ root) pair, and each lane gives the roots its meridian gets alone (see
 _roots_batch).  The check of those points runs on lanes too (see
 _check): both words once over every lane, A_2n specialized at every
 meridian in one pass over its terms, and the residuals of every point
-on real and imaginary float arrays, in the formulas of CPython's scalar
-complex arithmetic, so each lane is bit for bit the report that scalar
-code gives.  verify_point is a family of one.  The numeric layer needs
-numpy alone.
+in numpy's own complex arithmetic.  verify_point is a family of one.
+The numeric layer needs numpy alone.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -419,9 +417,9 @@ def verify_point(n: int, M0: complex, x0: complex, tol: float) -> VerificationRe
     point, and NaN would fail every one without saying why.  A non-finite
     M0 or x0, or M0 = 0, raises ValueError too, naming it, before anything
     is built.  The point is checked by _check as a family of one meridian
-    and one root, on A_2n from apoly_theorem.  An error the check meets
-    there is raised: SingularPointError where M0^2 + x0 = 0, OverflowError
-    or ZeroDivisionError where a value leaves the double range.
+    and one root, on A_2n from apoly_theorem.  It raises SingularPointError
+    where M0^2 + x0 = 0, and otherwise gives the report of its lane, which
+    holds inf or NaN where a value leaves the double range.
     """
     _check_point_args(n, tol)
     M0 = _finite_meridian(M0)
@@ -431,222 +429,90 @@ def verify_point(n: int, M0: complex, x0: complex, tol: float) -> VerificationRe
     if M0 == 0:
         raise ValueError("the meridian eigenvalue must be nonzero")
     (report,) = _check(n, [(M0, [x0])], tol, apoly_theorem(n).poly)
-    if isinstance(report, Exception):
+    if isinstance(report, SingularPointError):
         raise report
     return report
 
 
-# A complex number per lane, as the arrays of its real and imaginary parts.
-Parts = tuple[np.ndarray, np.ndarray]
-# A mask of lanes, and the error the scalar check raises at each lane of it.
-Stage = tuple[np.ndarray, Callable[[int], Exception]]
-
-
-def _mul(a: Parts, b: Parts) -> Parts:
-    """CPython's complex product per lane: (ac - bd, ad + bc), each operation rounded alone."""
-    (ar, ai), (br, bi) = a, b
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _quot(a: Parts, b: Parts) -> Parts:
-    """CPython's complex quotient per lane: Smith's method, scaled by the larger part of b.
-
-    NaN where a part of b is NaN, as in CPython, and where b = 0, where
-    CPython raises ZeroDivisionError.
-    """
-    (ar, ai), (br, bi) = a, b
-    real = abs(br) >= abs(bi)
-    ratio = np.where(real, bi / br, br / bi)
-    den = np.where(real, br + bi * ratio, br * ratio + bi)
-    return (np.where(real, ar + ai * ratio, ar * ratio + ai) / den,
-            np.where(real, ai - ar * ratio, ai * ratio - ar) / den)
-
-
-def _abs(z: Parts) -> tuple[np.ndarray, np.ndarray]:
-    """CPython's abs per lane (libm's hypot, as np.hypot), and where it raises OverflowError.
-
-    abs raises where both parts are finite and their hypot is not.
-    """
-    size = np.hypot(*z)
-    return size, np.isfinite(z[0]) & np.isfinite(z[1]) & np.isinf(size)
-
-
-def _overflow(lane: int) -> OverflowError:
-    return OverflowError("absolute value too large")
-
-
 def _check(n: int, family: Sequence[tuple[complex, Sequence[complex]]], tol: float,
-           poly: LaurentPoly) -> list[VerificationReport | Exception]:
+           poly: LaurentPoly) -> list[VerificationReport | SingularPointError]:
     """The check of every root x0 of every meridian M0 of family, one lane per (M0, x0) pair.
 
-    Gives per root, in family order, its report or the first error the
-    scalar check meets there: the error of A_2n's at_meridian(M0), then an
-    overflow of abs in the relation residual, then the errors of
-    longitude_eigen (SingularPointError where M0^2 + x0 = 0), then an
-    overflow in the longitude residuals, then the errors of the A residual.
-    The lanes run the formulas of CPython's scalar complex arithmetic on
-    real and imaginary float arrays (_mul, _quot, _abs), on the same
-    operands in the same order, so that every report is bit for bit what
-    Python's complex numbers give; numpy's own complex *, / and abs round
-    differently.  The relation residual is Python's max of its four parts:
-    a NaN part wins only when it comes first.
+    Gives per root, in family order, its report, or SingularPointError
+    where M0^2 + x0 = 0 and the longitude eigenvalue is undefined.  Every
+    value comes from numpy's complex arithmetic on the lanes.  A value that
+    leaves the double range is inf or NaN, and so is every residual
+    computed from it (np.maximum passes a NaN on), so the report shows it.
     """
     at = np.repeat(np.arange(len(family)), [len(roots) for _, roots in family])
     meridians = [M0 for M0, _ in family]
     x0 = np.array([x for _, roots in family for x in roots], dtype=complex)
     M0 = np.array(meridians, dtype=complex)[at]
-    rel, cond_rel, lon_a, lon_c, cond_lon = _word_lanes(n, M0, x0)
-    errors: dict[int, Exception] = {}
-
-    def fail(stages: Iterable[Stage]) -> None:
-        for mask, error in stages:
-            for i in np.flatnonzero(mask).tolist():
-                errors.setdefault(i, error(i))
-
-    # Python's floats overflow and divide silently, and so do the lanes
+    (a, b, c, d), cond_rel, lon_a, lon_c, cond_lon = _word_lanes(n, M0, x0)
     with np.errstate(all="ignore"):
-        values, bounds, failed_at = _apoly_at(poly, meridians)
-        fail([(np.isin(at, list(failed_at)), lambda i: failed_at[at[i]])])
-        a, b, c, d = rel
-        parts = [_abs((a.real - 1, a.imag)), _abs((b.real, b.imag)),
-                 _abs((c.real, c.imag)), _abs((d.real - 1, d.imag))]
-        relation = parts[0][0]
-        for part, _ in parts[1:]:
-            relation = np.where(part > relation, part, relation)
-        fail([(np.any([over for _, over in parts], axis=0), _overflow)])
-        L0, stages = _longitude_lanes(n, meridians, at, x0)
-        fail(stages)
-        mismatch, over_mismatch = _abs((lon_a.real - L0[0], lon_a.imag - L0[1]))
-        offdiag, over_offdiag = _abs((lon_c.real, lon_c.imag))
-        fail([(over_mismatch | over_offdiag, _overflow)])
-        residual, stages = _apoly_residual(values, bounds, at, L0)
-        fail(stages)
+        relation = np.maximum.reduce([abs(a - 1), abs(b), abs(c), abs(d - 1)])
+        denom = M0 * M0 + x0
+        L0 = -(M0 ** (-4 * n - 2)) * (M0**-2 + x0) / denom  # longitude_eigen on the lanes
+        mismatch, offdiag = abs(lon_a - L0), abs(lon_c)
+        residual = _apoly_residual(*_apoly_at(poly, meridians), at, L0)
         passed = ((relation <= tol * cond_rel) & (mismatch <= tol * cond_lon)
                   & (offdiag <= tol * cond_lon) & (residual <= tol))
-    columns = (x0, at, relation, mismatch, offdiag, residual, cond_rel, cond_lon, passed)
-    return [errors[i] if i in errors else VerificationReport(n, meridians[k], x, *fields)
-            for i, (x, k, *fields) in enumerate(zip(*(v.tolist() for v in columns)))]
+    columns = (x0, at, denom == 0, relation, mismatch, offdiag, residual, cond_rel, cond_lon, passed)
+    return [SingularPointError(_SINGULAR) if pole else VerificationReport(n, meridians[k], x, *fields)
+            for x, k, pole, *fields in zip(*(v.tolist() for v in columns))]
 
 
-def _longitude_lanes(n: int, meridians: Sequence[complex], at: np.ndarray,
-                     x0: np.ndarray) -> tuple[Parts, list[Stage]]:
-    """longitude_eigen(n, meridians[at[i]], x0[i]) at every lane i, and where it raises.
+def _apoly_at(poly: LaurentPoly, meridians: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
+    """poly.at_meridian(M0) at every meridian: one row per meridian, one column per power of L.
 
-    M0^2, -(M0^(-4n-2)) and M0^-2 come from Python's complex arithmetic
-    once per meridian; the sums, the product and the quotient run on the
-    lanes.  It raises SingularPointError where M0^2 + x0 = 0, and
-    otherwise the error a power of M0 raises at its meridian.
+    poly is A_2n as apoly_theorem gives it, a polynomial in L and M.  Gives
+    the coefficients and the term-magnitude sums.  Every power of M0 that
+    a batch of meridians needs comes from one numpy ** over the sorted
+    distinct powers of M, and np.add.reduceat sums the terms of each power
+    of L.  Meridians go in batches of _BATCH_CELLS terms.
     """
-    powers: list[tuple[complex, complex, complex]] = []
-    failed: dict[int, Exception] = {}
-    for k, M0 in enumerate(meridians):
-        try:
-            powers.append((M0 * M0, -(M0 ** (-4 * n - 2)), M0**-2))
-        except (OverflowError, ZeroDivisionError) as exc:
-            powers.append((0j, 0j, 0j))
-            failed[k] = exc
-    square, scale, inverse = np.array(powers, dtype=complex).reshape(-1, 3)[at].T
-    denom = (square.real + x0.real, square.imag + x0.imag)
-    numer = _mul((scale.real, scale.imag), (inverse.real + x0.real, inverse.imag + x0.imag))
-    L0 = _quot(numer, denom)
-    singular = (denom[0] == 0) & (denom[1] == 0)
-    return L0, [(singular, lambda i: SingularPointError(_SINGULAR)),
-                (np.isin(at, list(failed)), lambda i: failed[at[i]])]
-
-
-def _apoly_at(poly: LaurentPoly, meridians: Sequence[complex]) -> tuple[Parts, np.ndarray,
-                                                                        dict[int, Exception]]:
-    """poly.at_meridian(M0) at every meridian, bit for bit, and the error it raises there.
-
-    poly is A_2n as apoly_theorem gives it, a polynomial in L and M.
-    Gives the real and imaginary parts of the coefficient lists and the
-    term-magnitude lists, one row per meridian and one column per power of
-    L, and the errors by meridian.  Each distinct M0 ** e and abs(M0) ** e
-    comes from Python's **, in the order at_meridian first needs them, so
-    the first to raise is the one it raises.  np.add.at sums the terms in
-    at_meridian's order, with CPython's product of an int c and a complex
-    a + bi, (ca - 0b, cb + 0a).  Meridians go in batches of _BATCH_CELLS
-    terms.
-    """
-    terms = poly._terms  # in storage order, the order at_meridian sums in
-    power_of_l = np.fromiter((l for l, _, _ in terms), int, len(terms))
-    power_of_m = np.fromiter((m for _, m, _ in terms), int, len(terms))
-    exps, first_use, column = np.unique(power_of_m, return_index=True, return_inverse=True)
-    order = np.argsort(first_use)
-    exps = exps[order].tolist()  # the distinct powers of M, first use first
-    column = np.argsort(order)[column]
-    coeff = np.fromiter(map(float, terms.values()), float, len(terms))
-    width = int(power_of_l.max()) + 1
-    re, im, bounds = (np.zeros((len(meridians), width)) for _ in range(3))
-    failed: dict[int, Exception] = {}
+    terms = poly.terms()  # sorted, so the terms of each power of L are adjacent
+    power_of_l, power_of_m, _ = np.array([key for key, _ in terms]).T
+    coeff = np.array([float(c) for _, c in terms])
+    exps, column = np.unique(power_of_m, return_inverse=True)
+    present, starts = np.unique(power_of_l, return_index=True)
+    values = np.zeros((len(meridians), power_of_l[-1] + 1), dtype=complex)
+    bounds = np.zeros(values.shape)
     batch = max(1, _BATCH_CELLS // len(terms))
     for first in range(0, len(meridians), batch):
-        rows = range(first, min(first + batch, len(meridians)))
-        table = np.zeros((len(rows), len(exps), 2), dtype=complex)
-        for row, k in zip(table, rows):
-            M0 = meridians[k]
-            zero = 0 * M0
-            re[k], im[k] = zero.real, zero.imag
-            try:
-                modulus = abs(M0)
-                row.flat = np.fromiter((v for e in exps for v in (M0**e, modulus**e)), complex,
-                                       2 * len(exps))
-            except (OverflowError, ZeroDivisionError) as exc:
-                failed[k] = exc
-        power, modulus = table[:, column, 0], table[:, column, 1].real
-        index = (np.arange(first, rows.stop)[:, None] * width + power_of_l).ravel()
-        np.add.at(re.reshape(-1), index, (coeff * power.real - 0.0 * power.imag).ravel())
-        np.add.at(im.reshape(-1), index, (coeff * power.imag + 0.0 * power.real).ravel())
-        np.add.at(bounds.reshape(-1), index, (abs(coeff) * modulus).ravel())
-    return (re, im), bounds, failed
+        rows = slice(first, first + batch)
+        M0 = np.array(meridians[rows], dtype=complex)[:, None]
+        values[rows, present] = np.add.reduceat(coeff * (M0**exps)[:, column], starts, axis=1)
+        bounds[rows, present] = np.add.reduceat(abs(coeff) * (abs(M0) ** exps)[:, column], starts,
+                                                axis=1)
+    return values, bounds
 
 
-def _apoly_residual(values: Parts, bounds: np.ndarray, at: np.ndarray,
-                    L0: Parts) -> tuple[np.ndarray, list[Stage]]:
-    """|A_2n(L0, M0)| over its term-magnitude sum at |L0| per lane, and where that raises.
+def _apoly_residual(values: np.ndarray, bounds: np.ndarray, at: np.ndarray,
+                    L0: np.ndarray) -> np.ndarray:
+    """|A_2n(L0, M0)| over its term-magnitude sum at |L0| per lane.
 
-    Lane i reads the rows of its meridian, at[i].  Both sums run by
-    Horner's rule from a zero accumulator.  Where the magnitude sum
-    overflows, both run on the reversed rows at 1/L0, which gives the same
-    ratio without the powers of L0.  Not for every |L0| > 1: where |M0|^e
-    underflows, that form can sum to 0.
+    Lane i reads the rows of its meridian, at[i].  Where the magnitude sum
+    overflows, both sums run on the reversed rows at 1/L0, which gives the
+    same ratio without the powers of L0.  Not for every |L0| > 1: where
+    |M0|^e underflows, that form can sum to 0.  NaN where the magnitude
+    sum is infinite in both forms, since no ratio is known there.
     """
-    modulus, over = _abs(L0)
     flip = np.zeros(len(at), dtype=bool)
-    size = _horner(bounds, at, modulus, flip)
-    stages = [(over, _overflow)]
+    size = _horner(bounds, at, abs(L0), flip)
     flip = np.isinf(size)
     if flip.any():
-        inverse = _quot((1.0, 0.0), L0)
-        zero = flip & (L0[0] == 0) & (L0[1] == 0)
-        L0 = (np.where(flip, inverse[0], L0[0]), np.where(flip, inverse[1], L0[1]))
-        modulus, over = _abs(L0)
-        stages += [(zero, lambda i: ZeroDivisionError("complex division by zero")),
-                   (flip & over, _overflow)]
-        size = _horner(bounds, at, modulus, flip)
-    value, over = _abs(_horner_parts(values, at, L0, flip))
-    stages += [(over, _overflow),
-               (size == 0, lambda i: ZeroDivisionError("float division by zero"))]
-    return value / size, stages
+        L0 = np.where(flip, 1 / L0, L0)
+        size = _horner(bounds, at, abs(L0), flip)
+    return np.where(np.isinf(size), math.nan, abs(_horner(values, at, L0, flip)) / size)
 
 
 def _horner(rows: np.ndarray, at: np.ndarray, z: np.ndarray, flip: np.ndarray) -> np.ndarray:
     """Sum over k of rows[at, k] z^k per lane by Horner's rule, with the row reversed where flip."""
     top = rows.shape[1] - 1
-    acc = np.zeros(len(at))
+    acc = np.zeros(len(at), dtype=rows.dtype)
     for j in range(top + 1):
         acc = acc * z + rows[at, np.where(flip, j, top - j)]
-    return acc
-
-
-def _horner_parts(rows: Parts, at: np.ndarray, z: Parts, flip: np.ndarray) -> Parts:
-    """_horner with complex rows and z, as Parts, in CPython's complex product."""
-    top = rows[0].shape[1] - 1
-    acc = np.zeros(len(at)), np.zeros(len(at))
-    for j in range(top + 1):
-        k = np.where(flip, j, top - j)
-        re, im = _mul(acc, z)
-        acc = re + rows[0][at, k], im + rows[1][at, k]
     return acc
 
 
@@ -703,11 +569,12 @@ def verify_family(
     at once, one lane each.  A sample whose roots cannot be trusted
     (DegreeCollapseError, NonConvergenceError, RepeatedRootError, or an
     OverflowError where P_2n at M0 leaves the double range) gives one
-    BadPoint in place of its reports, and a root where the longitude
-    eigenvalue is undefined (SingularPointError), where a value leaves the
-    double range (off the unit circle, A_2n at M0 can), or whose report
-    holds a non-finite number gives one in place of its report, so every
-    report serializes as strict JSON.  n = 0, a tol that is not finite and
+    BadPoint in place of its reports.  A root where the longitude
+    eigenvalue is undefined (SingularPointError) gives one in place of its
+    report, and so does a root whose report holds inf or NaN, where a value
+    left the double range (off the unit circle, A_2n at M0 can): its reason
+    names the fields that are not finite.  So every report serializes as
+    strict JSON.  n = 0, a tol that is not finite and
     positive, and an empty sample list (whose empty report list would read
     as a passed family) raise ValueError before anything is built.
     """
@@ -727,9 +594,7 @@ def verify_family(
         for x0, report in zip(roots, checked):
             if isinstance(report, SingularPointError):
                 report = BadPoint(n, M0, f"{report} at x0 = {x0!r}")
-            elif isinstance(report, Exception):
-                report = BadPoint(n, M0, f"out of double range ({report}) at x0 = {x0!r}")
-            elif not all(map(cmath.isfinite, vars(report).values())):
-                report = BadPoint(n, M0, f"non-finite value in the report at x0 = {x0!r}")
+            elif wide := [k for k, v in vars(report).items() if not cmath.isfinite(v)]:
+                report = BadPoint(n, M0, f"out of double range ({', '.join(wide)}) at x0 = {x0!r}")
             reports.append(report)
     return reports

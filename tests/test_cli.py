@@ -183,15 +183,15 @@ def test_verify_output_is_strict_json(monkeypatch):
     assert code == 0
     json.loads(out, parse_constant=_reject_constant)
 
-    # a non-finite residual must never reach stdout as NaN: the longitude
-    # eigenvalue complex("nan") at every root
-    real_longitude_lanes = repcheck._longitude_lanes
+    # a non-finite residual must never reach stdout as NaN: the longitude's
+    # (1, 1) entry complex("nan") at every root
+    real_word_lanes = repcheck._word_lanes
 
-    def nan_lanes(*args):
-        (re, im), stages = real_longitude_lanes(*args)
-        return (re + math.nan, im * 0.0), stages
+    def nan_words(*args):
+        rel, cond_rel, lon_a, lon_c, cond_lon = real_word_lanes(*args)
+        return rel, cond_rel, lon_a + math.nan, lon_c, cond_lon
 
-    monkeypatch.setattr(repcheck, "_longitude_lanes", nan_lanes)
+    monkeypatch.setattr(repcheck, "_word_lanes", nan_words)
     code, out = run(["verify", "--n", "1", "--samples", "1"])
     assert code == 1
     (result,) = json.loads(out, parse_constant=_reject_constant)["results"]
@@ -200,7 +200,7 @@ def test_verify_output_is_strict_json(monkeypatch):
     for entry in result["reports"]:
         assert set(entry) == {"n", "M_sample", "status", "reason"}
         assert entry["status"] == "error"
-        assert entry["reason"].startswith("non-finite value in the report at x0 = ")
+        assert entry["reason"].startswith("out of double range (longitude_mismatch) at x0 = ")
 
 
 def _whole_document(argv):

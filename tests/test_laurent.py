@@ -477,6 +477,18 @@ def test_int_coercion():
     assert p * 0 == ZERO
 
 
+def test_other_operand_types_are_left_to_python():
+    # floats, strings and bools are not coerced: each operator gives
+    # NotImplemented, so Python raises TypeError, or == falls back to identity
+    p = LaurentPoly.from_text("L*M^2 - 3*x + 1")
+    for operation in (lambda: p + 1.5, lambda: p - 1.5, lambda: 1.5 - p, lambda: p * "x",
+                      lambda: p ** 1.5, lambda: p ** True):
+        with pytest.raises(TypeError):
+            operation()
+    assert (p == "x") is False
+    assert repr(p) == f"LaurentPoly({p.to_text()!r})"
+
+
 def test_coeff_examples():
     p = ONE + mono(1, l=1, m=4)
     assert p.coeff("L", 1) == mono(1, m=4)

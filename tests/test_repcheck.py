@@ -18,16 +18,14 @@ from c2n3.apoly import APolyResult, apoly_theorem, substitution_x
 from c2n3.laurent import ONE, LaurentPoly, mono
 from c2n3.rmpoly import rm_closed
 from c2n3.repcheck import (
+    BadPoint,
     DegreeCollapseError,
     NonConvergenceError,
     RepeatedRootError,
     SingularPointError,
     VerificationReport,
     _eval_word_tracked,
-    _abs,
     _first_repeat,
-    _mul,
-    _quot,
     _reduced,
     _roots_batch,
     _starts,
@@ -569,11 +567,17 @@ def test_verify_point_rejects_a_zero_meridian():
 
 
 def test_verify_point_raises_the_error_its_lane_meets():
-    # A_24 at M0 = 2.0 leaves the double range, as at_meridian shows
+    # A_24 at M0 = 2.0 leaves the double range, as at_meridian shows; the lane
+    # meets no error there, and its report says so
     with pytest.raises(OverflowError, match="complex exponentiation"):
         apoly_theorem(12).poly.at_meridian(complex(2.0))
-    with pytest.raises(OverflowError, match="complex exponentiation"):
-        verify_point(12, 2.0, 0.5, 1e-8)
+    report = verify_point(12, 2.0, 0.5, 1e-8)
+    assert not all(map(cmath.isfinite, vars(report).values())) and not report.passed
+    # the one error a lane meets is the pole of the longitude eigenvalue
+    M0 = sample_unit_modulus(1, seed=5)[0]
+    pole = complex(-(np.array([M0]) * np.array([M0]))[0])  # M0^2 as the lanes compute it
+    with pytest.raises(SingularPointError, match=re.escape("M0^2 + x0 = 0")):
+        verify_point(1, M0, pole, 1e-8)
 
 
 def test_verify_point_passes_on_true_representation_points():
@@ -625,20 +629,20 @@ def test_verify_family_reports_bad_points_in_place(monkeypatch):
             if M0 == samples[0]:
                 found[i] = RepeatedRootError("two roots coincide")
             if M0 == samples[1]:
-                found[i] = [-M0 * M0] + found[i]  # M0^2 + x0 = 0: no longitude eigenvalue
+                # M0^2 + x0 = 0, with M0^2 as the lanes compute it: no longitude eigenvalue
+                found[i] = [complex(-(np.array([M0]) * np.array([M0]))[0])] + found[i]
         return found
 
-    real_longitude_lanes = repcheck._longitude_lanes
+    real_word_lanes = repcheck._word_lanes
     poisoned_root = roots_of_rm(1, samples[2])[1]
 
-    def faulty_lanes(n, meridians, at, x0):
-        # the longitude eigenvalue complex(inf) at the poisoned root alone
-        (re, im), stages = real_longitude_lanes(n, meridians, at, x0)
-        poisoned = x0 == poisoned_root
-        return (np.where(poisoned, math.inf, re), np.where(poisoned, 0.0, im)), stages
+    def faulty_words(n, M0, x0):
+        # the longitude's (1, 1) entry complex(inf) at the poisoned root alone
+        rel, cond_rel, lon_a, lon_c, cond_lon = real_word_lanes(n, M0, x0)
+        return rel, cond_rel, np.where(x0 == poisoned_root, math.inf, lon_a), lon_c, cond_lon
 
     monkeypatch.setattr(repcheck, "_roots_batch", faulty_batch)
-    monkeypatch.setattr(repcheck, "_longitude_lanes", faulty_lanes)
+    monkeypatch.setattr(repcheck, "_word_lanes", faulty_words)
     reports = verify_family(1, samples, 1e-8)
     kinds = [type(r).__name__ for r in reports]
     assert kinds == (["BadPoint", "BadPoint"] + ["VerificationReport"] * 4
@@ -649,7 +653,8 @@ def test_verify_family_reports_bad_points_in_place(monkeypatch):
     }
     assert reports[1].M_sample == samples[1] and "M0^2 + x0 = 0" in reports[1].reason
     assert reports[6].M_sample == samples[2]
-    assert reports[6].reason == f"non-finite value in the report at x0 = {complex(poisoned_root)!r}"
+    assert reports[6].reason == (f"out of double range (longitude_mismatch) "
+                                 f"at x0 = {complex(poisoned_root)!r}")
     assert not any(r.passed for r in reports[:2] + reports[6:7])
     assert all(r.passed for r in reports[2:6] + reports[7:])
 
@@ -679,38 +684,12 @@ def test_verify_family_covers_every_root(n, roots_per_sample):
     assert {r.n for r in reports} == {n}
 
 
-# -- the lanes against Python's scalar complex arithmetic ---------------------
-
-
-def _wide_floats(rng, size):
-    # both signs, magnitudes from 1e-320 to 1e308, and one in ten a special value
-    values = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-320, 308, size)
-    special = rng.choice([0.0, -0.0, 1.0, math.inf, -math.inf, math.nan, 5e-324, 1.7e308], size)
-    return np.where(rng.random(size) < 0.1, special, values)
-
-
-def test_lane_arithmetic_is_cpythons_complex_arithmetic_bit_for_bit():
-    # numpy's own complex *, / and abs round differently in many of these
-    # cases; repr gives each part to its last bit and the sign of each zero
-    rng = np.random.default_rng(5)
-    ar, ai, br, bi = (_wide_floats(rng, 20000) for _ in range(4))
-    ar[:5000], br[:5000] = rng.normal(size=5000), rng.normal(size=5000)
-    with np.errstate(all="ignore"):
-        product, quotient = _mul((ar, ai), (br, bi)), _quot((ar, ai), (br, bi))
-        size, over = _abs((ar, ai))
-    for i, (a, b) in enumerate(zip(map(complex, ar, ai), map(complex, br, bi))):
-        assert repr(complex(product[0][i], product[1][i])) == repr(a * b), (a, b)
-        if b:
-            assert repr(complex(quotient[0][i], quotient[1][i])) == repr(a / b), (a, b)
-        try:
-            assert repr(float(size[i])) == repr(abs(a)) and not over[i], a
-        except OverflowError:
-            assert over[i], a
+# -- the lanes against the scalar check ------------------------------------------
 
 
 def test_word_entries_that_are_nan_or_huge_give_what_python_gives(monkeypatch):
-    # max(nan, b, c, d) is nan, while max(a, nan, c, d) passes the NaN over;
-    # abs(complex(1.5e308, 1.5e308)) raises OverflowError
+    # a NaN in any entry of the relator makes the relation residual NaN, and
+    # abs(complex(1.5e308, 1.5e308)) is inf: each is a bad point, named by its field
     import c2n3.repcheck as repcheck
 
     M0 = sample_unit_modulus(1, seed=4)[0]
@@ -726,13 +705,11 @@ def test_word_entries_that_are_nan_or_huge_give_what_python_gives(monkeypatch):
 
     monkeypatch.setattr(repcheck, "_word_lanes", faulty_words)
     first, second, third, *rest = verify_family(2, [M0], 1e-8)
-    assert first.reason == f"non-finite value in the report at x0 = {clean[0].root!r}"
-    (a, _, c, d), *_ = real_word_lanes(2, np.array([M0]), np.array([clean[1].root]))
-    parts = abs(complex(a[0]) - 1), abs(complex(c[0])), abs(complex(d[0]) - 1)
-    assert second.relation_residual == max(parts) and second.passed
-    with pytest.raises(OverflowError) as raised:
-        abs(complex(1.5e308, 1.5e308))
-    assert third.reason == f"out of double range ({raised.value}) at x0 = {clean[2].root!r}"
+    for bad, field, clean_report in ((first, "relation_residual", clean[0]),
+                                     (second, "relation_residual", clean[1]),
+                                     (third, "offdiag_residual", clean[2])):
+        assert isinstance(bad, BadPoint) and not bad.passed
+        assert bad.reason == f"out of double range ({field}) at x0 = {clean_report.root!r}"
     assert rest == clean[3:]
 
 
@@ -749,6 +726,16 @@ def test_an_overflow_inside_the_lanes_is_as_silent_as_in_python(monkeypatch):
     assert math.isnan(report.apoly_residual) and not report.passed
 
 
+def test_a_magnitude_sum_past_the_double_range_in_both_forms_gives_no_a_residual(monkeypatch):
+    # at M0 = 1 the two L terms cancel in value, while their magnitude sum
+    # 2e308 is inf at L0 and at 1/L0 alike: |A| / inf would read 0 and pass
+    import c2n3.repcheck as repcheck
+
+    apoly = mono(10**308, l=1, m=2) - mono(10**308, l=1) + ONE
+    monkeypatch.setattr(repcheck, "apoly_theorem", lambda n: APolyResult(n, apoly, "theorem"))
+    assert math.isnan(verify_point(1, 1.0, 0.5, 1e-8).apoly_residual)
+
+
 _OFF_CIRCLE = [0.5, 2.0, 0.3 + 1.7j, 1e200, 1e-100, 1e30]
 
 
@@ -763,9 +750,27 @@ def _lanes_and_scalar(monkeypatch, n, samples):
     return lanes, scalar_verify_family(n, samples, 1e-8, apoly.poly, found)
 
 
-def _exactly(reports):
-    # repr gives every float to its last bit
-    return [(type(r).__name__, repr(vars(r))) for r in reports]
+def _unbracketed(reason):
+    # a reason with the parenthetical of "out of double range (...)" left out
+    return re.sub(r"^out of double range \(.*\) at x0 = ", "out of double range at x0 = ", reason)
+
+
+def _assert_same_verdicts(lanes, scalar):
+    # the same entries, samples, roots and verdicts, and the same reasons up to
+    # their parenthetical; each residual within 1e-12 of the scalar one, scaled
+    # by its conditioning
+    assert [type(r) for r in lanes] == [type(r) for r in scalar]
+    for lane, ref in zip(lanes, scalar):
+        assert (lane.M_sample, lane.passed) == (ref.M_sample, ref.passed)
+        if isinstance(ref, BadPoint):
+            assert _unbracketed(lane.reason) == _unbracketed(ref.reason)
+            continue
+        assert lane.root == ref.root
+        for residual, cond in (("relation_residual", "cond_relator"),
+                               ("longitude_mismatch", "cond_longitude"),
+                               ("offdiag_residual", "cond_longitude")):
+            assert abs(getattr(lane, residual) - getattr(ref, residual)) <= 1e-12 * getattr(ref, cond)
+        assert abs(lane.apoly_residual - ref.apoly_residual) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [k for k in range(-12, 13) if k])
@@ -775,7 +780,7 @@ def test_the_lanes_give_the_scalar_check_bit_for_bit(monkeypatch, n):
     # M0 = 0.5 divides by a magnitude sum of 0), M0^2 + x0 = 0 and non-finite
     # reports at n = -1, M0 = 1e30
     lanes, scalar = _lanes_and_scalar(monkeypatch, n, sample_unit_modulus(20, seed=3) + _OFF_CIRCLE)
-    assert _exactly(lanes) == _exactly(scalar)
+    _assert_same_verdicts(lanes, scalar)
 
 
 @pytest.mark.parametrize("n", [40, -40, 64, 100, -100])
@@ -784,35 +789,23 @@ def test_the_lanes_give_the_scalar_check_bit_for_bit_at_large_n(monkeypatch, n):
     # overflows
     samples = sample_unit_modulus(3, seed=0)
     lanes, scalar = _lanes_and_scalar(monkeypatch, n, samples)
-    assert _exactly(lanes) == _exactly(scalar)
+    _assert_same_verdicts(lanes, scalar)
     assert len(lanes) == 3 * (3 * abs(n) - (n < 0)) and all(r.passed for r in lanes)
 
 
 def test_a_longitude_power_past_the_double_range_fails_every_lane_bit_for_bit(monkeypatch):
     # |M0|^-402 overflows at this meridian while the powers of M0 in A_200
     # only underflow, so every root is found and every lane fails in the
-    # longitude eigenvalue alone
-    import c2n3.repcheck as repcheck
-
+    # longitude eigenvalue
     n, M0 = 100, 0.16177803993223905 + 0.05004381214183469j
     with pytest.raises(OverflowError, match="complex exponentiation"):
         M0 ** (-4 * n - 2)
-    real_longitude_lanes, stages = repcheck._longitude_lanes, []
-
-    def longitude_lanes(*args):
-        L0, found = real_longitude_lanes(*args)
-        stages.extend(found)
-        return L0, found
-
-    monkeypatch.setattr(repcheck, "_longitude_lanes", longitude_lanes)
     lanes, scalar = _lanes_and_scalar(monkeypatch, n, [M0])
-    assert _exactly(lanes) == _exactly(scalar)
+    _assert_same_verdicts(lanes, scalar)
     assert len(lanes) == 300
+    assert all(r.reason.startswith("out of double range (longitude_mismatch") for r in lanes)
     assert all(r.reason.startswith("out of double range (complex exponentiation) at x0 = ")
-               for r in lanes)
-    (singular, _), (failed, error) = stages
-    assert not singular.any() and failed.all()
-    assert repr(error(0)) == "OverflowError('complex exponentiation')"
+               for r in scalar)
 
 
 def test_a_family_of_1000_meridians_stays_small():
