@@ -139,7 +139,18 @@ def newton_polygon(source) -> NewtonPolygon:
         raise ValueError("the zero polynomial has no Newton polygon")
     if poly.degree("x") or poly.min_exp("x"):
         raise ValueError("newton_polygon needs a polynomial in L and M only, without x")
-    points = sorted({(l, m) for (l, m, _), _ in poly.terms()})
+    # the hull of all terms is that of each power of L's lowest and highest power of M
+    low: dict[int, int] = {}
+    high: dict[int, int] = {}
+    for l, m, _ in poly._terms:
+        least = low.get(l)
+        if least is None:
+            low[l] = high[l] = m
+        elif m < least:
+            low[l] = m
+        elif m > high[l]:
+            high[l] = m
+    points = sorted({*low.items(), *high.items()})
     if len(points) == 1:
         return NewtonPolygon((points[0],), ())
     lower = []

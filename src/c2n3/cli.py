@@ -11,6 +11,7 @@ All output is deterministic for fixed flags and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -94,8 +95,8 @@ def _cmd_verify(args, out) -> int:
     """verify: one JSON document, each n's entry in its results written as soon as it is checked.
 
     The bytes are those of json.dumps of the whole document (tol is a
-    float, which json writes as its repr); n = 0 has no reports and the
-    status "degenerate".
+    float, which json writes as its repr), joined from each report's own
+    to_json text; n = 0 has no reports and the status "degenerate".
     """
     samples = sample_unit_modulus(args.samples, args.seed)
     out.write(f'{{"seed":{args.seed},"samples":{args.samples},"tol":{args.tol!r},"results":[')
@@ -105,9 +106,9 @@ def _cmd_verify(args, out) -> int:
         ok = all(r.passed for r in reports)
         if not ok:
             status = 1
-        entry = {"n": n, "status": "degenerate" if n == 0 else "passed" if ok else "failed",
-                 "reports": [r.to_json_obj() for r in reports]}
-        out.write(("," if i else "") + json.dumps(entry, separators=(",", ":"), allow_nan=False))
+        verdict = "degenerate" if n == 0 else "passed" if ok else "failed"
+        body = ",".join(r.to_json() for r in reports)
+        out.write(f'{"," if i else ""}{{"n":{n},"status":"{verdict}","reports":[{body}]}}')
     out.write("]}\n")
     return status
 
@@ -162,8 +163,12 @@ def _merge_n_flag(argv: list[str]) -> list[str]:
     return merged
 
 
+# The one parser of this process, built by the first main call; parsing leaves it as it was.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None, out=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(_merge_n_flag(sys.argv[1:] if argv is None else list(argv)))
     if args.command == "verify":
         if not 1 <= args.samples <= MAX_SAMPLES:

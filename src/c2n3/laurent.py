@@ -248,19 +248,23 @@ class LaurentPoly:
 
         Returns (q, u, s) with self == s * u * q, where q has minimum
         exponent 0 in every variable and the coefficient of its
-        lexicographically least term is positive.
+        lexicographically least term is positive.  q is self when self is
+        unit-normal already.
         """
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             raise ValueError("cannot unit-normalize the zero polynomial")
-        unit = tuple(min(m[i] for m in self._terms) for i in range(3))
-        shifted = {
-            (m[0] - unit[0], m[1] - unit[1], m[2] - unit[2]): c
-            for m, c in self._terms.items()
-        }
-        sign = 1 if shifted[min(shifted)] > 0 else -1
+        unit = tuple(map(min, zip(*terms)))
+        # a shift keeps the lexicographic order, so the least term stays least
+        sign = 1 if terms[min(terms)] > 0 else -1
+        if unit != UNIT_MONOMIAL:
+            l0, m0, x0 = unit
+            terms = {(l - l0, m - m0, x - x0): c for (l, m, x), c in terms.items()}
+        elif sign > 0:
+            return self, unit, sign
         if sign < 0:
-            shifted = {m: -c for m, c in shifted.items()}
-        return LaurentPoly._raw(shifted), unit, sign
+            terms = {m: -c for m, c in terms.items()}
+        return LaurentPoly._raw(terms), unit, sign
 
     # -- numeric evaluation ----------------------------------------------
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -400,6 +401,25 @@ class VerificationReport:
             "passed": self.passed,
         }
 
+    def to_json(self) -> str:
+        """The compact json.dumps text of to_json_obj() with allow_nan=False, each float as its repr.
+
+        Raises ValueError where a field is inf or NaN, as json.dumps does.
+        """
+        M0, x0 = self.M_sample, self.root
+        text = (f'{{"n":{self.n},"M_sample":[{M0.real!r},{M0.imag!r}],'
+                f'"root":[{x0.real!r},{x0.imag!r}],'
+                f'"relation_residual":{self.relation_residual!r},'
+                f'"longitude_mismatch":{self.longitude_mismatch!r},'
+                f'"offdiag_residual":{self.offdiag_residual!r},'
+                f'"apoly_residual":{self.apoly_residual!r},'
+                f'"cond_relator":{self.cond_relator!r},"cond_longitude":{self.cond_longitude!r},'
+                f'"passed":{"true" if self.passed else "false"}}}')
+        # a float's repr holds "inf" or "nan" exactly when it is not finite, and no key does
+        if "inf" in text or "nan" in text:
+            raise ValueError(f"Out of range float values are not JSON compliant: {self!r}")
+        return text
+
 
 def _check_point_args(n: int, tol: float) -> None:
     if n == 0:
@@ -428,21 +448,23 @@ def verify_point(n: int, M0: complex, x0: complex, tol: float) -> VerificationRe
         raise ValueError(f"the root must be finite, got x0 = {x0!r}")
     if M0 == 0:
         raise ValueError("the meridian eigenvalue must be nonzero")
-    (report,) = _check(n, [(M0, [x0])], tol, apoly_theorem(n).poly)
+    (report,), _ = _check(n, [(M0, [x0])], tol, apoly_theorem(n).poly)
     if isinstance(report, SingularPointError):
         raise report
     return report
 
 
 def _check(n: int, family: Sequence[tuple[complex, Sequence[complex]]], tol: float,
-           poly: LaurentPoly) -> list[VerificationReport | SingularPointError]:
+           poly: LaurentPoly) -> tuple[list[VerificationReport | SingularPointError], list[bool]]:
     """The check of every root x0 of every meridian M0 of family, one lane per (M0, x0) pair.
 
     Gives per root, in family order, its report, or SingularPointError
-    where M0^2 + x0 = 0 and the longitude eigenvalue is undefined.  Every
-    value comes from numpy's complex arithmetic on the lanes.  A value that
-    leaves the double range is inf or NaN, and so is every residual
-    computed from it (np.maximum passes a NaN on), so the report shows it.
+    where M0^2 + x0 = 0 and the longitude eigenvalue is undefined; and per
+    root whether every float of its report is finite, from one np.isfinite
+    per column.  Every value comes from numpy's complex arithmetic on the
+    lanes.  A value that leaves the double range is inf or NaN, and so is
+    every residual computed from it (np.maximum passes a NaN on), so the
+    report shows it.
     """
     at = np.repeat(np.arange(len(family)), [len(roots) for _, roots in family])
     meridians = [M0 for M0, _ in family]
@@ -457,9 +479,12 @@ def _check(n: int, family: Sequence[tuple[complex, Sequence[complex]]], tol: flo
         residual = _apoly_residual(*_apoly_at(poly, meridians), at, L0)
         passed = ((relation <= tol * cond_rel) & (mismatch <= tol * cond_lon)
                   & (offdiag <= tol * cond_lon) & (residual <= tol))
+    floats = (M0, x0, relation, mismatch, offdiag, residual, cond_rel, cond_lon)
+    finite = np.logical_and.reduce([np.isfinite(v) for v in floats])
     columns = (x0, at, denom == 0, relation, mismatch, offdiag, residual, cond_rel, cond_lon, passed)
-    return [SingularPointError(_SINGULAR) if pole else VerificationReport(n, meridians[k], x, *fields)
-            for x, k, pole, *fields in zip(*(v.tolist() for v in columns))]
+    reports = [SingularPointError(_SINGULAR) if pole else VerificationReport(n, meridians[k], x, *fields)
+               for x, k, pole, *fields in zip(*(v.tolist() for v in columns))]
+    return reports, finite.tolist()
 
 
 def _apoly_at(poly: LaurentPoly, meridians: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
@@ -556,6 +581,10 @@ class BadPoint:
             "reason": self.reason,
         }
 
+    def to_json(self) -> str:
+        """The compact json.dumps text of to_json_obj(), which escapes the reason."""
+        return json.dumps(self.to_json_obj(), separators=(",", ":"), allow_nan=False)
+
 
 def verify_family(
     n: int, M_samples: Sequence[complex], tol: float
@@ -572,11 +601,12 @@ def verify_family(
     BadPoint in place of its reports.  A root where the longitude
     eigenvalue is undefined (SingularPointError) gives one in place of its
     report, and so does a root whose report holds inf or NaN, where a value
-    left the double range (off the unit circle, A_2n at M0 can): its reason
-    names the fields that are not finite.  So every report serializes as
-    strict JSON.  n = 0, a tol that is not finite and
-    positive, and an empty sample list (whose empty report list would read
-    as a passed family) raise ValueError before anything is built.
+    left the double range (off the unit circle, A_2n at M0 can): _check
+    flags its lane, and the reason names the fields that are not finite.
+    So every report serializes as strict JSON.  n = 0, a tol that is not
+    finite and positive, and an empty sample list (whose empty report list
+    would read as a passed family) raise ValueError before anything is
+    built.
     """
     _check_point_args(n, tol)
     if len(M_samples) == 0:
@@ -585,16 +615,17 @@ def verify_family(
     apoly = apoly_theorem(n).poly
     found = list(zip(meridians, _roots_batch(n, meridians)))
     family = [(M0, roots) for M0, roots in found if not isinstance(roots, ArithmeticError)]
-    checked = iter(_check(n, family, tol, apoly))
+    checked = zip(*_check(n, family, tol, apoly))
     reports: list[VerificationReport | BadPoint] = []
     for M0, roots in found:
         if isinstance(roots, ArithmeticError):
             reports.append(BadPoint(n, M0, str(roots)))
             continue
-        for x0, report in zip(roots, checked):
+        for x0, (report, finite) in zip(roots, checked):
             if isinstance(report, SingularPointError):
                 report = BadPoint(n, M0, f"{report} at x0 = {x0!r}")
-            elif wide := [k for k, v in vars(report).items() if not cmath.isfinite(v)]:
+            elif not finite:
+                wide = [k for k, v in vars(report).items() if not cmath.isfinite(v)]
                 report = BadPoint(n, M0, f"out of double range ({', '.join(wide)}) at x0 = {x0!r}")
             reports.append(report)
     return reports

@@ -164,8 +164,13 @@ def scalar_verify_family(n, M_samples, tol, poly, found) -> list:
             except (OverflowError, ZeroDivisionError) as exc:
                 reports.append(BadPoint(n, M0, f"out of double range ({exc}) at x0 = {x0!r}"))
                 continue
-            wide = [k for k, v in vars(report).items() if not cmath.isfinite(v)]
-            if wide:
-                report = BadPoint(n, M0, f"out of double range ({', '.join(wide)}) at x0 = {x0!r}")
-            reports.append(report)
+            reports.append(scan_report(n, M0, x0, report))
     return reports
+
+
+def scan_report(n, M0, x0, report):
+    """report, or the BadPoint naming its fields that are inf or NaN, found by a scan of every field."""
+    wide = [k for k, v in vars(report).items() if not cmath.isfinite(v)]
+    if wide:
+        return BadPoint(n, M0, f"out of double range ({', '.join(wide)}) at x0 = {x0!r}")
+    return report

@@ -297,3 +297,30 @@ def test_newton_polygon_is_idempotent(pts):
     for l, m in polygon.vertices:
         hull_only = hull_only + mono(1, l=l, m=m)
     assert newton_polygon(hull_only) == polygon
+
+
+def _hull_of_every_term(poly):
+    # Andrew's monotone chain over every exponent point of poly, none left out
+    points = sorted({(l, m) for (l, m, _), _ in poly.terms()})
+    chains = []
+    for run in (points, points[::-1]):
+        chain = []
+        for p in run:
+            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        chains.append(chain[:-1])
+    return tuple(chains[0] + chains[1])
+
+
+@pytest.mark.parametrize("n", [k for k in range(-12, 13) if k])
+def test_newton_polygon_is_the_hull_of_every_term_of_a_2n(n):
+    # newton_polygon keeps only each power of L's lowest and highest power of M
+    poly = apoly_theorem(n).poly
+    vertices = _hull_of_every_term(poly)
+    polygon = newton_polygon(poly)
+    assert polygon.vertices == vertices
+    k = len(vertices)
+    edges = [(vertices[i], vertices[(i + 1) % k]) for i in range(k)]
+    assert polygon.slopes == tuple("inf" if a[0] == b[0] else Fraction(b[1] - a[1], b[0] - a[0])
+                                   for a, b in edges)

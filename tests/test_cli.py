@@ -388,3 +388,43 @@ def test_stdout_bytes_are_pinned(command):
     code, out = run(command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
+
+
+def _fresh(argv):
+    # one new interpreter per call, whose parser nothing has used before
+    done = subprocess.run([sys.executable, "-m", "c2n3.cli", *argv],
+                          capture_output=True, text=True, env=module_env(), timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _in_process(argv, capsys):
+    buf = io.StringIO()
+    try:
+        code = cli.main(argv, out=buf)
+    except SystemExit as exc:
+        code = exc.code
+    return code, buf.getvalue(), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("first, second", [
+    ("verify --n 1 --samples 0", "verify --n 1 --samples 2"),  # a usage error, exit 2
+    ("compute --n 5", "compute --n 0..1000000000000"),
+    ("compute --n -2..2 --path both --format json", "compute --n -2..2 --format json"),
+    ("verify --n -1..1 --samples 2 --tol 1e-6", "verify --n -1..1 --samples 2"),
+])
+def test_the_parser_kept_by_main_parses_each_call_as_a_fresh_one(first, second, capsys):
+    # main builds its parser once per process; a call after another prints
+    # what the same call prints in a new process
+    assert _in_process(first.split(), capsys) == _fresh(first.split())
+    assert _in_process(second.split(), capsys) == _fresh(second.split())
+
+
+def test_main_builds_one_parser_per_process():
+    # on its first call, not at import, so importing c2n3.cli stays as cheap as before
+    probe = ("import io, c2n3.cli as cli; cache = cli._shared_parser; print(cache.cache_info().misses); "
+             "cli.main(['compute', '--n', '1'], out=io.StringIO()); "
+             "cli.main(['newton', '--n', '-1'], out=io.StringIO()); print(cache.cache_info().misses)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=module_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "1"]

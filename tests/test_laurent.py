@@ -613,6 +613,10 @@ def test_normalize_unit_examples():
     q, unit, sign = mono(-1, m=4, x=1).normalize_unit()
     assert (q, unit, sign) == (ONE, (0, 4, 1), -1)
 
+    # no monomial to factor out, but a negative least term: only the sign changes
+    q, unit, sign = (mono(-1, m=1) + mono(1, l=1)).normalize_unit()
+    assert (q, unit, sign) == (mono(1, m=1) - mono(1, l=1), UNIT_MONOMIAL, -1)
+
     with pytest.raises(ValueError):
         ZERO.normalize_unit()
 
@@ -625,6 +629,7 @@ def test_normalize_unit_reconstructs_and_is_idempotent(p):
     assert q.min_exp("L") == 0 and q.min_exp("M") == 0 and q.min_exp("x") == 0
     again, unit2, sign2 = q.normalize_unit()
     assert (again, unit2, sign2) == (q, UNIT_MONOMIAL, 1)
+    assert again is q  # a unit-normal polynomial is its own normal form, not a copy
 
 
 def _value(p, M0, z):

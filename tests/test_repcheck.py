@@ -1,7 +1,9 @@
 """Tests for the numeric representation checks: words, matrices, roots, residuals."""
 
 import cmath
+import dataclasses
 import itertools
+import json
 import math
 import random
 import re
@@ -12,7 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
-from oracles import mpmath_polish_root, numpy_word_product, scalar_verify_family
+from oracles import mpmath_polish_root, numpy_word_product, scalar_verify_family, scan_report
 
 from c2n3.apoly import APolyResult, apoly_theorem, substitution_x
 from c2n3.laurent import ONE, LaurentPoly, mono
@@ -24,6 +26,7 @@ from c2n3.repcheck import (
     RepeatedRootError,
     SingularPointError,
     VerificationReport,
+    _check,
     _eval_word_tracked,
     _first_repeat,
     _reduced,
@@ -615,6 +618,77 @@ def test_verification_report_json_shape():
     assert obj["M_sample"] == [1.0, 0.0]
     assert isinstance(obj["passed"], bool)
     assert isinstance(report, VerificationReport)
+
+
+def _dumps(entry):
+    return json.dumps(entry.to_json_obj(), separators=(",", ":"), allow_nan=False)
+
+
+@pytest.mark.parametrize("n", [1, -1, 6, -6, 12])
+def test_each_report_writes_the_json_dumps_text(n):
+    # off the unit circle too, where reports hold tiny and huge floats and, at
+    # n = 12, BadPoints stand in for reports out of the double range
+    entries = verify_family(n, sample_unit_modulus(5, seed=4) + [2.0, 0.5, 0.3 + 1.7j], 1e-8)
+    for entry in entries:
+        assert entry.to_json() == _dumps(entry)
+    assert any(isinstance(e, VerificationReport) for e in entries)
+    assert n != 12 or any(isinstance(e, BadPoint) for e in entries)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(n=st.integers(-100, 100), parts=st.lists(finite_floats, min_size=11, max_size=11),
+       passed=st.booleans())
+def test_a_report_of_any_finite_floats_writes_the_json_dumps_text(n, parts, passed):
+    report = VerificationReport(n, complex(*parts[:2]), complex(*parts[2:4]), *parts[4:10],
+                                passed)
+    assert report.to_json() == _dumps(report)
+
+
+@pytest.mark.parametrize("reason", ['say "no"', "back\\slash", "non-ASCII: \u00e9\u2212\U0001d4b3",
+                                    "control\n\t\x00", ""])
+def test_a_bad_point_escapes_its_reason_as_json_dumps_does(reason):
+    bad = BadPoint(3, complex(0.5, -1e-300), reason)
+    assert bad.to_json() == _dumps(bad)
+    assert json.loads(bad.to_json())["reason"] == reason
+
+
+@pytest.mark.parametrize("field", ["M_sample", "root", "relation_residual", "longitude_mismatch",
+                                   "offdiag_residual", "apoly_residual", "cond_relator",
+                                   "cond_longitude"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_report_holding_inf_or_nan_writes_no_json(field, value):
+    report = verify_point(-1, 1.0, complex(-0.5, math.sqrt(3) / 2), 1e-8)
+    part = complex(1.0, value) if field in ("M_sample", "root") else value
+    report = dataclasses.replace(report, **{field: part})
+    with pytest.raises(ValueError):
+        _dumps(report)
+    with pytest.raises(ValueError):
+        report.to_json()
+
+
+def test_the_report_json_text_refuses_nan_as_json_dumps_does():
+    # A_24 at M0 = 2.0 leaves the double range in this lane
+    report = verify_point(12, 2.0, 0.5, 1e-8)
+    with pytest.raises(ValueError):
+        _dumps(report)
+    with pytest.raises(ValueError):
+        report.to_json()
+
+
+def test_only_the_lanes_check_flags_are_named_and_as_the_field_scan_names_them():
+    n, tol, samples = 12, 1e-8, [2.0, 0.5]
+    found = _roots_batch(n, samples)
+    family = [(complex(M0), roots) for M0, roots in zip(samples, found)]
+    lanes, finite = _check(n, family, tol, apoly_theorem(n).poly)
+    points = [(M0, x0) for M0, roots in family for x0 in roots]
+    assert not any(isinstance(r, SingularPointError) for r in lanes)
+    scanned = [scan_report(n, M0, x0, r) for (M0, x0), r in zip(points, lanes)]
+    assert finite == [r is s for r, s in zip(lanes, scanned)]
+    assert True in finite and False in finite
+    reasons = [r.reason if isinstance(r, BadPoint) else None for r in verify_family(n, samples, tol)]
+    assert reasons == [s.reason if isinstance(s, BadPoint) else None for s in scanned]
 
 
 def test_verify_family_reports_bad_points_in_place(monkeypatch):
