@@ -638,7 +638,7 @@ def test_each_report_writes_the_json_dumps_text(n):
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@given(n=st.integers(-100, 100), parts=st.lists(finite_floats, min_size=11, max_size=11),
+@given(n=st.integers(-100, 100), parts=st.lists(finite_floats, min_size=10, max_size=10),
        passed=st.booleans())
 def test_a_report_of_any_finite_floats_writes_the_json_dumps_text(n, parts, passed):
     report = VerificationReport(n, complex(*parts[:2]), complex(*parts[2:4]), *parts[4:10],
