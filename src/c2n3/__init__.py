@@ -32,10 +32,8 @@ from .repcheck import (
     VerificationReport,
     build_longitude,
     build_w,
-    eval_word,
     longitude_eigen,
     relator_word,
-    rho_matrices,
     roots_of_rm,
     sample_unit_modulus,
     verify_family,
@@ -66,13 +64,11 @@ __all__ = [
     "build_longitude",
     "build_w",
     "c_sum",
-    "eval_word",
     "longitude_eigen",
     "mono",
     "newton_polygon",
     "q_poly",
     "relator_word",
-    "rho_matrices",
     "rm_closed",
     "rm_recursive",
     "roots_of_rm",

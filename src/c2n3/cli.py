@@ -52,18 +52,17 @@ def _render(poly: LaurentPoly, fmt: str) -> str:
     return poly.to_text()
 
 
-# --path value -> name of the route function in this module, per subcommand.
-# Routes are looked up by name when a command runs, so a rebound module
-# attribute (a test double, a tracer) is the function that gets called.
-_ROUTES = {
-    "compute": {"theorem": "apoly_theorem", "substitution": "apoly_substitution"},
-    "rm": {"closed": "rm_closed", "recursive": "rm_recursive"},
-}
-
-
 def _cmd_routes(args, out) -> int:
-    """compute and rm: each n by the chosen route, or by both with their agreement."""
-    routes = {path: globals()[name] for path, name in _ROUTES[args.command].items()}
+    """compute and rm: each n by the chosen route, or by both with their agreement.
+
+    The route names are read from this module's globals when the command
+    runs, so a rebound module attribute (a test double, a tracer) is the
+    function that gets called.
+    """
+    if args.command == "compute":
+        routes = {"theorem": apoly_theorem, "substitution": apoly_substitution}
+    else:
+        routes = {"closed": rm_closed, "recursive": rm_recursive}
     status = 0
     multi = len(args.n) > 1
     for n in args.n:

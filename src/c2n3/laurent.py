@@ -266,40 +266,6 @@ class LaurentPoly:
             terms = {m: -c for m, c in terms.items()}
         return LaurentPoly._raw(terms), unit, sign
 
-    # -- numeric evaluation ----------------------------------------------
-
-    def at_meridian(self, M0) -> tuple[list, list]:
-        """Set M to the number M0: coefficients and term-magnitude sums per power of L or x.
-
-        The polynomial may use M and one other variable, L or x, with
-        nonnegative exponents.  Entry k of the first list is sum c * M0**e
-        and entry k of the second is sum |c| * |M0|**e, both over the terms
-        c * M^e * var^k; the lists are empty for the zero polynomial.  M0
-        may be a complex or an mpmath mpc, which keeps its working
-        precision throughout.
-        """
-        terms = self._terms
-        axis = 0 if any(m[0] for m in terms) else 2
-        if axis == 0 and any(m[2] for m in terms):
-            raise ValueError("at_meridian needs a polynomial in M and one of L, x")
-        if any(m[axis] < 0 for m in terms):
-            raise ValueError(f"cannot specialize negative exponents of {VARIABLES[axis]}")
-        if M0 == 0 and any(m[1] < 0 for m in terms):
-            raise ZeroDivisionError("M = 0 but M occurs with negative exponents")
-        size = max((m[axis] for m in terms), default=-1) + 1
-        zero = 0 * M0
-        values = [zero] * size
-        bounds = [abs(zero)] * size
-        modulus = abs(M0)
-        powers = {}
-        for m, c in terms.items():
-            power = powers.get(m[1])
-            if power is None:
-                power = powers[m[1]] = (M0 ** m[1], modulus ** m[1])
-            values[m[axis]] += c * power[0]
-            bounds[m[axis]] += abs(c) * power[1]
-        return values, bounds
-
     # -- canonical JSON ----------------------------------------------------
 
     def to_json_obj(self) -> dict:

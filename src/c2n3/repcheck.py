@@ -94,19 +94,16 @@ def _finite_meridian(M0) -> complex:
     return M0
 
 
-def rho_matrices(M0: complex, x0: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Generator images: s -> [[M0, 1], [0, 1/M0]], t -> [[M0, 0], [2 - M0^2 - M0^-2 - x0, 1/M0]]."""
-    s_mat, t_mat = _rho_lanes(np.array([_finite_meridian(M0)]), np.array([complex(x0)]))
-    return np.array(s_mat).reshape(2, 2), np.array(t_mat).reshape(2, 2)
-
-
 # A 2x2 matrix as its entries (a, b, c, d) in row order, each an array with
 # one lane per point, so that one pass over a word serves many points.
 Lanes = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _rho_lanes(M0: np.ndarray, x0: np.ndarray) -> tuple[Lanes, Lanes]:
-    """The generator images of rho_matrices at arrays of meridians and roots."""
+    """The generator images s -> [[M0, 1], [0, 1/M0]], t -> [[M0, 0], [2 - M0^2 - M0^-2 - x0, 1/M0]].
+
+    M0 and x0 are arrays of meridians and roots, one lane per point.
+    """
     if not M0.all():
         raise ValueError("the meridian eigenvalue must be nonzero")
     minv = 1 / M0
@@ -121,17 +118,6 @@ def _inv2(mat: Lanes) -> Lanes:
         if not det.all():
             raise ValueError("singular matrix")
         return d / det, -b / det, -c / det, a / det
-
-
-def eval_word(word: Letters, s_mat: np.ndarray, t_mat: np.ndarray) -> np.ndarray:
-    """Image of a word under the homomorphism sending s, t to the given matrices."""
-    return _eval_word_tracked(word, s_mat, t_mat)[0]
-
-
-def _eval_word_tracked(word: Letters, s_mat, t_mat) -> tuple[np.ndarray, float]:
-    lanes = (tuple(np.asarray(m, dtype=complex).reshape(4, 1)) for m in (s_mat, t_mat))
-    entries, cond = _product(word, _steps(*lanes))
-    return np.array(entries).reshape(2, 2), float(cond[0])
 
 
 def _steps(s_mat: Lanes, t_mat: Lanes) -> dict[tuple[str, int], Lanes]:
@@ -356,15 +342,31 @@ def _starts(n: int, s_values: Sequence[complex]) -> np.ndarray:
 
 
 def longitude_eigen(n: int, M0: complex, x0: complex) -> complex:
-    """Predicted longitude eigenvalue  -M0^(-4n-2) * (M0^-2 + x0) / (M0^2 + x0)."""
+    """Predicted longitude eigenvalue  -M0^(-4n-2) * (M0^-2 + x0) / (M0^2 + x0).
+
+    _longitude on the one lane (M0, x0), so it rounds as _check does.
+    Raises ValueError at M0 = 0 and SingularPointError where M0^2 + x0 = 0
+    in that arithmetic.  Where M0^(-4n-2) leaves the double range, it
+    returns inf or NaN, as the lane does, and raises nothing.
+    """
     M0 = complex(M0)
-    x0 = complex(x0)
     if M0 == 0:
         raise ValueError("the meridian eigenvalue must be nonzero")
-    denom = M0 * M0 + x0
-    if denom == 0:
+    (L0,), (pole,) = _longitude(n, np.array([M0]), np.array([complex(x0)]))
+    if pole:
         raise SingularPointError(_SINGULAR)
-    return -(M0 ** (-4 * n - 2)) * (M0**-2 + x0) / denom
+    return complex(L0)
+
+
+def _longitude(n: int, M0: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L0 = -M0^(-4n-2) (M0^-2 + x0) / (M0^2 + x0) per lane, and whether the lane is at the pole.
+
+    The pole is M0^2 + x0 = 0, where L0 is undefined.  A value out of the
+    double range is inf or NaN, without a warning.
+    """
+    with np.errstate(all="ignore"):
+        denom = M0 * M0 + x0
+        return -(M0 ** (-4 * n - 2)) * (M0**-2 + x0) / denom, denom == 0
 
 
 @dataclass(frozen=True)
@@ -471,27 +473,27 @@ def _check(n: int, family: Sequence[tuple[complex, Sequence[complex]]], tol: flo
     x0 = np.array([x for _, roots in family for x in roots], dtype=complex)
     M0 = np.array(meridians, dtype=complex)[at]
     (a, b, c, d), cond_rel, lon_a, lon_c, cond_lon = _word_lanes(n, M0, x0)
+    L0, at_pole = _longitude(n, M0, x0)
     with np.errstate(all="ignore"):
         relation = np.maximum.reduce([abs(a - 1), abs(b), abs(c), abs(d - 1)])
-        denom = M0 * M0 + x0
-        L0 = -(M0 ** (-4 * n - 2)) * (M0**-2 + x0) / denom  # longitude_eigen on the lanes
         mismatch, offdiag = abs(lon_a - L0), abs(lon_c)
         residual = _apoly_residual(*_apoly_at(poly, meridians), at, L0)
         passed = ((relation <= tol * cond_rel) & (mismatch <= tol * cond_lon)
                   & (offdiag <= tol * cond_lon) & (residual <= tol))
     floats = (M0, x0, relation, mismatch, offdiag, residual, cond_rel, cond_lon)
     finite = np.logical_and.reduce([np.isfinite(v) for v in floats])
-    columns = (x0, at, denom == 0, relation, mismatch, offdiag, residual, cond_rel, cond_lon, passed)
+    columns = (x0, at, at_pole, relation, mismatch, offdiag, residual, cond_rel, cond_lon, passed)
     reports = [SingularPointError(_SINGULAR) if pole else VerificationReport(n, meridians[k], x, *fields)
                for x, k, pole, *fields in zip(*(v.tolist() for v in columns))]
     return reports, finite.tolist()
 
 
 def _apoly_at(poly: LaurentPoly, meridians: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
-    """poly.at_meridian(M0) at every meridian: one row per meridian, one column per power of L.
+    """poly with M set to each meridian M0: one row per meridian, one column per power of L.
 
     poly is A_2n as apoly_theorem gives it, a polynomial in L and M.  Gives
-    the coefficients and the term-magnitude sums.  Every power of M0 that
+    the coefficients, sum c M0^e over the terms c L^k M^e in column k, and
+    the term-magnitude sums, sum |c| |M0|^e.  Every power of M0 that
     a batch of meridians needs comes from one numpy ** over the sorted
     distinct powers of M, and np.add.reduceat sums the terms of each power
     of L.  Meridians go in batches of _BATCH_CELLS terms.

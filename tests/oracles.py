@@ -4,11 +4,13 @@ Polynomials here are plain dicts mapping (expL, expM, expX) to int.
 Nothing is shared with the LaurentPoly internals: products and sums are
 accumulated pairwise so the library results can be checked against a
 second, deliberately naive implementation.  The numeric-layer oracles at
-the end keep the earlier numpy, mpmath and scalar kernels of c2n3.repcheck;
-mpmath is a test-only dependency.  The scalar check runs in Python's own
-complex arithmetic, which rounds apart from numpy's, so c2n3.repcheck's
-lanes agree with it in every verdict and within rounding in every residual,
-not bit for bit.
+the end keep the earlier numpy, mpmath and scalar kernels of c2n3.repcheck,
+the scalar specialization at_meridian, which works in complex or in
+mpmath's mpc, and one-lane views of the lane kernels; mpmath is a
+test-only dependency.  The scalar check runs in Python's own complex
+arithmetic, its longitude eigenvalue included, which rounds apart from
+numpy's, so c2n3.repcheck's lanes agree with it in every verdict and
+within rounding in every residual, not bit for bit.
 """
 
 import cmath
@@ -17,12 +19,16 @@ import math
 import mpmath as mp
 import numpy as np
 
+from c2n3.laurent import VARIABLES
 from c2n3.repcheck import (
+    _SINGULAR,
     BadPoint,
     SingularPointError,
     VerificationReport,
+    _product,
+    _rho_lanes,
+    _steps,
     _word_lanes,
-    longitude_eigen,
 )
 
 
@@ -59,6 +65,51 @@ def as_dict(poly) -> dict:
 
 
 # -- numeric layer ------------------------------------------------------------
+
+
+def at_meridian(poly, M0) -> tuple[list, list]:
+    """Set M to the number M0 in poly: coefficients and term-magnitude sums per power of L or x.
+
+    poly may use M and one other variable, L or x, with nonnegative
+    exponents.  Entry k of the first list is sum c * M0**e and entry k of
+    the second is sum |c| * |M0|**e, both over the terms c * M^e * var^k;
+    the lists are empty for the zero polynomial.  M0 may be a complex or an
+    mpmath mpc, which keeps its working precision throughout.
+    """
+    terms = poly.terms()
+    axis = 0 if any(m[0] for m, _ in terms) else 2
+    if axis == 0 and any(m[2] for m, _ in terms):
+        raise ValueError("at_meridian needs a polynomial in M and one of L, x")
+    if any(m[axis] < 0 for m, _ in terms):
+        raise ValueError(f"cannot specialize negative exponents of {VARIABLES[axis]}")
+    if M0 == 0 and any(m[1] < 0 for m, _ in terms):
+        raise ZeroDivisionError("M = 0 but M occurs with negative exponents")
+    size = max((m[axis] for m, _ in terms), default=-1) + 1
+    zero = 0 * M0
+    values = [zero] * size
+    bounds = [abs(zero)] * size
+    modulus = abs(M0)
+    powers = {}
+    for m, c in terms:
+        power = powers.get(m[1])
+        if power is None:
+            power = powers[m[1]] = (M0 ** m[1], modulus ** m[1])
+        values[m[axis]] += c * power[0]
+        bounds[m[axis]] += abs(c) * power[1]
+    return values, bounds
+
+
+def one_lane_rho(M0, x0) -> tuple[np.ndarray, np.ndarray]:
+    """The generator images s, t at the one point (M0, x0), as 2x2 arrays from c2n3.repcheck's lanes."""
+    s_mat, t_mat = _rho_lanes(np.array([complex(M0)]), np.array([complex(x0)]))
+    return np.array(s_mat).reshape(2, 2), np.array(t_mat).reshape(2, 2)
+
+
+def one_lane_word(word, s_mat, t_mat) -> tuple[np.ndarray, float]:
+    """A word's image and peak entry-magnitude sum by c2n3.repcheck's lane product, on one lane."""
+    lanes = (tuple(np.asarray(m, dtype=complex).reshape(4, 1)) for m in (s_mat, t_mat))
+    entries, cond = _product(word, _steps(*lanes))
+    return np.array(entries).reshape(2, 2), float(cond[0])
 
 
 def _inv2(mat: np.ndarray) -> np.ndarray:
@@ -108,6 +159,18 @@ def _horner(coeffs, z):
     return acc
 
 
+def scalar_longitude(n, M0, x0) -> complex:
+    """-M0^(-4n-2) (M0^-2 + x0) / (M0^2 + x0) in Python's complex arithmetic.
+
+    Raises SingularPointError where M0^2 + x0 = 0 there, and OverflowError
+    where Python's ** leaves the double range.
+    """
+    denom = M0 * M0 + x0
+    if denom == 0:
+        raise SingularPointError(_SINGULAR)
+    return -(M0 ** (-4 * n - 2)) * (M0**-2 + x0) / denom
+
+
 def scalar_report(n, M0, x0, tol, words, apoly_lists) -> VerificationReport:
     """The check at (M0, x0) in Python's scalar arithmetic.
 
@@ -115,7 +178,7 @@ def scalar_report(n, M0, x0, tol, words, apoly_lists) -> VerificationReport:
     """
     (a, b, c, d), cond_rel, lon_a, lon_c, cond_lon = words
     relation_residual = max(abs(a - 1), abs(b), abs(c), abs(d - 1))
-    L0 = longitude_eigen(n, M0, x0)
+    L0 = scalar_longitude(n, M0, x0)
     longitude_mismatch = abs(lon_a - L0)
     offdiag_residual = abs(lon_c)
     values, bounds = apoly_lists
@@ -156,7 +219,7 @@ def scalar_verify_family(n, M_samples, tol, poly, found) -> list:
         lists = None
         for x0 in roots:
             try:
-                lists = lists or poly.at_meridian(M0)
+                lists = lists or at_meridian(poly, M0)
                 report = scalar_report(n, M0, x0, tol, words[M0, x0], lists)
             except SingularPointError as exc:
                 reports.append(BadPoint(n, M0, f"{exc} at x0 = {x0!r}"))

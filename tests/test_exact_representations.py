@@ -122,8 +122,7 @@ def _meridian(n):
 NONZERO_N = [n for n in range(-12, 13) if n]
 
 
-@pytest.mark.parametrize("n", NONZERO_N)
-def test_every_representation_satisfies_every_check_exactly(n):
+def _assert_every_check_holds(n):
     M0, riley = _meridian(n), rm_closed(n).poly
     coeffs = _at_meridian(riley, M0, axis=2)
     assert len(coeffs) - 1 == 3 * abs(n) - (n < 0)
@@ -132,6 +131,17 @@ def test_every_representation_satisfies_every_check_exactly(n):
     assert sum(c * pow(-M0 * M0, k, PRIME) for k, c in enumerate(coeffs)) % PRIME
     assert exact_checks(n, riley, apoly_theorem(n).poly, M0) == dict.fromkeys(
         ["relator", "offdiag", "eigenvalue", "apoly"], True)
+
+
+@pytest.mark.parametrize("n", NONZERO_N)
+def test_every_representation_satisfies_every_check_exactly(n):
+    _assert_every_check_holds(n)
+
+
+@pytest.mark.parametrize("n", [40, -40])
+def test_every_representation_satisfies_every_check_exactly_at_n_40(n):
+    # past the pinned range: 120 and 119 roots at once, about 1.5 s each, builds included
+    _assert_every_check_holds(n)
 
 
 @pytest.mark.parametrize("n", [2, -3, 7])

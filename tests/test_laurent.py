@@ -22,7 +22,7 @@ from c2n3.laurent import (
     packed,
 )
 from c2n3.rmpoly import rm_closed, rm_recursive
-from oracles import as_dict, naive_add, naive_mul, naive_neg, naive_pow
+from oracles import as_dict, at_meridian, naive_add, naive_mul, naive_neg, naive_pow
 
 exponents = st.integers(min_value=-3, max_value=3)
 monomials = st.tuples(exponents, exponents, exponents)
@@ -632,46 +632,50 @@ def test_normalize_unit_reconstructs_and_is_idempotent(p):
     assert again is q  # a unit-normal polynomial is its own normal form, not a copy
 
 
+# The scalar specialization at_meridian of tests/oracles.py, the reference that
+# the numeric layer's tests compare against.
+
+
 def _value(p, M0, z):
-    values, _ = p.at_meridian(M0)
+    values, _ = at_meridian(p, M0)
     return np.polyval(values[::-1], z) if values else 0
 
 
 def test_eval_examples():
     assert _value(P_MINUS2, 1, 1) == pytest.approx(3)
     assert _value(Q_CUBIC, 1, 0) == pytest.approx(2)
-    assert ONE.at_meridian(2) == ([1], [1])
-    assert ZERO.at_meridian(2) == ([], [])
-    values, bounds = (mono(3, l=2, m=-1) - mono(4, l=2, m=1) + mono(1, m=2)).at_meridian(2j)
+    assert at_meridian(ONE, 2) == ([1], [1])
+    assert at_meridian(ZERO, 2) == ([], [])
+    values, bounds = at_meridian(mono(3, l=2, m=-1) - mono(4, l=2, m=1) + mono(1, m=2), 2j)
     assert values == [-4, 0j, -1.5j - 8j]
     assert bounds == [4, 0, 3 / 2 + 8]
     # the remaining variable keeps its gaps and starts at power 0
-    lengths = [len(p.at_meridian(1)[0]) for p in (mono(1, x=3), mono(1, l=2), mono(7, m=-3))]
+    lengths = [len(at_meridian(p, 1)[0]) for p in (mono(1, x=3), mono(1, l=2), mono(7, m=-3))]
     assert lengths == [4, 3, 1]
 
 
 def test_eval_keeps_mpmath_precision():
     with mp.workdps(40):
         M0 = mp.mpc(1, 3) / 7
-        values, bounds = Q_CUBIC.at_meridian(M0)
+        values, bounds = at_meridian(Q_CUBIC, M0)
         assert all(type(v) is mp.mpc for v in values)
         assert all(type(b) is mp.mpf for b in bounds)
         expected = -(M0**8) + 2 * M0**6 - 3 * M0**4 + 2 * M0**2 - 1
         assert abs(values[1] - expected) < mp.mpf(10) ** -38
-    plain, _ = Q_CUBIC.at_meridian(complex(1, 3) / 7)
+    plain, _ = at_meridian(Q_CUBIC, complex(1, 3) / 7)
     assert all(abs(complex(v) - w) < 1e-15 for v, w in zip(values, plain))
 
 
 def test_eval_error_cases():
     with pytest.raises(ZeroDivisionError):
-        (mono(1, m=-2) + mono(1, x=1)).at_meridian(0)
-    assert (mono(1, m=2) + mono(1, x=1)).at_meridian(0) == ([0, 1], [0, 1])
+        at_meridian(mono(1, m=-2) + mono(1, x=1), 0)
+    assert at_meridian(mono(1, m=2) + mono(1, x=1), 0) == ([0, 1], [0, 1])
     with pytest.raises(ValueError, match="one of L, x"):
-        (mono(1, l=1) + mono(1, x=1)).at_meridian(2)
+        at_meridian(mono(1, l=1) + mono(1, x=1), 2)
     with pytest.raises(ValueError, match="negative exponents of x"):
-        (ONE + mono(1, x=-1)).at_meridian(2)
+        at_meridian(ONE + mono(1, x=-1), 2)
     with pytest.raises(ValueError, match="negative exponents of L"):
-        mono(1, l=-1, m=2).at_meridian(2)
+        at_meridian(mono(1, l=-1, m=2), 2)
 
 
 @given(p=polys_in_m_and_x, q=polys_in_m_and_x, M0=unit_band_complex, z=unit_band_complex)
@@ -683,13 +687,13 @@ def test_eval_is_multiplicative(p, q, M0, z):
 
 
 def _magnitude(p, M0, z):
-    _, bounds = p.at_meridian(M0)
+    _, bounds = at_meridian(p, M0)
     return sum(b * abs(z) ** k for k, b in enumerate(bounds))
 
 
 @given(p=polys_in_m_and_x, M0=unit_band_complex)
 def test_eval_magnitude_sums_bound_their_coefficients(p, M0):
-    values, bounds = p.at_meridian(M0)
+    values, bounds = at_meridian(p, M0)
     assert len(values) == len(bounds)
     for value, bound in zip(values, bounds):
         assert abs(value) <= bound * (1 + 1e-12)

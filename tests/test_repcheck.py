@@ -14,7 +14,15 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
-from oracles import mpmath_polish_root, numpy_word_product, scalar_verify_family, scan_report
+from oracles import (
+    at_meridian,
+    mpmath_polish_root,
+    numpy_word_product,
+    one_lane_rho,
+    one_lane_word,
+    scalar_verify_family,
+    scan_report,
+)
 
 from c2n3.apoly import APolyResult, apoly_theorem, substitution_x
 from c2n3.laurent import ONE, LaurentPoly, mono
@@ -27,17 +35,14 @@ from c2n3.repcheck import (
     SingularPointError,
     VerificationReport,
     _check,
-    _eval_word_tracked,
     _first_repeat,
     _reduced,
     _roots_batch,
     _starts,
     build_longitude,
     build_w,
-    eval_word,
     longitude_eigen,
     relator_word,
-    rho_matrices,
     roots_of_rm,
     sample_unit_modulus,
     verify_family,
@@ -94,24 +99,24 @@ def test_exponent_sums(n):
 
 
 def test_rho_fixtures():
-    s_mat, t_mat = rho_matrices(1.0, 0.0)
+    s_mat, t_mat = one_lane_rho(1.0, 0.0)
     assert np.allclose(s_mat, [[1, 1], [0, 1]])
     assert np.allclose(t_mat, np.eye(2))
 
-    _, t_mat = rho_matrices(1j, 1.0)
+    _, t_mat = one_lane_rho(1j, 1.0)
     assert t_mat[1, 0] == pytest.approx(3)
     assert t_mat[0, 0] == pytest.approx(1j)
     assert t_mat[1, 1] == pytest.approx(-1j)
 
     with pytest.raises(ValueError):
-        rho_matrices(0.0, 1.0)
+        one_lane_rho(0.0, 1.0)
 
 
 def test_eval_word_examples():
-    s_mat, t_mat = rho_matrices(0.7 + 0.5j, 0.3 - 0.2j)
-    assert np.allclose(eval_word((), s_mat, t_mat), np.eye(2))
-    assert np.allclose(eval_word((("s", 1), ("t", 1)), s_mat, t_mat), s_mat @ t_mat)
-    s_inv = eval_word((("s", -1),), s_mat, t_mat)
+    s_mat, t_mat = one_lane_rho(0.7 + 0.5j, 0.3 - 0.2j)
+    assert np.allclose(one_lane_word((), s_mat, t_mat)[0], np.eye(2))
+    assert np.allclose(one_lane_word((("s", 1), ("t", 1)), s_mat, t_mat)[0], s_mat @ t_mat)
+    s_inv, _ = one_lane_word((("s", -1),), s_mat, t_mat)
     assert np.allclose(s_mat @ s_inv, np.eye(2))
 
 
@@ -119,7 +124,7 @@ def test_eval_word_rejects_singular_generator_images():
     singular = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
     good = np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
-        eval_word((("s", 1),), singular, good)
+        one_lane_word((("s", 1),), singular, good)
 
 
 words = st.lists(
@@ -137,16 +142,16 @@ traces = st.builds(
 
 @given(word=words, M0=meridians, x0=traces)
 def test_eval_word_preserves_unit_determinant(word, M0, x0):
-    s_mat, t_mat = rho_matrices(M0, x0)
-    mat, cond = _eval_word_tracked(word, s_mat, t_mat)
+    s_mat, t_mat = one_lane_rho(M0, x0)
+    mat, cond = one_lane_word(word, s_mat, t_mat)
     det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
     assert abs(det - 1) <= 1e-10 * cond**2 + 1e-10
 
 
 @given(word=words, M0=meridians, x0=traces)
 def test_eval_word_matches_the_numpy_oracle(word, M0, x0):
-    s_mat, t_mat = rho_matrices(M0, x0)
-    mat, cond = _eval_word_tracked(word, s_mat, t_mat)
+    s_mat, t_mat = one_lane_rho(M0, x0)
+    mat, cond = one_lane_word(word, s_mat, t_mat)
     expected, expected_cond = numpy_word_product(word, s_mat, t_mat)
     assert np.abs(mat - expected).max() <= 1e-12 * cond
     assert abs(cond - expected_cond) <= 1e-12 * expected_cond
@@ -188,12 +193,14 @@ def test_the_s_form_of_the_recursion_is_p_2n_exactly():
 
 @pytest.mark.parametrize("n", [1, -1, 5, -5])
 def test_root_finding_calls_nothing_from_the_exact_kernel(monkeypatch, n):
+    import c2n3.laurent
     import c2n3.rmpoly
 
     def no_kernel(*args):
         raise AssertionError("root finding called the exact kernel")
 
-    monkeypatch.setattr(LaurentPoly, "at_meridian", no_kernel)
+    monkeypatch.setattr(c2n3.laurent, "packed", no_kernel)
+    monkeypatch.setattr(LaurentPoly, "__mul__", no_kernel)
     monkeypatch.setattr(c2n3.rmpoly, "rm_closed", no_kernel)
     for M0 in sample_unit_modulus(3, seed=2) + [0.5, 2.0, 0.3 + 1.7j]:
         assert len(roots_of_rm(n, M0)) == 3 * abs(n) - (n < 0)
@@ -207,7 +214,7 @@ def test_roots_are_polished_to_tiny_residuals(n):
     poly = rm_closed(n).poly
     roots = roots_of_rm(n, M0)
     assert len(roots) == poly.degree("x")
-    values, bounds = poly.at_meridian(M0)
+    values, bounds = at_meridian(poly, M0)
     for x0 in roots:
         value = np.polyval(values[::-1], x0)
         scale = np.polyval(bounds[::-1], abs(x0))
@@ -256,7 +263,7 @@ def test_polish_root_matches_the_mpmath_oracle():
         poly = rm_closed(n).poly
         for M0 in samples:
             with mp.workdps(40):
-                exact = poly.at_meridian(mp.mpc(M0))[0][::-1]
+                exact = at_meridian(poly, mp.mpc(M0))[0][::-1]
                 for x in roots_of_rm(n, M0):
                     assert abs(x - mpmath_polish_root(x, exact)) <= 1e-13 * max(1.0, abs(x))
 
@@ -276,7 +283,7 @@ def test_specialization_matches_the_mpmath_oracle(n, M0):
     for a, b in itertools.combinations(roots, 2):
         assert abs(a - b) > 1e-12 * max(1.0, abs(a))
     with mp.workdps(60):
-        values, sizes = poly.at_meridian(mp.mpc(M0))
+        values, sizes = at_meridian(poly, mp.mpc(M0))
         for x in map(mp.mpc, roots):
             assert abs(mp.polyval(values[::-1], x)) <= 1e-12 * mp.polyval(sizes[::-1], abs(x))
 
@@ -286,8 +293,6 @@ def test_non_finite_meridians_are_rejected_by_name(M0):
     message = re.escape(f"M0 = {complex(M0)!r}")
     with pytest.raises(ValueError, match=message):
         roots_of_rm(2, M0)
-    with pytest.raises(ValueError, match=message):
-        rho_matrices(M0, 0.5)
     with pytest.raises(ValueError, match=message):
         verify_family(2, [M0], 1e-8)
 
@@ -484,11 +489,44 @@ def test_longitude_eigen_fixtures():
         longitude_eigen(1, 0.0, 1.0)
 
 
+def _at_pole(fn, *args):
+    try:
+        fn(*args)
+    except SingularPointError:
+        return True
+    return False
+
+
+def test_longitude_eigen_and_verify_point_agree_on_the_pole(monkeypatch):
+    # x0 = -M0^2 with M0^2 as Python rounds it and as numpy does: the two
+    # roundings differ at many meridians, and whichever way each candidate
+    # falls, longitude_eigen and verify_point see the same pole
+    import c2n3.repcheck as repcheck
+
+    apoly = apoly_theorem(1)
+    monkeypatch.setattr(repcheck, "apoly_theorem", lambda n: apoly)
+    poles = 0
+    for M0 in sample_unit_modulus(2000, seed=5):
+        for x0 in (-(M0 * M0), complex(-(np.array([M0]) * np.array([M0]))[0])):
+            pole = _at_pole(verify_point, 1, M0, x0, 1e-8)
+            assert _at_pole(longitude_eigen, 1, M0, x0) == pole, (M0, x0)
+            poles += pole
+    assert 0 < poles < 4000
+
+
+def test_longitude_eigen_gives_inf_or_nan_where_the_power_of_m0_leaves_the_double_range():
+    # |M0|^-402 overflows at this meridian: Python's ** would raise, the lanes give inf or NaN
+    M0 = 0.16177803993223905 + 0.05004381214183469j
+    with pytest.raises(OverflowError, match="complex exponentiation"):
+        M0 ** (-4 * 100 - 2)
+    assert not cmath.isfinite(longitude_eigen(100, M0, 0.5))
+
+
 @given(n=st.integers(-3, 3), M0=meridians, x0=traces)
 def test_longitude_eigen_inverts_the_x_substitution(n, M0, x0):
     assume(abs(M0 * M0 + x0) > 0.1)
     L0 = longitude_eigen(n, M0, x0)
-    num, den = (np.polyval(p.at_meridian(M0)[0][::-1], L0) for p in substitution_x(n))
+    num, den = (np.polyval(at_meridian(p, M0)[0][::-1], L0) for p in substitution_x(n))
     assume(abs(den) > 1e-3)
     x_back = num / den
     assert abs(x_back - x0) <= 1e-7 * (1 + abs(x0) + abs(L0))
@@ -570,10 +608,10 @@ def test_verify_point_rejects_a_zero_meridian():
 
 
 def test_verify_point_raises_the_error_its_lane_meets():
-    # A_24 at M0 = 2.0 leaves the double range, as at_meridian shows; the lane
-    # meets no error there, and its report says so
+    # A_24 at M0 = 2.0 leaves the double range, as the scalar at_meridian shows;
+    # the lane meets no error there, and its report says so
     with pytest.raises(OverflowError, match="complex exponentiation"):
-        apoly_theorem(12).poly.at_meridian(complex(2.0))
+        at_meridian(apoly_theorem(12).poly, complex(2.0))
     report = verify_point(12, 2.0, 0.5, 1e-8)
     assert not all(map(cmath.isfinite, vars(report).values())) and not report.passed
     # the one error a lane meets is the pole of the longitude eigenvalue
@@ -867,7 +905,7 @@ def test_the_lanes_give_the_scalar_check_bit_for_bit_at_large_n(monkeypatch, n):
     assert len(lanes) == 3 * (3 * abs(n) - (n < 0)) and all(r.passed for r in lanes)
 
 
-def test_a_longitude_power_past_the_double_range_fails_every_lane_bit_for_bit(monkeypatch):
+def test_a_longitude_power_past_the_double_range_fails_every_lane_as_in_the_scalar_check(monkeypatch):
     # |M0|^-402 overflows at this meridian while the powers of M0 in A_200
     # only underflow, so every root is found and every lane fails in the
     # longitude eigenvalue
@@ -915,6 +953,23 @@ def test_sample_unit_modulus_avoids_low_order_roots_of_unity():
     for z in sample_unit_modulus(50, seed=3):
         theta = cmath.phase(z) % (2 * math.pi)
         assert min(abs(theta - a) for a in special) >= 0.05 - 1e-9
+
+
+def test_fewer_samples_are_the_first_of_more():
+    # so `verify --samples 2` checks the first two meridians of `--samples 20` at one seed
+    for seed in range(100):
+        many = sample_unit_modulus(20, seed)
+        for count in (1, 2, 7, 19):
+            assert sample_unit_modulus(count, seed) == many[:count]
+
+
+@pytest.mark.parametrize("n", [3, -5, 32, -64])
+def test_fewer_samples_give_the_first_reports_of_more_byte_for_byte(n):
+    # a meridian gets the same roots and the same report alone or in a larger family
+    d = 3 * abs(n) - (n < 0)
+    many = verify_family(n, sample_unit_modulus(20, seed=0), 1e-8)
+    few = verify_family(n, sample_unit_modulus(2, seed=0), 1e-8)
+    assert [r.to_json() for r in few] == [r.to_json() for r in many[: 2 * d]]
 
 
 def _sample_by_linear_scan(count, seed):
