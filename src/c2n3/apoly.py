@@ -13,8 +13,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import LaurentPoly, ONE, UNIT_MONOMIAL, ZERO, mono, packed
-from .rmpoly import rm_recursive, summation_indices
+from .laurent import (LaurentPoly, ONE, UNIT_MONOMIAL, ZERO, _digits, _horner, _joined, _Rows,
+                      mono, packed)
+from .rmpoly import _recursive_rows, summation_indices
 
 
 @dataclass(frozen=True)
@@ -78,14 +79,31 @@ def apoly_substitution(n: int) -> APolyResult:
     """A_2n by substituting the longitude relation into P_2n and clearing denominators.
 
     P_2n comes from the recursion, so this route shares no code with
-    apoly_theorem beyond LaurentPoly arithmetic.  The x-degree of P_2n is
+    apoly_theorem beyond the exact kernel of laurent.py.  The x-degree of P_2n is
     used as the clearing degree, so the result is a Laurent polynomial in L
-    and M, which is then unit-normalized.
+    and M, which is then unit-normalized.  The whole route runs on packed
+    rows: the recursion's rows of P_2n, keyed by their power of x, are read
+    slot by slot once and written at the width the substitution needs; the
+    sum (the Horner loop of LaurentPoly.substitute) and the unit
+    normalization run on rows, and the result is unpacked once.
     """
-    p = rm_recursive(n).poly
-    cleared = p.substitute("x", *substitution_x(n), p.degree("x"))
-    normalized, _, _ = cleared.normalize_unit()
-    return APolyResult(n, normalized, "substitution")
+    p = _recursive_rows(n)
+    num, den = substitution_x(n)
+    parts: dict[int, dict] = {}  # x-exponent k: {(expL, 0): (lowest expM, digits)}
+    for (l, k), (lo, value) in p.rows.items():
+        parts.setdefault(k, {})[(l, 0)] = (lo, _digits(value, p.width))
+    deg = max(parts)
+    norms = {k: sum(sum(map(abs, digits)) for _, digits in rows.values())
+             for k, rows in parts.items()}
+    # the bound of the whole sum bounds every Horner intermediate and power of den
+    room = sum(norm * num.norm1() ** k * den.norm1() ** (deg - k) for k, norm in norms.items())
+    num, den = packed(room, num, den)
+    # the parts keep the recursion's stride: the products below check it against num's and den's
+    parts = {k: _Rows({key: (lo, _joined(digits, num.width)) for key, (lo, digits) in rows.items()},
+                      p.stride, num.width, norms[k])
+             for k, rows in parts.items()}
+    normalized, _, _ = _horner(parts, num, den, deg).normalize_unit()
+    return APolyResult(n, normalized.unpack(), "substitution")
 
 
 def c_sum(n: int) -> LaurentPoly:

@@ -206,7 +206,8 @@ class LaurentPoly:
         equals self(var := num/den) * den**clear_deg.  Requires a nonzero
         den, nonnegative exponents of var and clear_deg >= degree(var) so
         the result stays in the ring.  The sum is evaluated by Horner's rule
-        in num, on rows from one packed() call, whose cost follows each row's
+        in num (_horner, which apoly_substitution calls on P_2n's rows too),
+        on rows from one packed() call, whose cost follows each row's
         M-span / stride, not its term count; the stride is the gcd of every
         M-exponent of self, num and den, so exponents that are sparse, or
         evenly spaced off a multiple of their spacing (M^3 + M^5), are slow.
@@ -234,14 +235,8 @@ class LaurentPoly:
         num_norm, den_norm = max(num.norm1(), 1), den.norm1()
         room = sum(sum(map(abs, part.values())) * num_norm**k * den_norm ** (clear_deg - k)
                    for k, part in parts.items())
-        num, den, out, *rows = packed(room, num, den, ZERO, *map(LaurentPoly._raw, parts.values()))
-        parts = dict(zip(parts, rows))
-        den_pow = den.powers(clear_deg - min(parts))
-        for k in range(deg, -1, -1):
-            out = out * num
-            if k in parts:
-                out = out + parts[k] * den_pow[clear_deg - k]
-        return out.unpack()
+        num, den, *rows = packed(room, num, den, *map(LaurentPoly._raw, parts.values()))
+        return _horner(dict(zip(parts, rows)), num, den, clear_deg).unpack()
 
     def normalize_unit(self) -> tuple["LaurentPoly", tuple, int]:
         """Factor out the monomial content and a global sign.
@@ -367,9 +362,11 @@ def _digits(value: int, width: int) -> list[int]:
     """The signed slot values of a packed int, lowest first, to its top nonzero slot or one past."""
     count = _slot_count(value, width)
     w = width // 8
-    half = 1 << (width - 1)
-    data = (value + _biases(count, width)).to_bytes(count * w, "little")
-    return [int.from_bytes(data[at:at + w], "little") - half for at in range(0, len(data), w)]
+    biases = _biases(count, width)
+    # each slot of value + biases holds digit + 2^(width - 1) with no carry between slots;
+    # flipping the top bit leaves the digit in two's complement
+    data = ((value + biases) ^ biases).to_bytes(count * w, "little")
+    return [int.from_bytes(data[at:at + w], "little", signed=True) for at in range(0, len(data), w)]
 
 
 def packed(room: int, *polys: LaurentPoly) -> list["_Rows"]:
@@ -447,35 +444,41 @@ class _Rows:
             raise ValueError(f"packed rows of widths {self.width} and {other.width}, strides "
                              f"{self.stride} and {other.stride} do not combine")
 
-    def __add__(self, other: "_Rows") -> "_Rows":
+    def _plus(self, other: "_Rows", minus: bool) -> "_Rows":
+        # self - other if minus else self + other, row by row
         self._grid(other)
         width, stride = self.width, self.stride
         rows = dict(self.rows)
         for key, (lo, value) in other.rows.items():
             have = rows.get(key)
             if have is None:
-                rows[key] = (lo, value)
+                rows[key] = (lo, -value if minus else value)
                 continue
             lo0, value0 = have
             if lo >= lo0:
-                total = value0 + (value << ((lo - lo0) // stride * width))
+                moved = value << ((lo - lo0) // stride * width)
+                total = value0 - moved if minus else value0 + moved
             else:
-                lo0, total = lo, value + (value0 << ((lo0 - lo) // stride * width))
+                lo0, moved = lo, value0 << ((lo0 - lo) // stride * width)
+                total = moved - value if minus else moved + value
             if total:
                 rows[key] = (lo0, total)
             else:
                 del rows[key]
         return _Rows(rows, stride, width, self.bound + other.bound)
 
-    def __neg__(self) -> "_Rows":
-        return self * -1
+    def __add__(self, other: "_Rows") -> "_Rows":
+        return self._plus(other, False)
 
     def __sub__(self, other: "_Rows") -> "_Rows":
-        return self + (-other)
+        return self._plus(other, True)
 
     def __mul__(self, other) -> "_Rows":
         if isinstance(other, int):
-            rows = {key: (lo, value * other) for key, (lo, value) in self.rows.items() if other}
+            if other == 1:
+                return self
+            rows = {key: (lo, -value if other == -1 else value * other)
+                    for key, (lo, value) in self.rows.items() if other}
             return _Rows(rows, self.stride, self.width, self.bound * abs(other))
         self._grid(other)
         width, stride = self.width, self.stride
@@ -485,7 +488,8 @@ class _Rows:
             rows_a, rows_b = rows_b, rows_a
         # Rows of the smaller operand with few slots enter slot by slot: scaling
         # a long row by a small int is cheaper than multiplying it by an int
-        # that is mostly slot padding.
+        # that is mostly slot padding.  A factor of +-1 forms no product: the
+        # row of the other operand is added or subtracted as it is.
         half = 1 << (width - 1)
         parts_b = []
         for (lb, xb), (lo_b, vb) in rows_b.items():
@@ -499,13 +503,17 @@ class _Rows:
             for lb, xb, lo_b, vb in parts_b:
                 key = (la + lb, xa + xb)
                 lo = lo_a + lo_b
+                minus = vb == -1
+                term = va if minus or vb == 1 else va * vb
                 have = out.get(key)
                 if have is None:
-                    out[key] = (lo, va * vb)
+                    out[key] = (lo, -term if minus else term)
                 elif lo >= have[0]:
-                    out[key] = (have[0], have[1] + ((va * vb) << ((lo - have[0]) // stride * width)))
+                    moved = term << ((lo - have[0]) // stride * width)
+                    out[key] = (have[0], have[1] - moved if minus else have[1] + moved)
                 else:
-                    out[key] = (lo, va * vb + (have[1] << ((have[0] - lo) // stride * width)))
+                    moved = have[1] << ((have[0] - lo) // stride * width)
+                    out[key] = (lo, moved - term if minus else moved + term)
         rows = {key: row for key, row in out.items() if row[1]}
         return _Rows(rows, stride, width, self.bound * other.bound)
 
@@ -522,6 +530,44 @@ class _Rows:
             raise ValueError(f"an M-shift of {m} is off the grid of stride {self.stride}")
         rows = {(kl + l, kx + x): (lo + m, value) for (kl, kx), (lo, value) in self.rows.items()}
         return _Rows(rows, self.stride, self.width, self.bound)
+
+    def normalize_unit(self) -> tuple["_Rows", tuple, int]:
+        """LaurentPoly.normalize_unit on the rows: (q, u, s) with self == s * u * q.
+
+        The monomial content comes from the row keys and each row's lowest
+        nonzero slot, the sign from the top bit of the least term's slot; a
+        shift and at most one negation apply them, and no row is unpacked.
+        """
+        if not self.rows:
+            raise ValueError("cannot unit-normalize the zero polynomial")
+        width, stride = self.width, self.stride
+        lowest = {}  # (expL, expX): (index of the lowest nonzero slot, its M-exponent)
+        for key, (lo, value) in self.rows.items():
+            k = ((value & -value).bit_length() - 1) // width
+            lowest[key] = (k, lo + k * stride)
+        unit = (min(l for l, _ in lowest), min(m for _, m in lowest.values()),
+                min(x for _, x in lowest))
+        # the least term is the lowest slot of the row least in (expL, its lowest expM, expX)
+        (l, x), (k, _) = min(lowest.items(), key=lambda row: (row[0][0], row[1][1], row[0][1]))
+        # the top bit of that slot is its digit's sign bit, whatever the slots above it hold
+        sign = -1 if self.rows[(l, x)][1] >> (width * (k + 1) - 1) & 1 else 1
+        return self.shift(*(-e for e in unit)) * sign, unit, sign
+
+
+def _horner(parts: dict[int, _Rows], num: _Rows, den: _Rows, clear_deg: int) -> _Rows:
+    """sum_k parts[k] * num**k * den**(clear_deg - k), by Horner's rule in num.
+
+    parts maps each power k of the substituted variable to its coefficient
+    rows; every value is on one grid with room for the whole sum, and
+    clear_deg is at least max(parts).
+    """
+    den_pow = den.powers(clear_deg - min(parts))
+    out = _Rows({}, num.stride, num.width, 0)
+    for k in range(max(parts), -1, -1):
+        out = out * num
+        if k in parts:
+            out = out + parts[k] * den_pow[clear_deg - k]
+    return out
 
 
 def mono(coeff: int, l: int = 0, m: int = 0, x: int = 0) -> LaurentPoly:

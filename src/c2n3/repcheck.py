@@ -94,6 +94,13 @@ def _finite_meridian(M0) -> complex:
     return M0
 
 
+def _finite_root(x0) -> complex:
+    x0 = complex(x0)
+    if not cmath.isfinite(x0):
+        raise ValueError(f"the root must be finite, got x0 = {x0!r}")
+    return x0
+
+
 # A 2x2 matrix as its entries (a, b, c, d) in row order, each an array with
 # one lane per point, so that one pass over a word serves many points.
 Lanes = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -345,14 +352,15 @@ def longitude_eigen(n: int, M0: complex, x0: complex) -> complex:
     """Predicted longitude eigenvalue  -M0^(-4n-2) * (M0^-2 + x0) / (M0^2 + x0).
 
     _longitude on the one lane (M0, x0), so it rounds as _check does.
-    Raises ValueError at M0 = 0 and SingularPointError where M0^2 + x0 = 0
-    in that arithmetic.  Where M0^(-4n-2) leaves the double range, it
-    returns inf or NaN, as the lane does, and raises nothing.
+    Raises ValueError, naming the value, where M0 or x0 is not finite, as
+    verify_point does, and at M0 = 0; raises SingularPointError where
+    M0^2 + x0 = 0 in that arithmetic.  Where M0^(-4n-2) leaves the double
+    range, it returns inf or NaN, as the lane does, and raises nothing.
     """
-    M0 = complex(M0)
+    M0, x0 = _finite_meridian(M0), _finite_root(x0)
     if M0 == 0:
         raise ValueError("the meridian eigenvalue must be nonzero")
-    (L0,), (pole,) = _longitude(n, np.array([M0]), np.array([complex(x0)]))
+    (L0,), (pole,) = _longitude(n, np.array([M0]), np.array([x0]))
     if pole:
         raise SingularPointError(_SINGULAR)
     return complex(L0)
@@ -444,10 +452,7 @@ def verify_point(n: int, M0: complex, x0: complex, tol: float) -> VerificationRe
     holds inf or NaN where a value leaves the double range.
     """
     _check_point_args(n, tol)
-    M0 = _finite_meridian(M0)
-    x0 = complex(x0)
-    if not cmath.isfinite(x0):
-        raise ValueError(f"the root must be finite, got x0 = {x0!r}")
+    M0, x0 = _finite_meridian(M0), _finite_root(x0)
     if M0 == 0:
         raise ValueError("the meridian eigenvalue must be nonzero")
     (report,), _ = _check(n, [(M0, [x0])], tol, apoly_theorem(n).poly)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, ONE, ZERO, mono, packed
+from .laurent import LaurentPoly, ONE, ZERO, _Rows, _width, mono, packed
 
 
 def binom_z(a: int, b: int) -> int:
@@ -81,15 +81,11 @@ class RMResult:
     path: str
 
 
-def rm_recursive(n: int) -> RMResult:
-    """P_2n by the recursion P_2k = Q*P_2(k-1) - M^8*P_2(k-2), run away from 0.
-
-    Upward from P_0 = 1 and the explicit P_2 for n >= 0; downward from
-    P_0 = M^-2 and the explicit P_-2 for n < 0 (with k-1, k-2 replaced by
-    k+1, k+2).  Only two values are carried, so the cost is linear in |n|.
-    """
+def _recursive_rows(n: int) -> _Rows:
+    """P_2n as packed rows, by the loop of rm_recursive; P_0 = 1 runs no loop and packs nothing."""
     if n == 0:
-        return RMResult(0, _P0_UP, "recursive")
+        # one slot, on the grid of stride 2 that every value of the recursion lies on
+        return _Rows({(0, 0): (0, 1)}, 2, _width(1), 1)
     prev, cur = (_P0_UP, _P_PLUS2) if n > 0 else (_P0_DOWN, _P_MINUS2)
     # the recursion run on 1-norms bounds every value it takes
     lower, room = prev.norm1(), cur.norm1()
@@ -98,7 +94,19 @@ def rm_recursive(n: int) -> RMResult:
     prev, cur, q = packed(room, prev, cur, _Q)
     for _ in range(abs(n) - 1):
         prev, cur = cur, q * cur - prev.shift(m=8)
-    return RMResult(n, cur.unpack(), "recursive")
+    return cur
+
+
+def rm_recursive(n: int) -> RMResult:
+    """P_2n by the recursion P_2k = Q*P_2(k-1) - M^8*P_2(k-2), run away from 0.
+
+    Upward from P_0 = 1 and the explicit P_2 for n >= 0; downward from
+    P_0 = M^-2 and the explicit P_-2 for n < 0 (with k-1, k-2 replaced by
+    k+1, k+2).  Only two values are carried, so the cost is linear in |n|.
+    The loop runs on packed rows (_recursive_rows), unpacked once here;
+    apoly_substitution takes the rows as they are.
+    """
+    return RMResult(n, _recursive_rows(n).unpack(), "recursive")
 
 
 def summation_indices(n: int) -> list[tuple[int, int, int]]:

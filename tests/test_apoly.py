@@ -16,7 +16,7 @@ from c2n3.apoly import (
     substitution_x,
 )
 from c2n3.laurent import LaurentPoly, ONE, UNIT_MONOMIAL, ZERO, mono
-from c2n3.rmpoly import rm_closed
+from c2n3.rmpoly import rm_closed, rm_recursive
 from oracles import as_dict, naive_add, naive_mul, naive_pow
 
 # A_-2, derived by hand: the n = -1 knot is the figure-eight knot, whose
@@ -54,6 +54,17 @@ def test_a0_is_one_on_both_paths():
     assert t.poly == ONE and s.poly == ONE
     assert (t.n, t.path) == (0, "theorem")
     assert (s.n, s.path) == (0, "substitution")
+
+
+@pytest.mark.parametrize("n", [*range(-20, 21), -40, 40])
+def test_substitution_route_is_substitute_then_normalize_unit_on_the_recursions_p2n(n):
+    # the route stays on packed rows from P_2n to A_2n; this takes the long way, through
+    # LaurentPoly.substitute and normalize_unit; at n = 0, P_0 = 1 runs no loop on either
+    p = rm_recursive(n).poly
+    cleared = p.substitute("x", *substitution_x(n), p.degree("x"))
+    assert apoly_substitution(n).poly == cleared.normalize_unit()[0]
+    if n == 0:
+        assert p == ONE and cleared == ONE
 
 
 def test_a_minus2_matches_hand_fixture():

@@ -325,7 +325,7 @@ def test_packed_rows_cancel_to_zero():
     low_half = LaurentPoly({m: c for m, c in p.terms() if m[1] < 0})
     pp, qq, low = packed(2 * p.norm1() * q.norm1(), p, q, low_half)
     assert (pp * qq - qq * pp).unpack().is_zero()
-    assert not (pp + (-pp)).rows
+    assert not (pp + pp * -1).rows
     kept = (pp - low).unpack()
     assert kept == p - low_half and min(m[1] for m, _ in kept.terms()) == 0
 
@@ -430,6 +430,130 @@ def test_packed_derives_the_stride_and_width_from_its_operands():
     for room, width in ((0, 16), (255, 16), (2**15 - 1, 16), (2**15, 24), (2**40, 48)):
         assert [r.width for r in packed(room, small, big)] == [width, width]
     assert [r.bound for r in packed(2**40, small, big)] == [3, 255]
+
+
+# The thick operand of the +-1 products below: two rows of 2^130-sized coefficients, (0, 0)
+# from M^10 and (1, 0) from M^-6, so the thin operand is always the one taken slot by slot.
+THICK = LaurentPoly({(0, 10 + 2 * k, 0): 2**130 + k for k in range(6)}) + LaurentPoly(
+    {(1, 2 * k - 6, 0): -(2**129) - 3 * k for k in range(6)})
+
+
+@pytest.mark.parametrize("thin", [
+    # whole one-slot rows: -1 enters first and then below the row it lands in (key (1, 0):
+    # M^12 from THICK's (0, 0), then M^-6 from its (1, 0)); +1 first and then at or above it
+    -ONE - mono(1, l=1, m=2),
+    ONE + mono(1, l=1, m=-30),
+    mono(1, m=2) - mono(1, l=1, m=-30),
+    # split rows of two to eight slots with +-1 digits, entering first, above and below
+    ONE - mono(1, m=2) + mono(1, m=6),
+    (ONE - mono(1, m=2)) * (ONE + mono(1, l=1)),
+    (mono(1, m=2) - ONE) * (ONE + mono(1, l=1)),
+    LaurentPoly({(0, 2 * k, 0): (-1) ** k for k in range(8)}) - mono(1, l=1, m=-40, x=1),
+    # +-1 digits beside other digits, and a row of nine slots, which enters whole
+    ONE - mono(3, m=2) + mono(1, l=1, m=4),
+    LaurentPoly({(0, 2 * k, 0): 1 for k in range(9)}) - mono(1, l=1),
+])
+def test_row_products_with_unit_digits_match_naive_oracle(thin):
+    expected = naive_mul(as_dict(THICK), as_dict(thin))
+    assert as_dict(_packed(THICK, thin)) == expected
+    assert as_dict(_packed(thin, THICK)) == expected
+
+
+@st.composite
+def unit_thin_polys(draw):
+    """One to three rows of one to eight M-steps, every coefficient +-1, at offsets in [-20, 20]."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        l, x, start = draw(st.integers(-2, 2)), draw(st.integers(-1, 1)), draw(st.integers(-20, 20))
+        for k in range(draw(st.integers(1, 8))):
+            terms[(l, start + k, x)] = draw(st.sampled_from([1, -1]))
+    return LaurentPoly(terms)
+
+
+@given(thick=row_dense_polys(), thin=unit_thin_polys())
+def test_row_products_with_unit_digits_match_naive_oracle_by_hypothesis(thick, thin):
+    expected = naive_mul(as_dict(thick), as_dict(thin))
+    assert as_dict(_packed(thick, thin)) == expected
+    assert as_dict(_packed(thin, thick)) == expected
+
+
+def test_packed_rows_subtract_row_by_row():
+    a = LaurentPoly({(0, k, 0): 2**70 + k for k in range(4, 10)}) + mono(5, l=1, m=2, x=1)
+    lower = LaurentPoly({(0, k, 0): k - 9 for k in range(6)})  # its row starts below a's
+    cancel = mono(5, l=1, m=2, x=1)  # the whole row (1, 1) of a
+    lacking = mono(-7, l=-2, m=-4, x=3)  # a row that a lacks
+    for b in (lower, cancel, lacking, lower + cancel + lacking, a):
+        aa, bb = packed(a.norm1() + b.norm1(), a, b)
+        assert as_dict((aa - bb).unpack()) == naive_add(as_dict(a), naive_neg(as_dict(b)))
+        assert as_dict((bb - aa).unpack()) == naive_add(as_dict(b), naive_neg(as_dict(a)))
+        # the operands still hold their polynomials
+        assert (aa.unpack(), bb.unpack()) == (a, b)
+    aa, bb = packed(2 * a.norm1(), a, cancel)
+    assert (1, 1) not in (aa - bb).rows and (1, 1) in (aa + bb).rows
+    assert not (aa - aa).rows
+
+
+def test_packed_rows_times_one_are_the_rows_and_times_minus_one_their_negation():
+    p = LaurentPoly({(0, 2 * k, 0): 2**40 - k for k in range(5)}) + mono(-3, l=1, m=-2, x=2)
+    (pp,) = packed(0, p)
+    assert pp * 1 is pp
+    negated = pp * -1
+    assert negated.unpack() == -p
+    assert (negated.stride, negated.width, negated.bound) == (pp.stride, pp.width, pp.bound)
+    assert (negated * -1).unpack() == p and not (pp * 0).rows
+
+
+@st.composite
+def normalizable_rows(draw):
+    """(rows, polynomial): content in L, M and x, a sign, and maybe a row whose lowest slot cancelled.
+
+    The rows are packable_polys times a drawn signed monomial; when drawn, the
+    lowest term of a row of two or more terms is subtracted on the rows, so
+    that row keeps its lowest M-exponent and holds a zero in its lowest slot.
+    """
+    stride = draw(st.sampled_from([1, 2, 3]))
+    poly = draw(packable_polys(stride))
+    l, m, x = draw(st.tuples(exponents, exponents, exponents))
+    poly = poly * mono(draw(st.sampled_from([1, -1])), l, stride * m, x)
+    rows_of: dict = {}
+    for (el, em, ex), c in poly.terms():
+        rows_of.setdefault((el, ex), []).append((em, c))
+    long_rows = sorted(key for key, row in rows_of.items() if len(row) > 1)
+    cut = ZERO
+    if long_rows and draw(st.booleans()):
+        (el, ex) = draw(st.sampled_from(long_rows))
+        em, c = rows_of[(el, ex)][0]
+        cut = mono(c, el, em, ex)
+    pp, cc = packed(poly.norm1() + cut.norm1(), poly, cut)
+    return pp - cc, poly - cut
+
+
+@given(drawn=normalizable_rows())
+def test_row_normalize_unit_matches_normalize_unit(drawn):
+    rows, poly = drawn
+    assume(poly)
+    q, unit, sign = rows.normalize_unit()
+    assert (q.unpack(), unit, sign) == poly.normalize_unit()
+    assert (q.stride, q.width) == (rows.stride, rows.width)
+
+
+def test_row_normalize_unit_examples():
+    # -L^2 M^-4 x^-1 (1 - 2M + M^3 x): content in all three variables, a negative least term,
+    # and a row whose lowest slot is cancelled away by the subtraction
+    poly = mono(-1, l=2, m=-4, x=-1) * (mono(-5, m=-1) + 1 - mono(2, m=1) + mono(1, m=3, x=1))
+    cut = mono(5, l=2, m=-5, x=-1)
+    pp, cc = packed(poly.norm1() + 5, poly, cut)
+    rows = pp - cc
+    assert rows.rows[(2, -1)][0] == -5  # the cancelled slot is still in the row
+    q, unit, sign = rows.normalize_unit()
+    assert (unit, sign) == ((2, -4, -1), -1)
+    assert q.unpack() == ONE - mono(2, m=1) + mono(1, m=3, x=1)
+    assert (q.unpack(), unit, sign) == (poly - cut).normalize_unit()
+    # unit-normal already: the same polynomial, unit and sign
+    q, unit, sign = packed(0, ONE - mono(1, l=1))[0].normalize_unit()
+    assert (q.unpack(), unit, sign) == (ONE - mono(1, l=1), UNIT_MONOMIAL, 1)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        packed(0, ZERO)[0].normalize_unit()
 
 
 def test_route_builders_pack_every_operand_at_stride_two(monkeypatch):

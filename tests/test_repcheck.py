@@ -489,6 +489,17 @@ def test_longitude_eigen_fixtures():
         longitude_eigen(1, 0.0, 1.0)
 
 
+def test_longitude_eigen_rejects_a_non_finite_meridian_or_root_as_verify_point_does():
+    nan, inf = float("nan"), float("inf")
+    for M0, x0, match in ((nan, 0.5, "M0 = .*nan"), (inf, 0.5, "M0 = .*inf"), (1.0, nan, "x0 = .*nan")):
+        messages = []
+        for fn in (longitude_eigen, lambda *a: verify_point(*a, 1e-8)):
+            with pytest.raises(ValueError, match=f"must be finite, got {match}") as info:
+                fn(1, M0, x0)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+
 def _at_pole(fn, *args):
     try:
         fn(*args)
