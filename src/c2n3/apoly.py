@@ -40,7 +40,8 @@ def apoly_theorem(n: int) -> APolyResult:
     Each summand carries an aggregate power of 1 + L*M^(2+4n) (for n >= 0;
     L*M^2 + M^(-4n) for n < 0) that stays nonnegative across the summation
     range, so denominators never actually appear.  The result of the sum is
-    already unit-normal; both facts are asserted.
+    already unit-normal; both facts are asserted, the second on the rows
+    before the one unpack.
     """
     if n >= 0:
         base_num = (mono(1, l=1, m=4 * n) - 1) * (1 - mono(1, m=2))
@@ -69,10 +70,9 @@ def apoly_theorem(n: int) -> APolyResult:
         agg = top_agg - i - j
         assert agg >= 0, "aggregate denominator exponent went negative"
         acc = acc + den_pow[agg] * c
-    acc = acc.shift(m=m_top)
-    normalized, unit, sign = acc.unpack().normalize_unit()
+    normalized, unit, sign = acc.shift(m=m_top).normalize_unit()
     assert unit == UNIT_MONOMIAL and sign == 1, "closed-form A-polynomial was not unit-normal"
-    return APolyResult(n, normalized, "theorem")
+    return APolyResult(n, normalized.unpack(), "theorem")
 
 
 def apoly_substitution(n: int) -> APolyResult:

@@ -518,8 +518,23 @@ class _Rows:
         return _Rows(rows, stride, width, self.bound * other.bound)
 
     def powers(self, top: int) -> list["_Rows"]:
-        """[1, self, self^2, ..., self^top], all on this value's grid."""
+        """[1, self, self^2, ..., self^top], all on this value's grid, with bounds bound^j.
+
+        A binomial a + b of two +-1 monomials in two rows (the den of both
+        A_2n routes) gets its powers from Pascal's rule: row i of (a + b)^j
+        is the one slot C(j, i) * a^i * b^(j - i), and no product is formed.
+        Any other value multiplies up power by power.
+        """
         out = [_Rows({(0, 0): (0, 1)}, self.stride, self.width, 1)]
+        if len(self.rows) == 2 and all(value in (1, -1) for _, value in self.rows.values()):
+            ((la, xa), (ma, sa)), ((lb, xb), (mb, sb)) = self.rows.items()
+            coeffs = [1]  # the signed coefficient of a^i * b^(j - i), i = 0..j
+            for j in range(1, top + 1):
+                coeffs = [sb * c + sa * c_less for c, c_less in zip(coeffs + [0], [0] + coeffs)]
+                rows = {(i * la + (j - i) * lb, i * xa + (j - i) * xb): (i * ma + (j - i) * mb, c)
+                        for i, c in enumerate(coeffs)}
+                out.append(_Rows(rows, self.stride, self.width, out[-1].bound * self.bound))
+            return out
         for _ in range(top):
             out.append(out[-1] * self)
         return out

@@ -67,8 +67,16 @@ _P0_UP = ONE
 _P0_DOWN = mono(1, m=-2)
 
 
+# T' = M^4 - M^2 + 1 = M^2 * (M^2 + M^-2 - 1); the recursion applies Q through it
+_T = mono(1, m=4) + mono(-1, m=2) + 1
+
+
 def q_poly() -> LaurentPoly:
-    """The cubic Q(x, M) driving the recursion; equals M^4 * (2 - x*(M^2 + M^-2 + x - 1)^2)."""
+    """The cubic Q(x, M) driving the recursion; equals M^4 * (2 - x*(M^2 + M^-2 + x - 1)^2).
+
+    Expanded in T' = M^4 - M^2 + 1 = M^2 * (M^2 + M^-2 - 1), that is
+    Q = 2M^4 - x*T'^2 - 2M^2*x^2*T' - M^4*x^3, the form _recursive_rows applies.
+    """
     return _Q
 
 
@@ -82,7 +90,15 @@ class RMResult:
 
 
 def _recursive_rows(n: int) -> _Rows:
-    """P_2n as packed rows, by the loop of rm_recursive; P_0 = 1 runs no loop and packs nothing."""
+    """P_2n as packed rows, by the loop of rm_recursive; P_0 = 1 runs no loop and packs nothing.
+
+    Each step applies Q = 2M^4 - x*T'^2 - 2M^2*x^2*T' - M^4*x^3 as
+    2M^4*P - x*T'*(T'*P + 2M^2*x*P) - M^4*x^3*P: both products by T' take
+    its +-1 digits (shifts and adds, no big-int product), 2P is the one
+    doubling, and the rest is shifts and sums.  For |P|_1 <= b the parts
+    are bounded by 2b + 15b + b = |Q|_1 * b, so the room of the recursion on
+    1-norms still holds every value.
+    """
     if n == 0:
         # one slot, on the grid of stride 2 that every value of the recursion lies on
         return _Rows({(0, 0): (0, 1)}, 2, _width(1), 1)
@@ -91,9 +107,12 @@ def _recursive_rows(n: int) -> _Rows:
     lower, room = prev.norm1(), cur.norm1()
     for _ in range(abs(n) - 1):
         lower, room = room, _Q.norm1() * room + lower
-    prev, cur, q = packed(room, prev, cur, _Q)
+    prev, cur, t = packed(room, prev, cur, _T)
     for _ in range(abs(n) - 1):
-        prev, cur = cur, q * cur - prev.shift(m=8)
+        twice = cur * 2
+        inner = t * cur + twice.shift(m=2, x=1)
+        prev, cur = cur, (twice.shift(m=4) - (t * inner).shift(x=1) - cur.shift(m=4, x=3)
+                          - prev.shift(m=8))
     return cur
 
 
@@ -104,7 +123,8 @@ def rm_recursive(n: int) -> RMResult:
     P_0 = M^-2 and the explicit P_-2 for n < 0 (with k-1, k-2 replaced by
     k+1, k+2).  Only two values are carried, so the cost is linear in |n|.
     The loop runs on packed rows (_recursive_rows), unpacked once here;
-    apoly_substitution takes the rows as they are.
+    apoly_substitution takes the rows as they are.  Each step applies Q
+    through T' = M^4 - M^2 + 1, whose +-1 digits need no big-int product.
     """
     return RMResult(n, _recursive_rows(n).unpack(), "recursive")
 

@@ -556,6 +556,67 @@ def test_row_normalize_unit_examples():
         packed(0, ZERO)[0].normalize_unit()
 
 
+def _product_loop_powers(value, top):
+    """[1, value, ..., value^top] by one row product per power, the reference for _Rows.powers."""
+    out = [laurent._Rows({(0, 0): (0, 1)}, value.stride, value.width, 1)]
+    for _ in range(top):
+        out.append(out[-1] * value)
+    return out
+
+
+# two +-1 monomials: each sign of each term, terms keyed by L and by x, negative M-exponents
+BINOMIALS = [sa * mono(1, m=2) + sb * mono(1, l=1, m=-6) for sa in (1, -1) for sb in (1, -1)] + [
+    mono(1, x=1, m=-4) - mono(1, m=10),
+    mono(-1, l=-1, m=-2) + mono(1, x=2, m=-8),
+    mono(1, l=1, m=3) - mono(1, x=1),
+]
+NOT_BINOMIALS = [
+    ONE + mono(1, l=1) - mono(1, x=1),  # three terms
+    mono(2, m=2) - mono(1, l=1, m=-4),  # a coefficient of 2
+    mono(-2, m=2) + mono(1, x=1),  # a coefficient of -2
+    ONE - mono(1, m=2),  # one row of two slots
+]
+
+
+@pytest.mark.parametrize("top", [0, 1, 5])
+@pytest.mark.parametrize("poly, pascal", [(p, True) for p in BINOMIALS]
+                         + [(p, False) for p in NOT_BINOMIALS])
+def test_row_powers_of_a_binomial_follow_pascal_and_match_the_product_loop(
+        monkeypatch, poly, pascal, top):
+    (value,) = packed(poly.norm1() ** top, poly)
+    expected = _product_loop_powers(value, top)
+    products = []
+    real_mul = laurent._Rows.__mul__
+    monkeypatch.setattr(laurent._Rows, "__mul__",
+                        lambda a, b: products.append(1) or real_mul(a, b))
+    powers = value.powers(top)
+    # two +-1 monomials form no product; any other value forms one per power
+    assert len(products) == (0 if pascal else top)
+    assert [p.unpack() for p in powers] == [e.unpack() for e in expected]
+    assert [p.unpack() for p in powers] == [poly**j for j in range(top + 1)]
+    assert [(p.stride, p.width, p.bound) for p in powers] == [
+        (e.stride, e.width, e.bound) for e in expected]
+
+
+@pytest.mark.parametrize("poly", BINOMIALS + NOT_BINOMIALS)
+def test_row_powers_outgrow_an_under_roomed_width_at_the_same_power_as_the_product_loop(poly):
+    (value,) = packed(0, poly)
+    assert value.width == 8
+
+    def first_failing(build):
+        for top in range(20):
+            try:
+                build(top)
+            except OverflowError:
+                return top
+        return None
+
+    failing = first_failing(value.powers)
+    assert failing == first_failing(lambda top: _product_loop_powers(value, top))
+    # 8-bit slots hold bounds below 2^7
+    assert value.bound ** failing >= 2**7 > value.bound ** (failing - 1)
+
+
 def test_route_builders_pack_every_operand_at_stride_two(monkeypatch):
     # every M-exponent the four routes meet is even, so every packed() call lands on M-steps of 2
     grids = []

@@ -50,6 +50,11 @@ def test_q_literal_and_rewrite():
     assert q_poly() == Q
     base = mono(1, m=2) + mono(1, m=-2) + mono(1, x=1) - 1
     assert q_poly() == mono(1, m=4) * (2 - mono(1, x=1) * base**2)
+    # the factored form the recursion applies, through T' = M^4 - M^2 + 1
+    t = mono(1, m=4) - mono(1, m=2) + 1
+    assert t == mono(1, m=2) * (mono(1, m=2) + mono(1, m=-2) - 1)
+    assert q_poly() == (mono(2, m=4) - mono(1, x=1) * t**2 - mono(2, m=2, x=2) * t
+                        - mono(1, m=4, x=3))
     assert at_meridian(q_poly(), 1.0)[0][0] == pytest.approx(2)
 
 
