@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, ONE, ZERO, _Rows, _width, mono, packed
+from .laurent import LaurentPoly, ONE, _digits, _Rows, _width, mono, packed
 
 
 def binom_z(a: int, b: int) -> int:
@@ -23,7 +23,7 @@ def binom_z(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-# M^2 + M^-2 + x - 1, the quantity the closed form raises to powers.
+# M^2 + M^-2 + x - 1, the base of the closed form.
 _BASE = mono(1, m=2) + mono(1, m=-2) + mono(1, x=1) - 1
 
 # Q = -M^4 x^3 + (-2M^6 + 2M^4 - 2M^2) x^2 + (-M^8 + 2M^6 - 3M^4 + 2M^2 - 1) x + 2M^4
@@ -145,17 +145,38 @@ def rm_closed(n: int) -> RMResult:
     """P_2n by the closed-form finite sum over summation_indices(n).
 
     For n >= 0 the summand is C * M^(4n) * (M^2 + M^-2 + x - 1)^i * (-x)^j;
-    for n < 0 the base is negated and the prefactor is M^(-4n-2).
+    for n < 0 the base is negated and the prefactor is M^(-4n-2).  With the
+    base written as s * (M^-2 * T' + x), T' = M^4 - M^2 + 1, the binomial
+    theorem expands each summand into
+    sum_e C * (-1)^j * s^i * C(i, e) * x^(i-e+j) * M^(p-2e) * T'^e,
+    so every x-row is a sum of integer multiples of packed powers of T',
+    each built once by shifts and adds.  Each row is one int, and no
+    product, sum or shift of packed rows is formed per summand.
     """
     if n >= 0:
-        base, prefactor = _BASE, 4 * n
+        sign, prefactor = 1, 4 * n
     else:
-        base, prefactor = -_BASE, -4 * n - 2
-    # the sum run on 1-norms bounds every value it takes
-    room = sum(abs(c) * base.norm1() ** i for i, _, c in summation_indices(n))
-    base, acc, power = packed(room, base, ZERO, ONE)
-    for i, j, c in summation_indices(n):
-        if i:
-            power = power * base
-        acc = acc + (power * (c * (-1) ** j)).shift(m=prefactor, x=j)
-    return RMResult(n, acc.unpack(), "closed")
+        sign, prefactor = -1, -4 * n - 2
+    indices = summation_indices(n)
+    # the sum run on 1-norms bounds every value it takes; since |T'^e|_1 <= 3^e, the
+    # contributions to one x-row from the summand of i are bounded by |C| * 4^i too
+    room = sum(abs(c) * _BASE.norm1() ** i for i, _, c in indices)
+    (t,) = packed(room, mono(1, m=2) * (_BASE - mono(1, x=1)))
+    width = t.width
+    digits = _digits(t.rows[(0, 0)][1], width)
+    table = [1]  # T'^e as packed ints on the stride-2 grid, lowest slot M^0
+    for _ in range(indices[-1][0]):
+        table.append(sum(d * (table[-1] << k * width) for k, d in enumerate(digits)))
+    # x-exponent: {e: the integer multiple of M^(prefactor - 2e) * T'^e}; within a row
+    # each e comes from one summand, since i + j grows strictly with i
+    parts: dict[int, dict[int, int]] = {}
+    for i, j, c in indices:
+        c *= (-1) ** j * sign**i
+        for e in range(i + 1):
+            parts.setdefault(i - e + j, {})[e] = c * math.comb(i, e)
+    rows = {}
+    for a, multiples in parts.items():
+        top = max(multiples)
+        rows[(0, a)] = (prefactor - 2 * top,
+                        sum((d * table[e]) << (top - e) * width for e, d in multiples.items()))
+    return RMResult(n, _Rows(rows, t.stride, width, room).unpack(), "closed")

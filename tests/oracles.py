@@ -64,6 +64,31 @@ def as_dict(poly) -> dict:
     return dict(poly.terms())
 
 
+def rm_closed_summand_by_summand(n: int) -> dict:
+    """P_2n as the closed-form sum of C * M^p * base^i * (-x)^j, one summand at a time.
+
+    base = M^2 + M^-2 + x - 1 and p = 4n for n >= 0; for n < 0 the base is
+    negated and p = -4n - 2.  The indices are re-derived here: j =
+    floor((1 + i) / 2), C = C(n + floor(i/2), i) over 0 <= i <= 2n, or
+    C(-n + floor((i-1)/2), i) over 0 <= i < -2n.  Each summand multiplies
+    the running power of the base once more, all in naive dict arithmetic.
+    """
+    sign, prefactor = (1, 4 * n) if n >= 0 else (-1, -4 * n - 2)
+    base = {(0, 2, 0): sign, (0, -2, 0): sign, (0, 0, 1): sign, (0, 0, 0): -sign}
+    if n >= 0:
+        indices = [(i, math.comb(n + i // 2, i)) for i in range(2 * n + 1)]
+    else:
+        indices = [(i, math.comb(-n + (i - 1) // 2, i)) for i in range(-2 * n)]
+    total: dict = {}
+    power = {(0, 0, 0): 1}
+    for i, c in indices:
+        if i:
+            power = naive_mul(power, base)
+        x_part = naive_pow({(0, 0, 1): -1}, (1 + i) // 2)
+        total = naive_add(total, naive_mul(naive_mul(power, x_part), {(0, prefactor, 0): c}))
+    return total
+
+
 # -- numeric layer ------------------------------------------------------------
 
 

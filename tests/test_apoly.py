@@ -187,6 +187,43 @@ def test_result_is_a_unit_normal_polynomial(n):
     assert poly.degree("L") == (3 * n if n > 0 else -3 * n - 1)
 
 
+def order_at_parabolic_point(poly, top):
+    """The least a + b <= top with a nonzero coefficient of u^a v^b in poly(-(1 + v), 1 + u).
+
+    That coefficient is sum c_lm (-1)^l C(l, b) C(m, a) over the terms
+    c_lm L^l M^m of poly, whose exponents must be nonnegative; None if
+    every coefficient up to degree top vanishes.
+    """
+    by_l = {}  # l: [sum_m c_lm C(m, a) for a = 0..top]
+    for (l, m, _), c in poly.terms():
+        row = by_l.setdefault(l, [0] * (top + 1))
+        for a in range(top + 1):
+            row[a] += c * math.comb(m, a)
+    for degree in range(top + 1):
+        for a in range(degree + 1):
+            if sum((-1) ** l * math.comb(l, degree - a) * row[a] for l, row in by_l.items()):
+                return degree
+    return None
+
+
+@pytest.mark.parametrize("n", [1, -1, 2, -2, 3, -3, 5, -6])
+def test_a_2n_vanishes_to_the_order_of_the_parabolic_representations_at_minus_one_one(n):
+    # At M = 1 each of the d = deg_x P_2n roots of P_2n(x, 1) is a parabolic representation
+    # with longitude eigenvalue -1, and the A-curve passes through (L, M) = (-1, 1) on a
+    # smooth branch for each, with slope its cusp shape (Cooper, Culler, Gillet, Long and
+    # Shalen 1994; Cooper and Long 1996): the lowest part there has degree exactly d.
+    d = 3 * abs(n) - (n < 0)
+    assert order_at_parabolic_point(apoly_theorem(n).poly, d) == d
+
+
+@pytest.mark.parametrize("n", [2, -3])
+def test_the_parabolic_order_check_fails_with_one_coefficient_changed(n):
+    poly = apoly_theorem(n).poly
+    (l, m, _), _ = poly.terms()[len(poly) // 2]
+    d = 3 * abs(n) - (n < 0)
+    assert order_at_parabolic_point(poly + mono(1, l=l, m=m), d) < d
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_extreme_columns_for_positive_n(n):
     poly = apoly_theorem(n).poly

@@ -2,9 +2,10 @@
 
 import pytest
 
-from c2n3.laurent import ONE, mono
+from c2n3.laurent import ONE, _Rows, mono
 from c2n3.rmpoly import RMResult, binom_z, q_poly, rm_closed, rm_recursive
-from oracles import as_dict, at_meridian, naive_add, naive_mul, naive_neg
+from oracles import (as_dict, at_meridian, naive_add, naive_mul, naive_neg,
+                     rm_closed_summand_by_summand)
 
 
 # the three literals the recursion is seeded with, re-entered independently
@@ -91,6 +92,26 @@ def test_downward_recursion_step_against_naive_oracle():
 @pytest.mark.parametrize("n", range(-10, 11))
 def test_closed_equals_recursive(n):
     assert rm_closed(n).poly == rm_recursive(n).poly
+
+
+@pytest.mark.parametrize("n", [*range(-10, 11), -24, 24])
+def test_closed_form_matches_its_sum_taken_summand_by_summand(n):
+    # rm_closed expands the base by the binomial theorem and never multiplies by it;
+    # the reference multiplies by the base once per summand
+    assert as_dict(rm_closed(n).poly) == rm_closed_summand_by_summand(n)
+
+
+def test_closed_form_forms_no_product_sum_or_shift_of_packed_rows(monkeypatch):
+    # each x-row is built as one int from the table of T' powers, and unpacked once
+    expected = {n: rm_recursive(n).poly for n in range(-8, 9)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed form ran an operation on packed rows")
+
+    for name in ("__mul__", "_plus", "shift"):
+        monkeypatch.setattr(_Rows, name, refuse)
+    for n, poly in expected.items():
+        assert rm_closed(n).poly == poly
 
 
 @pytest.mark.parametrize("n", [k for k in range(-8, 9) if k != 0])
