@@ -332,10 +332,6 @@ class LaurentPoly:
         return f"LaurentPoly({self.to_text()!r})"
 
 
-# A row of at most this many slots multiplies slot by slot (see _Rows.__mul__).
-_THIN_ROW = 8
-
-
 def _width(bound: int) -> int:
     """Slot width in bits for magnitudes up to bound: a sign bit on top, in whole bytes."""
     return (bound.bit_length() + 8) // 8 * 8
@@ -353,14 +349,10 @@ def _joined(digits: list[int], width: int) -> int:
     return int.from_bytes(data, "little") - _biases(len(digits), width)
 
 
-def _slot_count(value: int, width: int) -> int:
-    # A packed int whose top nonzero slot is slot k has bit length at least width * k - 1.
-    return (value.bit_length() + 1) // width + 1
-
-
 def _digits(value: int, width: int) -> list[int]:
     """The signed slot values of a packed int, lowest first, to its top nonzero slot or one past."""
-    count = _slot_count(value, width)
+    # a packed int whose top nonzero slot is slot k has bit length at least width * k - 1
+    count = (value.bit_length() + 1) // width + 1
     w = width // 8
     biases = _biases(count, width)
     # each slot of value + biases holds digit + 2^(width - 1) with no carry between slots;
@@ -373,12 +365,14 @@ def packed(room: int, *polys: LaurentPoly) -> list["_Rows"]:
     """polys as packed rows on one grid, for a loop of ring operations unpacked once at its end.
 
     The rows support +, -, * (by rows or an int), shift (the product with
-    a monomial), powers and unpack, which gives the LaurentPoly back.  The
-    grid comes from the operands: slots step through the M-exponents by
-    their gcd (1 if every one is 0), and the slot width holds room and
-    every operand's 1-norm.  Every value computed from the rows keeps that
-    grid, so pack all operands of a loop in one call, with room for the
-    largest 1-norm the loop reaches.
+    a monomial), powers and unpack, which gives the LaurentPoly back.  A
+    product of rows splits its right operand into slots and scales the
+    left operand's rows by each, so put the short fixed factor on the
+    right: long * factor.  The grid comes from the operands: slots step
+    through the M-exponents by their gcd (1 if every one is 0), and the
+    slot width holds room and every operand's 1-norm.  Every value computed
+    from the rows keeps that grid, so pack all operands of a loop in one
+    call, with room for the largest 1-norm the loop reaches.
     """
     stride = math.gcd(*(m[1] for poly in polys for m in poly._terms)) or 1
     width = _width(max(room, *map(LaurentPoly.norm1, polys)))
@@ -411,11 +405,16 @@ class _Rows:
     computed from them keeps both, and operands that differ in either raise
     ValueError.  The slot grid is anchored at M^0: every M-exponent is a
     multiple of stride, so the rows of one value and the products landing
-    in one output row line up.  bound is an upper bound on the 1-norm of
-    the polynomial, hence on every coefficient; it grows by |a|_1 + |b|_1
-    for sums and |a|_1 * |b|_1 for products, and an operation whose bound
-    would not fit the width raises OverflowError, so no slot is ever read
-    back wrong.
+    in one output row line up.  a * b takes b term by term, one term per
+    nonzero slot (a one-slot row is one term), and adds each row of a,
+    scaled by the term's int and shifted to its key and offset, into the
+    product; a term of +-1 scales nothing.  Any shapes give the exact
+    product, but its cost grows with b's slots times a's size, so b is the
+    short factor (T', a den power, num) in every product the routes form.
+    bound is an upper bound on the 1-norm of the polynomial, hence on every
+    coefficient; it grows by |a|_1 + |b|_1 for sums and |a|_1 * |b|_1 for
+    products, and an operation whose bound would not fit the width raises
+    OverflowError, so no slot is ever read back wrong.
     """
 
     __slots__ = ("rows", "stride", "width", "bound")
@@ -482,25 +481,19 @@ class _Rows:
             return _Rows(rows, self.stride, self.width, self.bound * abs(other))
         self._grid(other)
         width, stride = self.width, self.stride
-        rows_a, rows_b = self.rows, other.rows
-        size_a = sum(value.bit_length() for _, value in rows_a.values())
-        if size_a < sum(value.bit_length() for _, value in rows_b.values()):
-            rows_a, rows_b = rows_b, rows_a
-        # Rows of the smaller operand with few slots enter slot by slot: scaling
-        # a long row by a small int is cheaper than multiplying it by an int
-        # that is mostly slot padding.  A factor of +-1 forms no product: the
-        # row of the other operand is added or subtracted as it is.
+        # other enters slot by slot: scaling a long row by a small int is cheaper
+        # than multiplying it by an int that is mostly slot padding
         half = 1 << (width - 1)
-        parts_b = []
-        for (lb, xb), (lo_b, vb) in rows_b.items():
-            if -half <= vb < half or _slot_count(vb, width) > _THIN_ROW:
-                parts_b.append((lb, xb, lo_b, vb))
+        terms = []
+        for (lb, xb), (lo_b, vb) in other.rows.items():
+            if -half <= vb < half:
+                terms.append((lb, xb, lo_b, vb))
             else:
-                parts_b.extend((lb, xb, lo_b + k * stride, c)
-                               for k, c in enumerate(_digits(vb, width)) if c)
+                terms.extend((lb, xb, lo_b + k * stride, c)
+                             for k, c in enumerate(_digits(vb, width)) if c)
         out: dict[tuple[int, int], tuple[int, int]] = {}
-        for (la, xa), (lo_a, va) in rows_a.items():
-            for lb, xb, lo_b, vb in parts_b:
+        for (la, xa), (lo_a, va) in self.rows.items():
+            for lb, xb, lo_b, vb in terms:
                 key = (la + lb, xa + xb)
                 lo = lo_a + lo_b
                 minus = vb == -1

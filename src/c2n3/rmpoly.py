@@ -110,8 +110,8 @@ def _recursive_rows(n: int) -> _Rows:
     prev, cur, t = packed(room, prev, cur, _T)
     for _ in range(abs(n) - 1):
         twice = cur * 2
-        inner = t * cur + twice.shift(m=2, x=1)
-        prev, cur = cur, (twice.shift(m=4) - (t * inner).shift(x=1) - cur.shift(m=4, x=3)
+        inner = cur * t + twice.shift(m=2, x=1)
+        prev, cur = cur, (twice.shift(m=4) - (inner * t).shift(x=1) - cur.shift(m=4, x=3)
                           - prev.shift(m=8))
     return cur
 

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -188,11 +189,12 @@ def test_result_is_a_unit_normal_polynomial(n):
 
 
 def order_at_parabolic_point(poly, top):
-    """The least a + b <= top with a nonzero coefficient of u^a v^b in poly(-(1 + v), 1 + u).
+    """(d, lowest part) of poly(-(1 + v), 1 + u), for the least d <= top it has a term of.
 
-    That coefficient is sum c_lm (-1)^l C(l, b) C(m, a) over the terms
-    c_lm L^l M^m of poly, whose exponents must be nonnegative; None if
-    every coefficient up to degree top vanishes.
+    The lowest part is {(a, b): coefficient of u^a v^b} over its nonzero
+    terms with a + b = d.  That coefficient is sum c_lm (-1)^l C(l, b) C(m, a)
+    over the terms c_lm L^l M^m of poly, whose exponents must be
+    nonnegative; (None, {}) if every coefficient up to degree top vanishes.
     """
     by_l = {}  # l: [sum_m c_lm C(m, a) for a = 0..top]
     for (l, m, _), c in poly.terms():
@@ -200,10 +202,14 @@ def order_at_parabolic_point(poly, top):
         for a in range(top + 1):
             row[a] += c * math.comb(m, a)
     for degree in range(top + 1):
+        part = {}
         for a in range(degree + 1):
-            if sum((-1) ** l * math.comb(l, degree - a) * row[a] for l, row in by_l.items()):
-                return degree
-    return None
+            c = sum((-1) ** l * math.comb(l, degree - a) * row[a] for l, row in by_l.items())
+            if c:
+                part[(a, degree - a)] = c
+        if part:
+            return degree, part
+    return None, {}
 
 
 @pytest.mark.parametrize("n", [1, -1, 2, -2, 3, -3, 5, -6])
@@ -213,7 +219,20 @@ def test_a_2n_vanishes_to_the_order_of_the_parabolic_representations_at_minus_on
     # smooth branch for each, with slope its cusp shape (Cooper, Culler, Gillet, Long and
     # Shalen 1994; Cooper and Long 1996): the lowest part there has degree exactly d.
     d = 3 * abs(n) - (n < 0)
-    assert order_at_parabolic_point(apoly_theorem(n).poly, d) == d
+    assert order_at_parabolic_point(apoly_theorem(n).poly, d)[0] == d
+
+
+def test_the_lowest_part_at_the_parabolic_point_gives_the_cusp_shapes():
+    # The roots t = v/u of the lowest part are the slopes dv/du of the branches through
+    # (-1, 1), the cusp shapes of the parabolic representations (same references as above).
+    # n = -1 is the figure-eight knot, with the classical cusp shape 2*sqrt(3)*i up to sign.
+    assert order_at_parabolic_point(apoly_theorem(-1).poly, 2) == (2, {(0, 2): 1, (2, 0): 12})
+    # n = 1: the complex pair is the cusp shape of 5_2 and its conjugate
+    degree, part = order_at_parabolic_point(apoly_theorem(1).poly, 3)
+    assert (degree, part) == (3, {(0, 3): -1, (1, 2): -14, (2, 1): -60, (3, 0): -136})
+    slopes = sorted(np.roots([part[(a, 3 - a)] for a in range(4)]), key=lambda t: (t.real, t.imag))
+    expected = [-9.01951066, -2.49024467 - 2.97944707j, -2.49024467 + 2.97944707j]
+    assert all(abs(t - e) < 1e-8 for t, e in zip(slopes, expected))
 
 
 @pytest.mark.parametrize("n", [2, -3])
@@ -221,7 +240,7 @@ def test_the_parabolic_order_check_fails_with_one_coefficient_changed(n):
     poly = apoly_theorem(n).poly
     (l, m, _), _ = poly.terms()[len(poly) // 2]
     d = 3 * abs(n) - (n < 0)
-    assert order_at_parabolic_point(poly + mono(1, l=l, m=m), d) < d
+    assert order_at_parabolic_point(poly + mono(1, l=l, m=m), d)[0] < d
 
 
 @pytest.mark.parametrize("n", range(1, 7))

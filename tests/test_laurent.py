@@ -433,7 +433,8 @@ def test_packed_derives_the_stride_and_width_from_its_operands():
 
 
 # The thick operand of the +-1 products below: two rows of 2^130-sized coefficients, (0, 0)
-# from M^10 and (1, 0) from M^-6, so the thin operand is always the one taken slot by slot.
+# from M^10 and (1, 0) from M^-6.  Each product runs both ways round, so either operand is
+# the right one, taken slot by slot.
 THICK = LaurentPoly({(0, 10 + 2 * k, 0): 2**130 + k for k in range(6)}) + LaurentPoly(
     {(1, 2 * k - 6, 0): -(2**129) - 3 * k for k in range(6)})
 
@@ -449,7 +450,7 @@ THICK = LaurentPoly({(0, 10 + 2 * k, 0): 2**130 + k for k in range(6)}) + Lauren
     (ONE - mono(1, m=2)) * (ONE + mono(1, l=1)),
     (mono(1, m=2) - ONE) * (ONE + mono(1, l=1)),
     LaurentPoly({(0, 2 * k, 0): (-1) ** k for k in range(8)}) - mono(1, l=1, m=-40, x=1),
-    # +-1 digits beside other digits, and a row of nine slots, which enters whole
+    # +-1 digits beside other digits, and a row of nine slots
     ONE - mono(3, m=2) + mono(1, l=1, m=4),
     LaurentPoly({(0, 2 * k, 0): 1 for k in range(9)}) - mono(1, l=1),
 ])
@@ -635,6 +636,31 @@ def test_route_builders_pack_every_operand_at_stride_two(monkeypatch):
     # rm_recursive(0) runs none, as P_0 needs no loop
     assert len(grids) == 24 * 5 + 3
     assert all(len(grid) == 1 and next(iter(grid))[0] == 2 for grid in grids)
+
+
+def test_route_builders_put_the_short_factor_on_the_right_of_every_row_product(monkeypatch):
+    # a row product splits its right operand slot by slot, so with P_2n or A_2n there it
+    # would stay exact but cost a product per slot; T' (M^4 - M^2 + 1 on M-steps of 2)
+    # is the widest factor the routes multiply by
+    spans = {}
+    real_mul = laurent._Rows.__mul__
+
+    def recorded(a, b):
+        if isinstance(b, laurent._Rows):
+            for _, value in b.rows.values():
+                digits = laurent._digits(value, b.width)
+                while not digits[-1]:
+                    digits.pop()
+                spans[route.__name__] = max(spans.get(route.__name__, 0), len(digits))
+        return real_mul(a, b)
+
+    monkeypatch.setattr(laurent._Rows, "__mul__", recorded)
+    for n in [k for k in range(-12, 13) if k]:
+        for route in (rm_closed, rm_recursive, apoly_theorem, apoly_substitution):
+            route(n)
+    # the closed form of P_2n forms no row product, and apoly_substitution runs the
+    # recursion (T') before its Horner loop (num and den powers, one slot a row)
+    assert spans == {"rm_recursive": 3, "apoly_theorem": 2, "apoly_substitution": 3}
 
 
 @given(p=polys, q=polys, r=polys)
