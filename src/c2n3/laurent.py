@@ -361,6 +361,13 @@ def _digits(value: int, width: int) -> list[int]:
     return [int.from_bytes(data[at:at + w], "little", signed=True) for at in range(0, len(data), w)]
 
 
+def _fits(bound: int, width: int) -> None:
+    """Raise OverflowError unless a 1-norm bound fits slots of width bits, sign bit included."""
+    if bound.bit_length() >= width:
+        raise OverflowError(f"a 1-norm bound of {bound.bit_length()} bits outgrows "
+                            f"{width}-bit slots; pack with more room")
+
+
 def packed(room: int, *polys: LaurentPoly) -> list["_Rows"]:
     """polys as packed rows on one grid, for a loop of ring operations unpacked once at its end.
 
@@ -372,7 +379,10 @@ def packed(room: int, *polys: LaurentPoly) -> list["_Rows"]:
     through the M-exponents by their gcd (1 if every one is 0), and the
     slot width holds room and every operand's 1-norm.  Every value computed
     from the rows keeps that grid, so pack all operands of a loop in one
-    call, with room for the largest 1-norm the loop reaches.
+    call, with room for the largest 1-norm the loop reaches.  A loop may
+    also work on the rows' ints themselves, as the recursion of P_2n does
+    (its one factor T' enters as shifts, never as packed rows); it then
+    keeps the grid and carries the bound itself.
     """
     stride = math.gcd(*(m[1] for poly in polys for m in poly._terms)) or 1
     width = _width(max(room, *map(LaurentPoly.norm1, polys)))
@@ -410,7 +420,8 @@ class _Rows:
     scaled by the term's int and shifted to its key and offset, into the
     product; a term of +-1 scales nothing.  Any shapes give the exact
     product, but its cost grows with b's slots times a's size, so b is the
-    short factor (T', a den power, num) in every product the routes form.
+    short factor (base_num, x_num, a den power, num) in every product the
+    routes form.
     bound is an upper bound on the 1-norm of the polynomial, hence on every
     coefficient; it grows by |a|_1 + |b|_1 for sums and |a|_1 * |b|_1 for
     products, and an operation whose bound would not fit the width raises
@@ -420,9 +431,7 @@ class _Rows:
     __slots__ = ("rows", "stride", "width", "bound")
 
     def __init__(self, rows: dict, stride: int, width: int, bound: int):
-        if bound.bit_length() >= width:
-            raise OverflowError(f"a 1-norm bound of {bound.bit_length()} bits outgrows "
-                                f"{width}-bit slots; pack with more room")
+        _fits(bound, width)
         self.rows = rows
         self.stride = stride
         self.width = width

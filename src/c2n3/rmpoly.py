@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, ONE, _digits, _Rows, _width, mono, packed
+from .laurent import LaurentPoly, ONE, _digits, _fits, _Rows, _width, mono, packed
 
 
 def binom_z(a: int, b: int) -> int:
@@ -67,15 +67,13 @@ _P0_UP = ONE
 _P0_DOWN = mono(1, m=-2)
 
 
-# T' = M^4 - M^2 + 1 = M^2 * (M^2 + M^-2 - 1); the recursion applies Q through it
-_T = mono(1, m=4) + mono(-1, m=2) + 1
-
-
 def q_poly() -> LaurentPoly:
     """The cubic Q(x, M) driving the recursion; equals M^4 * (2 - x*(M^2 + M^-2 + x - 1)^2).
 
     Expanded in T' = M^4 - M^2 + 1 = M^2 * (M^2 + M^-2 - 1), that is
-    Q = 2M^4 - x*T'^2 - 2M^2*x^2*T' - M^4*x^3, the form _recursive_rows applies.
+    Q = 2M^4 - x*T'^2 - 2M^2*x^2*T' - M^4*x^3.  _recursive_rows applies it
+    row by row in x, as 2M^4*P[x] - T'*(T'*P[x-1] + 2M^2*P[x-2]) - M^4*P[x-3],
+    and takes only its 1-norm from this value.
     """
     return _Q
 
@@ -92,12 +90,18 @@ class RMResult:
 def _recursive_rows(n: int) -> _Rows:
     """P_2n as packed rows, by the loop of rm_recursive; P_0 = 1 runs no loop and packs nothing.
 
-    Each step applies Q = 2M^4 - x*T'^2 - 2M^2*x^2*T' - M^4*x^3 as
-    2M^4*P - x*T'*(T'*P + 2M^2*x*P) - M^4*x^3*P: both products by T' take
-    its +-1 digits (shifts and adds, no big-int product), 2P is the one
-    doubling, and the rest is shifts and sums.  For |P|_1 <= b the parts
-    are bounded by 2b + 15b + b = |Q|_1 * b, so the room of the recursion on
-    1-norms still holds every value.
+    P_2(k-1) and P_2(k-2) are lists of rows, (lowest expM, packed int)
+    indexed by the power of x, and each step builds every row of P_2k in
+    one pass: row x of Q*P - M^8*P' is
+    2M^4*P[x] - T'*(T'*P[x-1] + 2M^2*P[x-2]) - M^4*P[x-3] - M^8*P'[x].
+    T' = M^4 - M^2 + 1 is applied by its +-1 digits, as v - (v << w) +
+    (v << 2w) with w the bits of one M^2, so no big-int product is formed,
+    and the terms of a row are lined up by their lowest exponents.  For
+    |P|_1 <= b the terms are bounded by 2b + 15b + b = |Q|_1 * b, so the
+    recursion on 1-norms, b_k = |Q|_1 * b_(k-1) + b_(k-2), bounds every
+    value: it gives the room, and the loop carries it and raises
+    OverflowError at the first step it would not fit the width, so no slot
+    is ever read back wrong.
     """
     if n == 0:
         # one slot, on the grid of stride 2 that every value of the recursion lies on
@@ -107,13 +111,42 @@ def _recursive_rows(n: int) -> _Rows:
     lower, room = prev.norm1(), cur.norm1()
     for _ in range(abs(n) - 1):
         lower, room = room, _Q.norm1() * room + lower
-    prev, cur, t = packed(room, prev, cur, _T)
+    prev, cur = packed(room, prev, cur)
+    width, stride, lower, bound = cur.width, cur.stride, prev.bound, cur.bound
+    bits = width // stride  # bits per unit of M-exponent: M^2 is one slot
+    # a zero row; a step raises a lowest exponent by at most 8, from at most 8, so this
+    # one lies above every nonzero row's and never sets the lowest exponent of a sum
+    zero = (8 * abs(n) + 16, 0)
+    prev, cur = ([rows.rows.get((0, x), zero) for x in range(max(x for _, x in rows.rows) + 1)]
+                 for rows in (prev, cur))
     for _ in range(abs(n) - 1):
-        twice = cur * 2
-        inner = cur * t + twice.shift(m=2, x=1)
-        prev, cur = cur, (twice.shift(m=4) - (inner * t).shift(x=1) - cur.shift(m=4, x=3)
-                          - prev.shift(m=8))
-    return cur
+        lower, bound = bound, _Q.norm1() * bound + lower
+        _fits(bound, width)
+        size = max(len(cur) + 3, len(prev))
+        c = [zero] * 3 + cur + [zero] * (size - len(cur))
+        p = prev + [zero] * (size - len(prev))
+        new = []
+        for x in range(size):
+            (lo0, v0), (lo1, v1), (lo2, v2), (lo3, v3), (lo_p, v_p) = (
+                c[x + 3], c[x + 2], c[x + 1], c[x], p[x])
+            # inner = T'*P[x-1] + 2M^2*P[x-2], from the lower of their lowest exponents;
+            # the doublings 2M^2*P[x-2] and 2M^4*P[x] are the + 1 in their shifts
+            t = v1 - (v1 << 2 * bits) + (v1 << 4 * bits)
+            lo2 += 2
+            if lo1 <= lo2:
+                lo_i, inner = lo1, t + (v2 << (lo2 - lo1) * bits + 1)
+            else:
+                lo_i, inner = lo2, (t << (lo1 - lo2) * bits) + (v2 << 1)
+            inner = inner - (inner << 2 * bits) + (inner << 4 * bits)
+            lo0, lo3, lo_p = lo0 + 4, lo3 + 4, lo_p + 8
+            lo = min(lo0, lo_i, lo3, lo_p)
+            value = ((v0 << (lo0 - lo) * bits + 1)
+                     - (inner << (lo_i - lo) * bits if lo_i > lo else inner)
+                     - (v3 << (lo3 - lo) * bits if lo3 > lo else v3)
+                     - (v_p << (lo_p - lo) * bits if lo_p > lo else v_p))
+            new.append((lo, value))
+        prev, cur = cur, new
+    return _Rows({(0, x): row for x, row in enumerate(cur) if row[1]}, stride, width, bound)
 
 
 def rm_recursive(n: int) -> RMResult:
@@ -121,10 +154,12 @@ def rm_recursive(n: int) -> RMResult:
 
     Upward from P_0 = 1 and the explicit P_2 for n >= 0; downward from
     P_0 = M^-2 and the explicit P_-2 for n < 0 (with k-1, k-2 replaced by
-    k+1, k+2).  Only two values are carried, so the cost is linear in |n|.
-    The loop runs on packed rows (_recursive_rows), unpacked once here;
-    apoly_substitution takes the rows as they are.  Each step applies Q
-    through T' = M^4 - M^2 + 1, whose +-1 digits need no big-int product.
+    k+1, k+2).  Only two values are carried, so the number of steps is
+    linear in |n|.  The loop runs on packed rows (_recursive_rows): each
+    step is one pass over the x-rows that builds every row of the next
+    value from at most five rows of the two before, by shifts and sums of
+    packed ints, with no product of packed rows.  The rows are unpacked
+    once here; apoly_substitution takes them as they are.
     """
     return RMResult(n, _recursive_rows(n).unpack(), "recursive")
 

@@ -89,6 +89,20 @@ def rm_closed_summand_by_summand(n: int) -> dict:
     return total
 
 
+def three_term_schoolbook(q: dict, p0: dict, p1: dict, k: int) -> dict:
+    """p_k of p_(j+1) = q * p_j - M^8 * p_(j-1) from p_0 = p0 and p_1 = p1, in naive dict arithmetic.
+
+    Each step takes the whole product q * p_j term by term, so nothing of
+    the row-by-row form of c2n3.rmpoly's recursion is shared.
+    """
+    if k == 0:
+        return p0
+    prev, cur = p0, p1
+    for _ in range(k - 1):
+        prev, cur = cur, naive_add(naive_mul(q, cur), naive_neg(naive_mul({(0, 8, 0): 1}, prev)))
+    return cur
+
+
 # -- numeric layer ------------------------------------------------------------
 
 

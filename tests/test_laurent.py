@@ -640,8 +640,8 @@ def test_route_builders_pack_every_operand_at_stride_two(monkeypatch):
 
 def test_route_builders_put_the_short_factor_on_the_right_of_every_row_product(monkeypatch):
     # a row product splits its right operand slot by slot, so with P_2n or A_2n there it
-    # would stay exact but cost a product per slot; T' (M^4 - M^2 + 1 on M-steps of 2)
-    # is the widest factor the routes multiply by
+    # would stay exact but cost a product per slot; base_num ((L*M^4n - 1)*(1 - M^2) on
+    # M-steps of 2, for n >= 0) is the widest factor the routes multiply by
     spans = {}
     real_mul = laurent._Rows.__mul__
 
@@ -658,9 +658,10 @@ def test_route_builders_put_the_short_factor_on_the_right_of_every_row_product(m
     for n in [k for k in range(-12, 13) if k]:
         for route in (rm_closed, rm_recursive, apoly_theorem, apoly_substitution):
             route(n)
-    # the closed form of P_2n forms no row product, and apoly_substitution runs the
-    # recursion (T') before its Horner loop (num and den powers, one slot a row)
-    assert spans == {"rm_recursive": 3, "apoly_theorem": 2, "apoly_substitution": 3}
+    # neither route to P_2n forms a row product (the recursion applies T' by shifts of
+    # its rows' ints), so apoly_substitution's only products are its Horner loop's
+    # (num and den powers, one slot a row)
+    assert spans == {"apoly_theorem": 2, "apoly_substitution": 1}
 
 
 @given(p=polys, q=polys, r=polys)

@@ -2,10 +2,11 @@
 
 import pytest
 
+from c2n3 import rmpoly
 from c2n3.laurent import ONE, _Rows, mono
-from c2n3.rmpoly import RMResult, binom_z, q_poly, rm_closed, rm_recursive
+from c2n3.rmpoly import RMResult, _recursive_rows, binom_z, q_poly, rm_closed, rm_recursive
 from oracles import (as_dict, at_meridian, naive_add, naive_mul, naive_neg,
-                     rm_closed_summand_by_summand)
+                     rm_closed_summand_by_summand, three_term_schoolbook)
 
 
 # the three literals the recursion is seeded with, re-entered independently
@@ -112,6 +113,56 @@ def test_closed_form_forms_no_product_sum_or_shift_of_packed_rows(monkeypatch):
         monkeypatch.setattr(_Rows, name, refuse)
     for n, poly in expected.items():
         assert rm_closed(n).poly == poly
+
+
+def test_recursion_forms_no_product_sum_or_shift_of_packed_rows(monkeypatch):
+    # each step builds every x-row from the ints of the rows before, and packs one value at the end
+    expected = {n: rm_closed(n).poly for n in range(-8, 9)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the recursion ran an operation on packed rows")
+
+    for name in ("__mul__", "_plus", "shift"):
+        monkeypatch.setattr(_Rows, name, refuse)
+    for n, poly in expected.items():
+        assert rm_recursive(n).poly == poly
+
+
+@pytest.mark.parametrize("n", [*range(-12, 13), -40, 40])
+def test_recursion_rows_match_the_recursion_taken_by_schoolbook_products(n):
+    seeds = ({(0, 0, 0): 1}, as_dict(P2)) if n >= 0 else ({(0, -2, 0): 1}, as_dict(PM2))
+    assert as_dict(_recursive_rows(n).unpack()) == three_term_schoolbook(as_dict(Q), *seeds, abs(n))
+
+
+def room_recursion(n):
+    """b_0 = |P_0|_1 = 1, b_1 = |P_(+-2)|_1 and b_k = |Q|_1 * b_(k-1) + b_(k-2), up to k = |n|."""
+    bounds = [1, (P2 if n > 0 else PM2).norm1()]
+    while len(bounds) <= abs(n):
+        bounds.append(Q.norm1() * bounds[-1] + bounds[-2])
+    return bounds
+
+
+@pytest.mark.parametrize("n", [3, 40, -3, -40])
+def test_recursion_raises_at_the_first_step_that_outgrows_its_slots(monkeypatch, n):
+    # with room 1 the width holds only the seeds' 1-norms, so some step's bound outgrows it
+    real_packed = rmpoly.packed
+    widths = []
+
+    def narrow(room, *polys):
+        rows = real_packed(1, *polys)
+        widths.append(rows[0].width)
+        return rows
+
+    monkeypatch.setattr(rmpoly, "packed", narrow)
+    with pytest.raises(OverflowError, match="outgrows") as raised:
+        _recursive_rows(n)
+    first = next(b for b in room_recursion(n) if b.bit_length() >= widths[0])
+    assert f"bound of {first.bit_length()} bits" in str(raised.value)
+
+
+@pytest.mark.parametrize("n", [1, -1, 5, -5, 40, -40])
+def test_recursion_rows_carry_the_room_recursion_as_their_bound(n):
+    assert _recursive_rows(n).bound == room_recursion(n)[-1]
 
 
 @pytest.mark.parametrize("n", [k for k in range(-8, 9) if k != 0])
