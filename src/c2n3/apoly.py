@@ -13,8 +13,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import (LaurentPoly, ONE, UNIT_MONOMIAL, ZERO, _digits, _horner, _joined, _Rows,
-                      mono, packed)
+from .laurent import (LaurentPoly, ONE, UNIT_MONOMIAL, ZERO, _add_binomial_power, _digits, _fits,
+                      _joined, _Rows, _times_binomial, mono, packed)
 from .rmpoly import _recursive_rows, summation_indices
 
 
@@ -39,38 +39,49 @@ def apoly_theorem(n: int) -> APolyResult:
 
     Each summand carries an aggregate power of 1 + L*M^(2+4n) (for n >= 0;
     L*M^2 + M^(-4n) for n < 0) that stays nonnegative across the summation
-    range, so denominators never actually appear.  The result of the sum is
-    already unit-normal; both facts are asserted, the second on the rows
-    before the one unpack.
+    range, so denominators never actually appear.  The sum runs by Horner's
+    rule on a list of rows, (lowest expM, packed int) indexed by the power
+    of L: base_num = +-(1 - M^2) * (M^a - L*M^b), x_num * M^-2
+    and the den are +-1 binomials in L, so each step applies its factors by
+    shifts and adds (_times_binomial, _add_binomial_power) and forms no
+    big-int product and no packed-rows value.  The loop carries the 1-norm
+    bound of the sum so far and raises OverflowError at the first step it
+    would not fit the width.  The result of the sum is already
+    unit-normal; both facts are asserted, the second on the rows before
+    the one unpack.
     """
     if n >= 0:
-        base_num = (mono(1, l=1, m=4 * n) - 1) * (1 - mono(1, m=2))
-        x_num = ONE + mono(1, l=1, m=6 + 4 * n)
-        den_base = ONE + mono(1, l=1, m=2 + 4 * n)
+        # base_num = (L*M^4n - 1) * (1 - M^2) = (M^2 - 1) * (1 - L*M^4n), x_num = 1 + L*M^(6+4n)
+        # and den = 1 + L*M^(2+4n); a binomial is the M-exponents (e, f) of M^e and +-L*M^f
+        quad, base, x_step, den = -1, (0, 4 * n), (-2, 4 + 4 * n), (0, 2 + 4 * n)
         top_agg, m_top = 3 * n, -2 * n
     else:
-        base_num = (1 - mono(1, m=2)) * (mono(1, m=-4 * n) - mono(1, l=1))
-        x_num = mono(1, l=1, m=6) + mono(1, m=-4 * n)
-        den_base = mono(1, l=1, m=2) + mono(1, m=-4 * n)
+        # base_num = (1 - M^2) * (M^-4n - L), x_num = L*M^6 + M^-4n and den = L*M^2 + M^-4n
+        quad, base, x_step, den = 1, (-4 * n, 0), (-4 * n - 2, 4), (-4 * n, 2)
         top_agg, m_top = -3 * n - 1, 8 * n + 6
-    # the sum run on 1-norms bounds every value it takes
-    room = sum(abs(c) * base_num.norm1() ** i * x_num.norm1() ** j
-               * den_base.norm1() ** (top_agg - i - j) for i, j, c in summation_indices(n))
-    base_num, den_base, x_step, acc = packed(room, base_num, den_base, x_num, ZERO)
-    # x_num and the M^-2 of each step up in j; the common M^m_top comes at the end
-    x_step = x_step.shift(m=-2)
-    # agg falls as i grows, so its value at i = 0 bounds every power needed.
-    den_pow = den_base.powers(top_agg)
+    indices = summation_indices(n)
+    # the sum run on 1-norms bounds every value it takes; |base_num|_1 = 4 and
+    # |x_num|_1 = |den|_1 = 2, so the summand of i is bounded by |c| * 2^(2i + j + agg)
+    room = sum(abs(c) << (i + top_agg) for i, _, c in indices)
+    # every M-exponent here is even: the grid of stride 2, one slot per M^2
+    (grid,) = packed(room, mono(1, m=2))
+    stride, width = grid.stride, grid.width
+    acc, bound = [], 0
     # Horner's rule from the top index down: i + j at the top is top_agg, so
-    # the top summand takes den^0 and no den power is left over at the end.
-    for i, j, c in reversed(summation_indices(n)):
-        acc = acc * base_num
-        if (i + 1) % 2:
-            acc = acc * x_step
+    # the top summand takes den^0 and no den power is left over at the end;
+    # x_step is x_num * M^-2, applied where j changes
+    for i, j, c in reversed(indices):
         agg = top_agg - i - j
         assert agg >= 0, "aggregate denominator exponent went negative"
-        acc = acc + den_pow[agg] * c
-    normalized, unit, sign = acc.shift(m=m_top).normalize_unit()
+        bound = (bound * 8 if (i + 1) % 2 else bound * 4) + (abs(c) << agg)
+        _fits(bound, width)
+        acc = _times_binomial(acc, base[0], -1, base[1], stride, width)
+        acc = [(lo, v - (v << width) if quad > 0 else (v << width) - v) for lo, v in acc]
+        if (i + 1) % 2:
+            acc = _times_binomial(acc, x_step[0], 1, x_step[1], stride, width)
+        _add_binomial_power(acc, c, (0, 1), *den, agg, stride, width)
+    rows = {(l, 0): (lo + m_top, v) for l, (lo, v) in enumerate(acc) if v}
+    normalized, unit, sign = _Rows(rows, stride, width, bound).normalize_unit()
     assert unit == UNIT_MONOMIAL and sign == 1, "closed-form A-polynomial was not unit-normal"
     return APolyResult(n, normalized.unpack(), "theorem")
 
@@ -79,30 +90,44 @@ def apoly_substitution(n: int) -> APolyResult:
     """A_2n by substituting the longitude relation into P_2n and clearing denominators.
 
     P_2n comes from the recursion, so this route shares no code with
-    apoly_theorem beyond the exact kernel of laurent.py.  The x-degree of P_2n is
-    used as the clearing degree, so the result is a Laurent polynomial in L
-    and M, which is then unit-normalized.  The whole route runs on packed
-    rows: the recursion's rows of P_2n, keyed by their power of x, are read
-    slot by slot once and written at the width the substitution needs; the
-    sum (the Horner loop of LaurentPoly.substitute) and the unit
-    normalization run on rows, and the result is unpacked once.
+    apoly_theorem beyond the exact kernel of laurent.py.  The x-degree D of
+    P_2n is used as the clearing degree, so the result is a Laurent
+    polynomial in L and M, which is then unit-normalized.  The whole route
+    runs on packed rows: the recursion's rows of P_2n, keyed by their power
+    of x, are read slot by slot once and written at the width the
+    substitution needs.  The sum, sum_k P[x^k] * num^k * den^(D - k), runs
+    by Horner's rule in num on a list of rows indexed by the power of L:
+    num = -(1 + L*M^(6+4n)) is applied by _times_binomial, its sign going
+    into the summands as (-1)^k, and each P[x^k] * den^(D - k) is added
+    by _add_binomial_power, so no big-int product by a factor and no
+    packed-rows value is formed per step.  The loop carries the 1-norm
+    bound of the sum so far and raises OverflowError at the first step it
+    would not fit the width.  One _Rows is unit-normalized at the end, and
+    the result is unpacked once.
     """
     p = _recursive_rows(n)
     num, den = substitution_x(n)
-    parts: dict[int, dict] = {}  # x-exponent k: {(expL, 0): (lowest expM, digits)}
-    for (l, k), (lo, value) in p.rows.items():
-        parts.setdefault(k, {})[(l, 0)] = (lo, _digits(value, p.width))
+    parts = {k: (lo, _digits(value, p.width)) for (_, k), (lo, value) in p.rows.items()}
     deg = max(parts)
-    norms = {k: sum(sum(map(abs, digits)) for _, digits in rows.values())
-             for k, rows in parts.items()}
-    # the bound of the whole sum bounds every Horner intermediate and power of den
-    room = sum(norm * num.norm1() ** k * den.norm1() ** (deg - k) for k, norm in norms.items())
-    num, den = packed(room, num, den)
-    # the parts keep the recursion's stride: the products below check it against num's and den's
-    parts = {k: _Rows({key: (lo, _joined(digits, num.width)) for key, (lo, digits) in rows.items()},
-                      p.stride, num.width, norms[k])
-             for k, rows in parts.items()}
-    normalized, _, _ = _horner(parts, num, den, deg).normalize_unit()
+    norms = {k: sum(map(abs, digits)) for k, (_, digits) in parts.items()}
+    # the bound of the whole sum bounds every Horner intermediate; |num|_1 = |den|_1 = 2,
+    # so the summand of k is bounded by |P[x^k]|_1 * 2^D
+    room = sum(norms.values()) << deg
+    (grid, _) = packed(room, num, den)
+    # the parts keep the recursion's stride; num's and den's exponents lie on it
+    stride, width = p.stride, grid.width
+    rows, bound = [], 0
+    for k in range(deg, -1, -1):
+        bound = 2 * bound + (norms[k] << (deg - k) if k in parts else 0)
+        _fits(bound, width)
+        # num = -(1 + L*M^(6+4n)) and den = M^2 + L*M^(4+4n), as substitution_x gives them
+        rows = _times_binomial(rows, 0, 1, 6 + 4 * n, stride, width)
+        if k in parts:
+            lo, digits = parts[k]
+            _add_binomial_power(rows, (-1) ** k, (lo, _joined(digits, width)), 2, 4 + 4 * n,
+                                deg - k, stride, width)
+    rows = {(l, 0): row for l, row in enumerate(rows) if row[1]}
+    normalized, _, _ = _Rows(rows, stride, width, bound).normalize_unit()
     return APolyResult(n, normalized.unpack(), "substitution")
 
 

@@ -75,7 +75,9 @@ class LaurentPoly:
 
     def terms(self) -> tuple[tuple[tuple, int], ...]:
         """All (monomial, coefficient) pairs in ascending canonical order."""
-        return tuple(sorted(self._terms.items()))
+        # the keys are unique, so sorting them alone gives the order of the pairs
+        keys = sorted(self._terms)
+        return tuple(zip(keys, map(self._terms.__getitem__, keys)))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -206,7 +208,7 @@ class LaurentPoly:
         equals self(var := num/den) * den**clear_deg.  Requires a nonzero
         den, nonnegative exponents of var and clear_deg >= degree(var) so
         the result stays in the ring.  The sum is evaluated by Horner's rule
-        in num (_horner, which apoly_substitution calls on P_2n's rows too),
+        in num, one row product by num and one by a power of den per step,
         on rows from one packed() call, whose cost follows each row's
         M-span / stride, not its term count; the stride is the gcd of every
         M-exponent of self, num and den, so exponents that are sparse, or
@@ -236,7 +238,14 @@ class LaurentPoly:
         room = sum(sum(map(abs, part.values())) * num_norm**k * den_norm ** (clear_deg - k)
                    for k, part in parts.items())
         num, den, *rows = packed(room, num, den, *map(LaurentPoly._raw, parts.values()))
-        return _horner(dict(zip(parts, rows)), num, den, clear_deg).unpack()
+        parts = dict(zip(parts, rows))
+        den_pow = den.powers(clear_deg - min(parts))
+        out = _Rows({}, num.stride, num.width, 0)
+        for k in range(deg, -1, -1):
+            out = out * num
+            if k in parts:
+                out = out + parts[k] * den_pow[clear_deg - k]
+        return out.unpack()
 
     def normalize_unit(self) -> tuple["LaurentPoly", tuple, int]:
         """Factor out the monomial content and a global sign.
@@ -371,7 +380,7 @@ def _fits(bound: int, width: int) -> None:
 def packed(room: int, *polys: LaurentPoly) -> list["_Rows"]:
     """polys as packed rows on one grid, for a loop of ring operations unpacked once at its end.
 
-    The rows support +, -, * (by rows or an int), shift (the product with
+    The rows support +, -, *, shift (the product with
     a monomial), powers and unpack, which gives the LaurentPoly back.  A
     product of rows splits its right operand into slots and scales the
     left operand's rows by each, so put the short fixed factor on the
@@ -380,9 +389,11 @@ def packed(room: int, *polys: LaurentPoly) -> list["_Rows"]:
     slot width holds room and every operand's 1-norm.  Every value computed
     from the rows keeps that grid, so pack all operands of a loop in one
     call, with room for the largest 1-norm the loop reaches.  A loop may
-    also work on the rows' ints themselves, as the recursion of P_2n does
-    (its one factor T' enters as shifts, never as packed rows); it then
-    keeps the grid and carries the bound itself.
+    also work on the rows' ints themselves, as every route builder does:
+    the recursion of P_2n applies its one factor T' by shifts, and both
+    A_2n routes apply their +-1 binomials in L by _times_binomial and
+    _add_binomial_power.  Such a loop takes only the grid from here, keeps
+    it, and carries the bound itself.
     """
     stride = math.gcd(*(m[1] for poly in polys for m in poly._terms)) or 1
     width = _width(max(room, *map(LaurentPoly.norm1, polys)))
@@ -420,8 +431,8 @@ class _Rows:
     scaled by the term's int and shifted to its key and offset, into the
     product; a term of +-1 scales nothing.  Any shapes give the exact
     product, but its cost grows with b's slots times a's size, so b is the
-    short factor (base_num, x_num, a den power, num) in every product the
-    routes form.
+    short factor (num, a den power, the base in powers) in every product
+    substitute forms.  No route builder forms a product of rows.
     bound is an upper bound on the 1-norm of the polynomial, hence on every
     coefficient; it grows by |a|_1 + |b|_1 for sums and |a|_1 * |b|_1 for
     products, and an operation whose bound would not fit the width raises
@@ -481,13 +492,7 @@ class _Rows:
     def __sub__(self, other: "_Rows") -> "_Rows":
         return self._plus(other, True)
 
-    def __mul__(self, other) -> "_Rows":
-        if isinstance(other, int):
-            if other == 1:
-                return self
-            rows = {key: (lo, -value if other == -1 else value * other)
-                    for key, (lo, value) in self.rows.items() if other}
-            return _Rows(rows, self.stride, self.width, self.bound * abs(other))
+    def __mul__(self, other: "_Rows") -> "_Rows":
         self._grid(other)
         width, stride = self.width, self.stride
         # other enters slot by slot: scaling a long row by a small int is cheaper
@@ -522,21 +527,11 @@ class _Rows:
     def powers(self, top: int) -> list["_Rows"]:
         """[1, self, self^2, ..., self^top], all on this value's grid, with bounds bound^j.
 
-        A binomial a + b of two +-1 monomials in two rows (the den of both
-        A_2n routes) gets its powers from Pascal's rule: row i of (a + b)^j
-        is the one slot C(j, i) * a^i * b^(j - i), and no product is formed.
-        Any other value multiplies up power by power.
+        One row product per power, self on the right; substitute's den
+        powers come from here.  The A_2n routes form no power: each adds
+        a den power's rows by Pascal's rule (_add_binomial_power).
         """
         out = [_Rows({(0, 0): (0, 1)}, self.stride, self.width, 1)]
-        if len(self.rows) == 2 and all(value in (1, -1) for _, value in self.rows.values()):
-            ((la, xa), (ma, sa)), ((lb, xb), (mb, sb)) = self.rows.items()
-            coeffs = [1]  # the signed coefficient of a^i * b^(j - i), i = 0..j
-            for j in range(1, top + 1):
-                coeffs = [sb * c + sa * c_less for c, c_less in zip(coeffs + [0], [0] + coeffs)]
-                rows = {(i * la + (j - i) * lb, i * xa + (j - i) * xb): (i * ma + (j - i) * mb, c)
-                        for i, c in enumerate(coeffs)}
-                out.append(_Rows(rows, self.stride, self.width, out[-1].bound * self.bound))
-            return out
         for _ in range(top):
             out.append(out[-1] * self)
         return out
@@ -568,23 +563,66 @@ class _Rows:
         (l, x), (k, _) = min(lowest.items(), key=lambda row: (row[0][0], row[1][1], row[0][1]))
         # the top bit of that slot is its digit's sign bit, whatever the slots above it hold
         sign = -1 if self.rows[(l, x)][1] >> (width * (k + 1) - 1) & 1 else 1
-        return self.shift(*(-e for e in unit)) * sign, unit, sign
+        q = self.shift(*(-e for e in unit))
+        if sign < 0:
+            q.rows = {key: (lo, -value) for key, (lo, value) in q.rows.items()}
+        return q, unit, sign
 
 
-def _horner(parts: dict[int, _Rows], num: _Rows, den: _Rows, clear_deg: int) -> _Rows:
-    """sum_k parts[k] * num**k * den**(clear_deg - k), by Horner's rule in num.
+def _times_binomial(rows: list, e0: int, s1: int, e1: int, stride: int, width: int) -> list:
+    """rows * (M^e0 + s1 * L * M^e1), for s1 = 1 or -1, in one pass.
 
-    parts maps each power k of the substituted variable to its coefficient
-    rows; every value is on one grid with room for the whole sum, and
-    clear_deg is at least max(parts).
+    rows are (lowest expM, packed int) indexed by the power of L, all on
+    one grid of packed() and a zero int an empty row.  Row l of the
+    product is M^e0 * rows[l] + s1 * M^e1 * rows[l - 1]: the two ints are
+    lined up by the lower of their lowest exponents and added or
+    subtracted, so no big-int product is formed.  e0 and e1 lie on the grid.
     """
-    den_pow = den.powers(clear_deg - min(parts))
-    out = _Rows({}, num.stride, num.width, 0)
-    for k in range(max(parts), -1, -1):
-        out = out * num
-        if k in parts:
-            out = out + parts[k] * den_pow[clear_deg - k]
+    out = []
+    minus = s1 < 0
+    lo1, v1 = 0, 0  # rows[l - 1]: nothing below row 0
+    for row in rows + [(0, 0)]:  # one row past the top takes rows[-1] * L
+        lo0, v0 = row
+        lo0 += e0
+        lo1 += e1
+        if not v1:
+            out.append((lo0, v0))
+        elif not v0:
+            out.append((lo1, -v1 if minus else v1))
+        elif lo0 <= lo1:
+            moved = v1 << (lo1 - lo0) // stride * width
+            out.append((lo0, v0 - moved if minus else v0 + moved))
+        else:
+            moved = v0 << (lo0 - lo1) // stride * width
+            out.append((lo1, moved - v1 if minus else moved + v1))
+        lo1, v1 = row
     return out
+
+
+def _add_binomial_power(rows: list, c: int, part: tuple[int, int], e: int, f: int, j: int,
+                        stride: int, width: int) -> None:
+    """rows += c * part * (M^e + L * M^f)^j in place, for part one row (lowest expM, packed int).
+
+    rows are as _times_binomial takes them, and grow to j + 1 rows if
+    shorter.  By Pascal's rule row l gains c * C(j, l) * part at
+    M^(e * (j - l) + f * l): one shifted term per row, and no power of the
+    binomial is formed.  part, e and f lie on the grid of rows.
+    """
+    lo, value = part
+    if len(rows) <= j:
+        rows.extend([(0, 0)] * (j + 1 - len(rows)))
+    k = c  # c * C(j, l)
+    for l in range(j + 1):
+        term = value if k == 1 else -value if k == -1 else k * value
+        at = lo + e * (j - l) + f * l
+        have, v = rows[l]
+        if not v:
+            rows[l] = (at, term)
+        elif at >= have:
+            rows[l] = (have, v + (term << (at - have) // stride * width))
+        else:
+            rows[l] = (at, (v << (have - at) // stride * width) + term)
+        k = k * (j - l) // (l + 1)
 
 
 def mono(coeff: int, l: int = 0, m: int = 0, x: int = 0) -> LaurentPoly:
@@ -600,7 +638,9 @@ def _render(poly: LaurentPoly, latex: bool) -> str:
     if poly.is_zero():
         return "0"
     chunks = []
-    for m, c in sorted(poly._terms.items(), reverse=True):
+    terms = poly._terms
+    for m in sorted(terms, reverse=True):
+        c = terms[m]
         factors = []
         for name, e in zip(VARIABLES, m):
             if e == 0:

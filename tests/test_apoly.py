@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from c2n3 import apoly
 from c2n3.apoly import (
     APolyResult,
     NewtonPolygon,
@@ -16,8 +17,8 @@ from c2n3.apoly import (
     newton_polygon,
     substitution_x,
 )
-from c2n3.laurent import LaurentPoly, ONE, UNIT_MONOMIAL, ZERO, mono
-from c2n3.rmpoly import rm_closed, rm_recursive
+from c2n3.laurent import LaurentPoly, ONE, UNIT_MONOMIAL, ZERO, _Rows, mono
+from c2n3.rmpoly import rm_closed, rm_recursive, summation_indices
 from oracles import as_dict, naive_add, naive_mul, naive_pow
 
 # A_-2, derived by hand: the n = -1 knot is the figure-eight knot, whose
@@ -176,6 +177,69 @@ def closed_form_summand_by_summand(n):
 def test_theorem_route_matches_its_sum_taken_summand_by_summand(n):
     # apoly_theorem evaluates the sum by Horner's rule; the plain sum is already unit-normal
     assert apoly_theorem(n).poly == closed_form_summand_by_summand(n)
+
+
+def test_a_routes_form_no_product_sum_or_power_of_packed_rows(monkeypatch):
+    # each Horner step applies its +-1 binomials in L to the ints of a list of rows, and
+    # one value is packed at the end for normalize_unit and unpack
+    expected = {n: closed_form_summand_by_summand(n) for n in range(-8, 9) if n}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an A_2n route ran an operation on packed rows")
+
+    for name in ("__mul__", "_plus", "powers"):
+        monkeypatch.setattr(_Rows, name, refuse)
+    for n, poly in expected.items():
+        assert apoly_theorem(n).poly == poly
+        assert apoly_substitution(n).poly == poly
+
+
+def theorem_bounds(n):
+    """The 1-norm bound of apoly_theorem's sum after each Horner step, from the top index down.
+
+    A step multiplies by base_num (1-norm 4), by x_num (2) when j steps down, and adds
+    |c| * |den|_1^agg = |c| * 2^agg.
+    """
+    top_agg = 3 * n if n >= 0 else -3 * n - 1
+    bound = 0
+    for i, j, c in reversed(summation_indices(n)):
+        bound = bound * 4 * (2 if (i + 1) % 2 else 1) + abs(c) * 2 ** (top_agg - i - j)
+        yield bound
+
+
+def substitution_bounds(n):
+    """The same for apoly_substitution: times |num|_1 = 2, plus |P[x^k]|_1 * 2^(D - k)."""
+    p = rm_closed(n).poly
+    deg = p.degree("x")
+    bound = 0
+    for k in range(deg, -1, -1):
+        bound = 2 * bound + p.coeff("x", k).norm1() * 2 ** (deg - k)
+        yield bound
+
+
+@pytest.mark.parametrize("route, bounds", [(apoly_theorem, theorem_bounds),
+                                           (apoly_substitution, substitution_bounds)])
+@pytest.mark.parametrize("n", [3, -3, 12, -12])
+def test_a_routes_raise_at_the_first_step_that_outgrows_their_slots(monkeypatch, route, bounds, n):
+    # with room 1 the width holds only the packed factors' 1-norms, so some step's bound
+    # outgrows it; P_2n's recursion keeps its own packing and width
+    real_packed = apoly.packed
+    widths = []
+
+    def narrow(room, *polys):
+        rows = real_packed(1, *polys)
+        widths.append(rows[0].width)
+        return rows
+
+    monkeypatch.setattr(apoly, "packed", narrow)
+    with pytest.raises(OverflowError, match="outgrows") as raised:
+        route(n)
+    steps = list(bounds(n))
+    first = next(b for b in steps if b.bit_length() >= widths[0])
+    # the last bound, which the one packed value at the end checks, is longer: only a check
+    # inside the loop raises with this one
+    assert first.bit_length() < steps[-1].bit_length()
+    assert f"bound of {first.bit_length()} bits" in str(raised.value)
 
 
 @pytest.mark.parametrize("n", [k for k in range(-6, 7) if k != 0])

@@ -144,6 +144,12 @@ def test_every_representation_satisfies_every_check_exactly_at_n_40(n):
     _assert_every_check_holds(n)
 
 
+@pytest.mark.parametrize("n", [60, -60])
+def test_every_representation_satisfies_every_check_exactly_at_n_60(n):
+    # 180 and 179 roots at once, about 3.5 s each, builds included; CI runs n = +-100 too
+    _assert_every_check_holds(n)
+
+
 @pytest.mark.parametrize("n", [2, -3, 7])
 def test_a_changed_coefficient_of_a_fails_only_the_a_check(n):
     apoly = apoly_theorem(n).poly

@@ -291,13 +291,13 @@ def packable_polys(draw, stride=1):
 
 
 @given(stride=st.sampled_from([1, 2, 3]), data=st.data(),
-       c=limit_coefficients, shift=st.tuples(exponents, exponents, exponents))
-def test_packed_rows_match_naive_oracle(stride, data, c, shift):
+       shift=st.tuples(exponents, exponents, exponents))
+def test_packed_rows_match_naive_oracle(stride, data, shift):
     # every M-exponent on multiples of the drawn stride, and the M-shift on the derived one
     p, q, r = (data.draw(packable_polys(stride)) for _ in range(3))
     a, b, d = as_dict(p), as_dict(q), as_dict(r)
-    # (|p| + |q| + |r|)^3 bounds the 1-norm of every sum and product below, and |p| |c| the scaling
-    room = (p.norm1() + q.norm1() + r.norm1()) ** 3 + p.norm1() * abs(c)
+    # (|p| + |q| + |r|)^3 bounds the 1-norm of every sum and product below
+    room = (p.norm1() + q.norm1() + r.norm1()) ** 3
     pp, qq, rr = packed(room, p, q, r)
     if any(e[1] for e in (*a, *b, *d)):
         assert pp.stride % stride == 0
@@ -309,14 +309,13 @@ def test_packed_rows_match_naive_oracle(stride, data, c, shift):
     assert as_dict((pp + qq).unpack()) == naive_add(a, b)
     assert as_dict((pp - qq * rr).unpack()) == naive_add(a, naive_neg(naive_mul(b, d)))
     assert as_dict(((pp + rr) * qq * rr).unpack()) == naive_mul(naive_mul(naive_add(a, d), b), d)
-    assert as_dict((pp * c).unpack()) == naive_mul(a, {(0, 0, 0): c})
     moved = {(e[0] + shift[0], e[1] + shift[1], e[2] + shift[2]): v for e, v in a.items()}
     assert as_dict(pp.shift(*shift).unpack()) == moved
     expected = naive_add(naive_mul(moved, b), naive_neg(d))
     assert as_dict((pp.shift(*shift) * qq - rr).unpack()) == expected
     # the operands still hold their polynomials
     assert (as_dict(pp.unpack()), as_dict(qq.unpack()), as_dict(rr.unpack())) == (a, b, d)
-    assert not (pp - pp).unpack() and not (pp * 0).unpack()
+    assert not (pp - pp).unpack()
 
 
 def test_packed_rows_cancel_to_zero():
@@ -325,7 +324,7 @@ def test_packed_rows_cancel_to_zero():
     low_half = LaurentPoly({m: c for m, c in p.terms() if m[1] < 0})
     pp, qq, low = packed(2 * p.norm1() * q.norm1(), p, q, low_half)
     assert (pp * qq - qq * pp).unpack().is_zero()
-    assert not (pp + pp * -1).rows
+    assert not (pp - pp).rows
     kept = (pp - low).unpack()
     assert kept == p - low_half and min(m[1] for m, _ in kept.terms()) == 0
 
@@ -340,7 +339,6 @@ def test_packed_slots_hold_a_coefficient_equal_to_the_bound(bits):
     a, b = packed(2**bits, mono(2 ** (bits - 1), m=1), mono(-2, m=-3, x=1))
     assert (a * b).unpack() == mono(-(2**bits), m=-2, x=1)
     assert (a + a).unpack() == mono(2**bits, m=1)
-    assert (a * -2).unpack() == mono(-(2**bits), m=1)
 
 
 def test_packed_rows_hold_what_their_room_allows_and_refuse_the_rest():
@@ -357,7 +355,8 @@ def test_packed_rows_hold_what_their_room_allows_and_refuse_the_rest():
     for k in range(70):  # sums
         total = total + ready.shift(m=2 * k)
     assert total.unpack() == p * LaurentPoly({(0, 2 * k, 0): 1 + (k == 0) for k in range(70)})
-    scaled = packed(norm * 3**90, p)[0] * (3**90)  # int scaling
+    scaled, big = packed(norm * 3**90, p, mono(3**90))
+    scaled = scaled * big  # a one-slot factor scales every row
     assert scaled.unpack() == p * (3**90)
     # every value keeps the width it was packed at
     assert power.width == pp.width == 48 and total.width == 16 and scaled.width == 152
@@ -365,7 +364,7 @@ def test_packed_rows_hold_what_their_room_allows_and_refuse_the_rest():
     (narrow,) = packed(0, p)
     assert narrow.width == 8
     for outgrow in (lambda: narrow * narrow, lambda: narrow + narrow,
-                    lambda: narrow - narrow.shift(m=1), lambda: narrow * 2):
+                    lambda: narrow - narrow.shift(m=1)):
         with pytest.raises(OverflowError, match="outgrows 8-bit slots"):
             outgrow()
     # a bound of 2^7 - 1 is the most 8-bit slots hold
@@ -494,16 +493,6 @@ def test_packed_rows_subtract_row_by_row():
     assert not (aa - aa).rows
 
 
-def test_packed_rows_times_one_are_the_rows_and_times_minus_one_their_negation():
-    p = LaurentPoly({(0, 2 * k, 0): 2**40 - k for k in range(5)}) + mono(-3, l=1, m=-2, x=2)
-    (pp,) = packed(0, p)
-    assert pp * 1 is pp
-    negated = pp * -1
-    assert negated.unpack() == -p
-    assert (negated.stride, negated.width, negated.bound) == (pp.stride, pp.width, pp.bound)
-    assert (negated * -1).unpack() == p and not (pp * 0).rows
-
-
 @st.composite
 def normalizable_rows(draw):
     """(rows, polynomial): content in L, M and x, a sign, and maybe a row whose lowest slot cancelled.
@@ -580,23 +569,19 @@ NOT_BINOMIALS = [
 
 
 @pytest.mark.parametrize("top", [0, 1, 5])
-@pytest.mark.parametrize("poly, pascal", [(p, True) for p in BINOMIALS]
-                         + [(p, False) for p in NOT_BINOMIALS])
-def test_row_powers_of_a_binomial_follow_pascal_and_match_the_product_loop(
-        monkeypatch, poly, pascal, top):
+@pytest.mark.parametrize("poly", BINOMIALS + NOT_BINOMIALS)
+def test_row_powers_form_one_product_per_power(monkeypatch, poly, top):
     (value,) = packed(poly.norm1() ** top, poly)
-    expected = _product_loop_powers(value, top)
     products = []
     real_mul = laurent._Rows.__mul__
     monkeypatch.setattr(laurent._Rows, "__mul__",
-                        lambda a, b: products.append(1) or real_mul(a, b))
+                        lambda a, b: products.append(b is value) or real_mul(a, b))
     powers = value.powers(top)
-    # two +-1 monomials form no product; any other value forms one per power
-    assert len(products) == (0 if pascal else top)
-    assert [p.unpack() for p in powers] == [e.unpack() for e in expected]
+    # a binomial of two +-1 monomials too: the A_2n routes take Pascal's rule elsewhere
+    assert products == [True] * top
     assert [p.unpack() for p in powers] == [poly**j for j in range(top + 1)]
     assert [(p.stride, p.width, p.bound) for p in powers] == [
-        (e.stride, e.width, e.bound) for e in expected]
+        (value.stride, value.width, value.bound**j) for j in range(top + 1)]
 
 
 @pytest.mark.parametrize("poly", BINOMIALS + NOT_BINOMIALS)
@@ -618,6 +603,46 @@ def test_row_powers_outgrow_an_under_roomed_width_at_the_same_power_as_the_produ
     assert value.bound ** failing >= 2**7 > value.bound ** (failing - 1)
 
 
+# polynomials in L >= 0 and even powers of M, the shape of the A_2n routes' sums
+polys_lm = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(-3, 3).map(lambda m: 2 * m),
+                                     st.just(0)), coefficients, max_size=6).map(LaurentPoly)
+even = st.integers(-4, 4).map(lambda e: 2 * e)
+
+
+def _l_rows(poly, room, empty_lo):
+    """poly as the list of rows by power of L that the helpers take, on the stride-2 grid.
+
+    M^2 rides along to fix the stride; a power of L with no terms is the zero int at empty_lo.
+    """
+    value, _ = packed(room, poly, mono(1, m=2))
+    top = poly.degree("L") if poly else -1
+    return [value.rows.get((l, 0), (empty_lo, 0)) for l in range(top + 1)], value.width
+
+
+def _from_l_rows(rows, width):
+    return laurent._Rows({(l, 0): row for l, row in enumerate(rows) if row[1]}, 2, width, 0).unpack()
+
+
+@given(poly=polys_lm, e0=even, s1=st.sampled_from([1, -1]), e1=even, empty_lo=even)
+def test_times_binomial_is_the_product_with_the_binomial(poly, e0, s1, e1, empty_lo):
+    rows, width = _l_rows(poly, 2 * poly.norm1(), empty_lo)
+    out = laurent._times_binomial(rows, e0, s1, e1, 2, width)
+    assert len(out) == len(rows) + 1
+    assert _from_l_rows(out, width) == poly * (mono(1, m=e0) + mono(s1, l=1, m=e1))
+
+
+@given(poly=polys_lm, part=polys_lm.map(lambda p: p.coeff("L", 0)), c=st.integers(-5, 5),
+       e=even, f=even, j=st.integers(0, 5), empty_lo=even)
+def test_add_binomial_power_adds_the_multiple_of_the_power(poly, part, c, e, f, j, empty_lo):
+    room = poly.norm1() + abs(c) * part.norm1() * 2**j
+    rows, width = _l_rows(poly, room, empty_lo)
+    part_rows, _ = _l_rows(part, room, 0)
+    part_row = part_rows[0] if part_rows else (empty_lo, 0)
+    laurent._add_binomial_power(rows, c, part_row, e, f, j, 2, width)
+    assert len(rows) == max(len(_l_rows(poly, room, 0)[0]), j + 1)
+    assert _from_l_rows(rows, width) == poly + c * part * (mono(1, m=e) + mono(1, l=1, m=f)) ** j
+
+
 def test_route_builders_pack_every_operand_at_stride_two(monkeypatch):
     # every M-exponent the four routes meet is even, so every packed() call lands on M-steps of 2
     grids = []
@@ -632,36 +657,10 @@ def test_route_builders_pack_every_operand_at_stride_two(monkeypatch):
     for n in range(-12, 13):
         for route in (rm_closed, rm_recursive, apoly_theorem, apoly_substitution):
             route(n)
-    # one call per loop: apoly_substitution runs two (rm_recursive and substitute), and
+    # one call per loop: apoly_substitution runs two (rm_recursive's and its own sum's), and
     # rm_recursive(0) runs none, as P_0 needs no loop
     assert len(grids) == 24 * 5 + 3
     assert all(len(grid) == 1 and next(iter(grid))[0] == 2 for grid in grids)
-
-
-def test_route_builders_put_the_short_factor_on_the_right_of_every_row_product(monkeypatch):
-    # a row product splits its right operand slot by slot, so with P_2n or A_2n there it
-    # would stay exact but cost a product per slot; base_num ((L*M^4n - 1)*(1 - M^2) on
-    # M-steps of 2, for n >= 0) is the widest factor the routes multiply by
-    spans = {}
-    real_mul = laurent._Rows.__mul__
-
-    def recorded(a, b):
-        if isinstance(b, laurent._Rows):
-            for _, value in b.rows.values():
-                digits = laurent._digits(value, b.width)
-                while not digits[-1]:
-                    digits.pop()
-                spans[route.__name__] = max(spans.get(route.__name__, 0), len(digits))
-        return real_mul(a, b)
-
-    monkeypatch.setattr(laurent._Rows, "__mul__", recorded)
-    for n in [k for k in range(-12, 13) if k]:
-        for route in (rm_closed, rm_recursive, apoly_theorem, apoly_substitution):
-            route(n)
-    # neither route to P_2n forms a row product (the recursion applies T' by shifts of
-    # its rows' ints), so apoly_substitution's only products are its Horner loop's
-    # (num and den powers, one slot a row)
-    assert spans == {"apoly_theorem": 2, "apoly_substitution": 1}
 
 
 @given(p=polys, q=polys, r=polys)
