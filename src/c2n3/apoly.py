@@ -34,6 +34,13 @@ def substitution_x(n: int) -> tuple[LaurentPoly, LaurentPoly]:
     return num, den
 
 
+def _l_binomial(poly: LaurentPoly) -> tuple[int, int, int]:
+    """(e, f, s) for poly = s * (M^e + L*M^f) with s = +-1, the shape of num and den."""
+    ((l0, e, x0), s), ((l1, f, x1), t) = poly.terms()
+    assert (l0, x0, l1, x1) == (0, 0, 1, 0) and s == t in (1, -1), "not +-(M^e + L*M^f)"
+    return e, f, s
+
+
 def apoly_theorem(n: int) -> APolyResult:
     """A_2n by the closed-form sum, expanded without rational intermediates.
 
@@ -114,17 +121,20 @@ def apoly_substitution(n: int) -> APolyResult:
     # so the summand of k is bounded by |P[x^k]|_1 * 2^D
     room = sum(norms.values()) << deg
     (grid, _) = packed(room, num, den)
-    # the parts keep the recursion's stride; num's and den's exponents lie on it
+    # the parts keep the recursion's grid, on which num's and den's exponents lie
+    assert grid.stride == p.stride, "num and den are off the grid of P_2n's rows"
     stride, width = p.stride, grid.width
+    # num's sign enters the summands as num_sign^k; den's is +1
+    (num_e, num_f, num_sign), (den_e, den_f, den_sign) = map(_l_binomial, (num, den))
+    assert den_sign == 1, "den is not M^e + L*M^f"
     rows, bound = [], 0
     for k in range(deg, -1, -1):
         bound = 2 * bound + (norms[k] << (deg - k) if k in parts else 0)
         _fits(bound, width)
-        # num = -(1 + L*M^(6+4n)) and den = M^2 + L*M^(4+4n), as substitution_x gives them
-        rows = _times_binomial(rows, 0, 1, 6 + 4 * n, stride, width)
+        rows = _times_binomial(rows, num_e, 1, num_f, stride, width)
         if k in parts:
             lo, digits = parts[k]
-            _add_binomial_power(rows, (-1) ** k, (lo, _joined(digits, width)), 2, 4 + 4 * n,
+            _add_binomial_power(rows, num_sign**k, (lo, _joined(digits, width)), den_e, den_f,
                                 deg - k, stride, width)
     rows = {(l, 0): row for l, row in enumerate(rows) if row[1]}
     normalized, _, _ = _Rows(rows, stride, width, bound).normalize_unit()

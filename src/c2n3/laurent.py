@@ -380,7 +380,7 @@ def _fits(bound: int, width: int) -> None:
 def packed(room: int, *polys: LaurentPoly) -> list["_Rows"]:
     """polys as packed rows on one grid, for a loop of ring operations unpacked once at its end.
 
-    The rows support +, -, *, shift (the product with
+    The rows support +, -, * (by rows or an int), shift (the product with
     a monomial), powers and unpack, which gives the LaurentPoly back.  A
     product of rows splits its right operand into slots and scales the
     left operand's rows by each, so put the short fixed factor on the
@@ -492,7 +492,13 @@ class _Rows:
     def __sub__(self, other: "_Rows") -> "_Rows":
         return self._plus(other, True)
 
-    def __mul__(self, other: "_Rows") -> "_Rows":
+    def __mul__(self, other) -> "_Rows":
+        if isinstance(other, int):
+            if other == 1:
+                return self
+            rows = {key: (lo, -value if other == -1 else value * other)
+                    for key, (lo, value) in self.rows.items() if other}
+            return _Rows(rows, self.stride, self.width, self.bound * abs(other))
         self._grid(other)
         width, stride = self.width, self.stride
         # other enters slot by slot: scaling a long row by a small int is cheaper
@@ -563,10 +569,7 @@ class _Rows:
         (l, x), (k, _) = min(lowest.items(), key=lambda row: (row[0][0], row[1][1], row[0][1]))
         # the top bit of that slot is its digit's sign bit, whatever the slots above it hold
         sign = -1 if self.rows[(l, x)][1] >> (width * (k + 1) - 1) & 1 else 1
-        q = self.shift(*(-e for e in unit))
-        if sign < 0:
-            q.rows = {key: (lo, -value) for key, (lo, value) in q.rows.items()}
-        return q, unit, sign
+        return self.shift(*(-e for e in unit)) * sign, unit, sign
 
 
 def _times_binomial(rows: list, e0: int, s1: int, e1: int, stride: int, width: int) -> list:

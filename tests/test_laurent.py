@@ -291,13 +291,13 @@ def packable_polys(draw, stride=1):
 
 
 @given(stride=st.sampled_from([1, 2, 3]), data=st.data(),
-       shift=st.tuples(exponents, exponents, exponents))
-def test_packed_rows_match_naive_oracle(stride, data, shift):
+       c=limit_coefficients, shift=st.tuples(exponents, exponents, exponents))
+def test_packed_rows_match_naive_oracle(stride, data, c, shift):
     # every M-exponent on multiples of the drawn stride, and the M-shift on the derived one
     p, q, r = (data.draw(packable_polys(stride)) for _ in range(3))
     a, b, d = as_dict(p), as_dict(q), as_dict(r)
-    # (|p| + |q| + |r|)^3 bounds the 1-norm of every sum and product below
-    room = (p.norm1() + q.norm1() + r.norm1()) ** 3
+    # (|p| + |q| + |r|)^3 bounds the 1-norm of every sum and product below, and |p| |c| the scaling
+    room = (p.norm1() + q.norm1() + r.norm1()) ** 3 + p.norm1() * abs(c)
     pp, qq, rr = packed(room, p, q, r)
     if any(e[1] for e in (*a, *b, *d)):
         assert pp.stride % stride == 0
@@ -309,13 +309,14 @@ def test_packed_rows_match_naive_oracle(stride, data, shift):
     assert as_dict((pp + qq).unpack()) == naive_add(a, b)
     assert as_dict((pp - qq * rr).unpack()) == naive_add(a, naive_neg(naive_mul(b, d)))
     assert as_dict(((pp + rr) * qq * rr).unpack()) == naive_mul(naive_mul(naive_add(a, d), b), d)
+    assert as_dict((pp * c).unpack()) == naive_mul(a, {(0, 0, 0): c})
     moved = {(e[0] + shift[0], e[1] + shift[1], e[2] + shift[2]): v for e, v in a.items()}
     assert as_dict(pp.shift(*shift).unpack()) == moved
     expected = naive_add(naive_mul(moved, b), naive_neg(d))
     assert as_dict((pp.shift(*shift) * qq - rr).unpack()) == expected
     # the operands still hold their polynomials
     assert (as_dict(pp.unpack()), as_dict(qq.unpack()), as_dict(rr.unpack())) == (a, b, d)
-    assert not (pp - pp).unpack()
+    assert not (pp - pp).unpack() and not (pp * 0).unpack()
 
 
 def test_packed_rows_cancel_to_zero():
@@ -324,7 +325,7 @@ def test_packed_rows_cancel_to_zero():
     low_half = LaurentPoly({m: c for m, c in p.terms() if m[1] < 0})
     pp, qq, low = packed(2 * p.norm1() * q.norm1(), p, q, low_half)
     assert (pp * qq - qq * pp).unpack().is_zero()
-    assert not (pp - pp).rows
+    assert not (pp + pp * -1).rows
     kept = (pp - low).unpack()
     assert kept == p - low_half and min(m[1] for m, _ in kept.terms()) == 0
 
@@ -339,6 +340,7 @@ def test_packed_slots_hold_a_coefficient_equal_to_the_bound(bits):
     a, b = packed(2**bits, mono(2 ** (bits - 1), m=1), mono(-2, m=-3, x=1))
     assert (a * b).unpack() == mono(-(2**bits), m=-2, x=1)
     assert (a + a).unpack() == mono(2**bits, m=1)
+    assert (a * -2).unpack() == mono(-(2**bits), m=1)
 
 
 def test_packed_rows_hold_what_their_room_allows_and_refuse_the_rest():
@@ -355,8 +357,7 @@ def test_packed_rows_hold_what_their_room_allows_and_refuse_the_rest():
     for k in range(70):  # sums
         total = total + ready.shift(m=2 * k)
     assert total.unpack() == p * LaurentPoly({(0, 2 * k, 0): 1 + (k == 0) for k in range(70)})
-    scaled, big = packed(norm * 3**90, p, mono(3**90))
-    scaled = scaled * big  # a one-slot factor scales every row
+    scaled = packed(norm * 3**90, p)[0] * (3**90)  # int scaling
     assert scaled.unpack() == p * (3**90)
     # every value keeps the width it was packed at
     assert power.width == pp.width == 48 and total.width == 16 and scaled.width == 152
@@ -364,7 +365,7 @@ def test_packed_rows_hold_what_their_room_allows_and_refuse_the_rest():
     (narrow,) = packed(0, p)
     assert narrow.width == 8
     for outgrow in (lambda: narrow * narrow, lambda: narrow + narrow,
-                    lambda: narrow - narrow.shift(m=1)):
+                    lambda: narrow - narrow.shift(m=1), lambda: narrow * 2):
         with pytest.raises(OverflowError, match="outgrows 8-bit slots"):
             outgrow()
     # a bound of 2^7 - 1 is the most 8-bit slots hold
@@ -493,6 +494,16 @@ def test_packed_rows_subtract_row_by_row():
     assert not (aa - aa).rows
 
 
+def test_packed_rows_times_one_are_the_rows_and_times_minus_one_their_negation():
+    p = LaurentPoly({(0, 2 * k, 0): 2**40 - k for k in range(5)}) + mono(-3, l=1, m=-2, x=2)
+    (pp,) = packed(0, p)
+    assert pp * 1 is pp
+    negated = pp * -1
+    assert negated.unpack() == -p
+    assert (negated.stride, negated.width, negated.bound) == (pp.stride, pp.width, pp.bound)
+    assert (negated * -1).unpack() == p and not (pp * 0).rows
+
+
 @st.composite
 def normalizable_rows(draw):
     """(rows, polynomial): content in L, M and x, a sign, and maybe a row whose lowest slot cancelled.
@@ -546,14 +557,6 @@ def test_row_normalize_unit_examples():
         packed(0, ZERO)[0].normalize_unit()
 
 
-def _product_loop_powers(value, top):
-    """[1, value, ..., value^top] by one row product per power, the reference for _Rows.powers."""
-    out = [laurent._Rows({(0, 0): (0, 1)}, value.stride, value.width, 1)]
-    for _ in range(top):
-        out.append(out[-1] * value)
-    return out
-
-
 # two +-1 monomials: each sign of each term, terms keyed by L and by x, negative M-exponents
 BINOMIALS = [sa * mono(1, m=2) + sb * mono(1, l=1, m=-6) for sa in (1, -1) for sb in (1, -1)] + [
     mono(1, x=1, m=-4) - mono(1, m=10),
@@ -585,22 +588,16 @@ def test_row_powers_form_one_product_per_power(monkeypatch, poly, top):
 
 
 @pytest.mark.parametrize("poly", BINOMIALS + NOT_BINOMIALS)
-def test_row_powers_outgrow_an_under_roomed_width_at_the_same_power_as_the_product_loop(poly):
+def test_row_powers_outgrow_an_under_roomed_width_at_the_first_power_whose_bound_overflows(poly):
     (value,) = packed(0, poly)
     assert value.width == 8
-
-    def first_failing(build):
-        for top in range(20):
-            try:
-                build(top)
-            except OverflowError:
-                return top
-        return None
-
-    failing = first_failing(value.powers)
-    assert failing == first_failing(lambda top: _product_loop_powers(value, top))
-    # 8-bit slots hold bounds below 2^7
-    assert value.bound ** failing >= 2**7 > value.bound ** (failing - 1)
+    # 8-bit slots hold bounds below 2^7: every power below the first bound past that fits
+    failing = 1
+    while value.bound**failing < 2**7:
+        assert value.powers(failing)[-1].unpack() == poly**failing
+        failing += 1
+    with pytest.raises(OverflowError, match="outgrows 8-bit slots"):
+        value.powers(failing)
 
 
 # polynomials in L >= 0 and even powers of M, the shape of the A_2n routes' sums
