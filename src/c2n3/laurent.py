@@ -154,7 +154,7 @@ class LaurentPoly:
         return other + (-self)
 
     def __mul__(self, other) -> "LaurentPoly":
-        """The schoolbook product, term by term; loops of products run on packed() rows."""
+        """The schoolbook product, term by term."""
         other = LaurentPoly._coerce(other)
         if other is None:
             return NotImplemented
@@ -208,11 +208,9 @@ class LaurentPoly:
         equals self(var := num/den) * den**clear_deg.  Requires a nonzero
         den, nonnegative exponents of var and clear_deg >= degree(var) so
         the result stays in the ring.  The sum is evaluated by Horner's rule
-        in num, one row product by num and one by a power of den per step,
-        on rows from one packed() call, whose cost follows each row's
-        M-span / stride, not its term count; the stride is the gcd of every
-        M-exponent of self, num and den, so exponents that are sparse, or
-        evenly spaced off a multiple of their spacing (M^3 + M^5), are slow.
+        in num on schoolbook products: one product by num and one by a
+        power of den per step, the powers of den one product each, so the
+        cost follows the term counts, whatever the exponents.
         """
         idx = _var_index(var)
         _checked_int(clear_deg, "clear_deg")
@@ -232,20 +230,15 @@ class LaurentPoly:
             exps = list(m)
             exps[idx] = 0
             parts.setdefault(m[idx], {})[tuple(exps)] = c
-        # The bound of the whole sum.  With |num|_1 taken as at least 1 it also
-        # bounds every Horner intermediate and every power of den used.
-        num_norm, den_norm = max(num.norm1(), 1), den.norm1()
-        room = sum(sum(map(abs, part.values())) * num_norm**k * den_norm ** (clear_deg - k)
-                   for k, part in parts.items())
-        num, den, *rows = packed(room, num, den, *map(LaurentPoly._raw, parts.values()))
-        parts = dict(zip(parts, rows))
-        den_pow = den.powers(clear_deg - min(parts))
-        out = _Rows({}, num.stride, num.width, 0)
+        den_pow = [ONE]
+        for _ in range(clear_deg - min(parts)):
+            den_pow.append(den_pow[-1] * den)
+        out = ZERO
         for k in range(deg, -1, -1):
             out = out * num
             if k in parts:
-                out = out + parts[k] * den_pow[clear_deg - k]
-        return out.unpack()
+                out = out + LaurentPoly._raw(parts[k]) * den_pow[clear_deg - k]
+        return out
 
     def normalize_unit(self) -> tuple["LaurentPoly", tuple, int]:
         """Factor out the monomial content and a global sign.
@@ -378,22 +371,16 @@ def _fits(bound: int, width: int) -> None:
 
 
 def packed(room: int, *polys: LaurentPoly) -> list["_Rows"]:
-    """polys as packed rows on one grid, for a loop of ring operations unpacked once at its end.
+    """polys as packed rows on one grid, for a loop on their ints unpacked once at its end.
 
-    The rows support +, -, * (by rows or an int), shift (the product with
-    a monomial), powers and unpack, which gives the LaurentPoly back.  A
-    product of rows splits its right operand into slots and scales the
-    left operand's rows by each, so put the short fixed factor on the
-    right: long * factor.  The grid comes from the operands: slots step
-    through the M-exponents by their gcd (1 if every one is 0), and the
-    slot width holds room and every operand's 1-norm.  Every value computed
-    from the rows keeps that grid, so pack all operands of a loop in one
-    call, with room for the largest 1-norm the loop reaches.  A loop may
-    also work on the rows' ints themselves, as every route builder does:
-    the recursion of P_2n applies its one factor T' by shifts, and both
-    A_2n routes apply their +-1 binomials in L by _times_binomial and
-    _add_binomial_power.  Such a loop takes only the grid from here, keeps
-    it, and carries the bound itself.
+    Every route builder runs such a loop: the recursion of P_2n applies
+    its one factor T' by shifts, and both A_2n routes apply their +-1
+    binomials in L by _times_binomial and _add_binomial_power.  The grid
+    comes from the operands: slots step through the M-exponents by their
+    gcd (1 if every one is 0), and the slot width holds room and every
+    operand's 1-norm.  A loop takes the grid from here, keeps it, and
+    carries its bound itself; the rows give normalize_unit and unpack,
+    which gives the LaurentPoly back.
     """
     stride = math.gcd(*(m[1] for poly in polys for m in poly._terms)) or 1
     width = _width(max(room, *map(LaurentPoly.norm1, polys)))
@@ -419,24 +406,14 @@ class _Rows:
     Slot k of a row's int, bits width * k up to width * (k + 1), holds the
     coefficient of M^(lowest + stride * k) as a signed digit, so the int is
     the row evaluated at M^stride = 2^width (Kronecker substitution).  That
-    evaluation is a ring homomorphism, so +, - and * of packed ints are
-    exact whatever the width; only reading the slots back needs every
-    coefficient inside [-2^(width-1), 2^(width-1)).  packed() fixes the
-    width and the stride for all the values of one call; every value
-    computed from them keeps both, and operands that differ in either raise
-    ValueError.  The slot grid is anchored at M^0: every M-exponent is a
-    multiple of stride, so the rows of one value and the products landing
-    in one output row line up.  a * b takes b term by term, one term per
-    nonzero slot (a one-slot row is one term), and adds each row of a,
-    scaled by the term's int and shifted to its key and offset, into the
-    product; a term of +-1 scales nothing.  Any shapes give the exact
-    product, but its cost grows with b's slots times a's size, so b is the
-    short factor (num, a den power, the base in powers) in every product
-    substitute forms.  No route builder forms a product of rows.
-    bound is an upper bound on the 1-norm of the polynomial, hence on every
-    coefficient; it grows by |a|_1 + |b|_1 for sums and |a|_1 * |b|_1 for
-    products, and an operation whose bound would not fit the width raises
-    OverflowError, so no slot is ever read back wrong.
+    evaluation is a ring homomorphism, so sums, shifts and products of the
+    ints are exact whatever the width; only reading the slots back needs
+    every coefficient inside [-2^(width-1), 2^(width-1)).  packed() fixes
+    the width and the stride for all the values of one call.  The slot
+    grid is anchored at M^0: every M-exponent is a multiple of stride, so
+    the rows of one value line up.  bound is an upper bound on the 1-norm
+    of the polynomial, hence on every coefficient; a bound that would not
+    fit the width raises OverflowError, so no slot is ever read back wrong.
     """
 
     __slots__ = ("rows", "stride", "width", "bound")
@@ -458,103 +435,13 @@ class _Rows:
             out.update(compress(zip(keys, coeffs), coeffs))
         return LaurentPoly._raw(out)
 
-    def _grid(self, other: "_Rows") -> None:
-        if (other.width, other.stride) != (self.width, self.stride):
-            raise ValueError(f"packed rows of widths {self.width} and {other.width}, strides "
-                             f"{self.stride} and {other.stride} do not combine")
-
-    def _plus(self, other: "_Rows", minus: bool) -> "_Rows":
-        # self - other if minus else self + other, row by row
-        self._grid(other)
-        width, stride = self.width, self.stride
-        rows = dict(self.rows)
-        for key, (lo, value) in other.rows.items():
-            have = rows.get(key)
-            if have is None:
-                rows[key] = (lo, -value if minus else value)
-                continue
-            lo0, value0 = have
-            if lo >= lo0:
-                moved = value << ((lo - lo0) // stride * width)
-                total = value0 - moved if minus else value0 + moved
-            else:
-                lo0, moved = lo, value0 << ((lo0 - lo) // stride * width)
-                total = moved - value if minus else moved + value
-            if total:
-                rows[key] = (lo0, total)
-            else:
-                del rows[key]
-        return _Rows(rows, stride, width, self.bound + other.bound)
-
-    def __add__(self, other: "_Rows") -> "_Rows":
-        return self._plus(other, False)
-
-    def __sub__(self, other: "_Rows") -> "_Rows":
-        return self._plus(other, True)
-
-    def __mul__(self, other) -> "_Rows":
-        if isinstance(other, int):
-            if other == 1:
-                return self
-            rows = {key: (lo, -value if other == -1 else value * other)
-                    for key, (lo, value) in self.rows.items() if other}
-            return _Rows(rows, self.stride, self.width, self.bound * abs(other))
-        self._grid(other)
-        width, stride = self.width, self.stride
-        # other enters slot by slot: scaling a long row by a small int is cheaper
-        # than multiplying it by an int that is mostly slot padding
-        half = 1 << (width - 1)
-        terms = []
-        for (lb, xb), (lo_b, vb) in other.rows.items():
-            if -half <= vb < half:
-                terms.append((lb, xb, lo_b, vb))
-            else:
-                terms.extend((lb, xb, lo_b + k * stride, c)
-                             for k, c in enumerate(_digits(vb, width)) if c)
-        out: dict[tuple[int, int], tuple[int, int]] = {}
-        for (la, xa), (lo_a, va) in self.rows.items():
-            for lb, xb, lo_b, vb in terms:
-                key = (la + lb, xa + xb)
-                lo = lo_a + lo_b
-                minus = vb == -1
-                term = va if minus or vb == 1 else va * vb
-                have = out.get(key)
-                if have is None:
-                    out[key] = (lo, -term if minus else term)
-                elif lo >= have[0]:
-                    moved = term << ((lo - have[0]) // stride * width)
-                    out[key] = (have[0], have[1] - moved if minus else have[1] + moved)
-                else:
-                    moved = have[1] << ((have[0] - lo) // stride * width)
-                    out[key] = (lo, moved - term if minus else moved + term)
-        rows = {key: row for key, row in out.items() if row[1]}
-        return _Rows(rows, stride, width, self.bound * other.bound)
-
-    def powers(self, top: int) -> list["_Rows"]:
-        """[1, self, self^2, ..., self^top], all on this value's grid, with bounds bound^j.
-
-        One row product per power, self on the right; substitute's den
-        powers come from here.  The A_2n routes form no power: each adds
-        a den power's rows by Pascal's rule (_add_binomial_power).
-        """
-        out = [_Rows({(0, 0): (0, 1)}, self.stride, self.width, 1)]
-        for _ in range(top):
-            out.append(out[-1] * self)
-        return out
-
-    def shift(self, l: int = 0, m: int = 0, x: int = 0) -> "_Rows":
-        """The product with the monomial L^l * M^m * x^x: new keys and offsets, the same ints."""
-        if m % self.stride:
-            raise ValueError(f"an M-shift of {m} is off the grid of stride {self.stride}")
-        rows = {(kl + l, kx + x): (lo + m, value) for (kl, kx), (lo, value) in self.rows.items()}
-        return _Rows(rows, self.stride, self.width, self.bound)
-
     def normalize_unit(self) -> tuple["_Rows", tuple, int]:
         """LaurentPoly.normalize_unit on the rows: (q, u, s) with self == s * u * q.
 
         The monomial content comes from the row keys and each row's lowest
-        nonzero slot, the sign from the top bit of the least term's slot; a
-        shift and at most one negation apply them, and no row is unpacked.
+        nonzero slot, the sign from the top bit of the least term's slot;
+        one pass over the rows moves their keys and offsets and scales
+        their ints by the sign, and no row is unpacked.
         """
         if not self.rows:
             raise ValueError("cannot unit-normalize the zero polynomial")
@@ -569,7 +456,10 @@ class _Rows:
         (l, x), (k, _) = min(lowest.items(), key=lambda row: (row[0][0], row[1][1], row[0][1]))
         # the top bit of that slot is its digit's sign bit, whatever the slots above it hold
         sign = -1 if self.rows[(l, x)][1] >> (width * (k + 1) - 1) & 1 else 1
-        return self.shift(*(-e for e in unit)) * sign, unit, sign
+        l0, m0, x0 = unit
+        rows = {(l - l0, x - x0): (lo - m0, value * sign)
+                for (l, x), (lo, value) in self.rows.items()}
+        return _Rows(rows, stride, width, self.bound), unit, sign
 
 
 def _times_binomial(rows: list, e0: int, s1: int, e1: int, stride: int, width: int) -> list:

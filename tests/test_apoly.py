@@ -17,7 +17,7 @@ from c2n3.apoly import (
     newton_polygon,
     substitution_x,
 )
-from c2n3.laurent import LaurentPoly, ONE, UNIT_MONOMIAL, ZERO, _Rows, mono
+from c2n3.laurent import LaurentPoly, ONE, UNIT_MONOMIAL, ZERO, mono
 from c2n3.rmpoly import rm_closed, rm_recursive, summation_indices
 from oracles import as_dict, naive_add, naive_mul, naive_pow
 
@@ -60,8 +60,9 @@ def test_a0_is_one_on_both_paths():
 
 @pytest.mark.parametrize("n", [*range(-20, 21), -40, 40])
 def test_substitution_route_is_substitute_then_normalize_unit_on_the_recursions_p2n(n):
-    # the route stays on packed rows from P_2n to A_2n; this takes the long way, through
-    # LaurentPoly.substitute and normalize_unit; at n = 0, P_0 = 1 runs no loop on either
+    # the route stays on packed rows from P_2n to A_2n; this takes the long way, through the
+    # schoolbook products of LaurentPoly.substitute and normalize_unit, which share no packing
+    # code with it; at n = 0, P_0 = 1 runs no loop on either
     p = rm_recursive(n).poly
     cleared = p.substitute("x", *substitution_x(n), p.degree("x"))
     assert apoly_substitution(n).poly == cleared.normalize_unit()[0]
@@ -174,33 +175,11 @@ def closed_form_summand_by_summand(n):
 
 
 @pytest.mark.parametrize("n", range(-8, 9))
-def test_theorem_route_matches_its_sum_taken_summand_by_summand(n):
-    # apoly_theorem evaluates the sum by Horner's rule; the plain sum is already unit-normal
-    assert apoly_theorem(n).poly == closed_form_summand_by_summand(n)
-
-
-def test_a_routes_form_no_product_sum_or_power_of_packed_rows(monkeypatch):
-    # each Horner step applies its +-1 binomials in L to the ints of a list of rows, and
-    # one value is packed at the end for normalize_unit and unpack
-    expected = {n: closed_form_summand_by_summand(n) for n in range(-8, 9) if n}
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("an A_2n route ran an operation on packed rows")
-
-    real_mul = _Rows.__mul__
-
-    def sign_only(rows, other):
-        # normalize_unit's scaling by the sign it factors out is the one product left
-        if not isinstance(other, int) or other not in (1, -1):
-            refuse()
-        return real_mul(rows, other)
-
-    monkeypatch.setattr(_Rows, "__mul__", sign_only)
-    for name in ("_plus", "powers"):
-        monkeypatch.setattr(_Rows, name, refuse)
-    for n, poly in expected.items():
-        assert apoly_theorem(n).poly == poly
-        assert apoly_substitution(n).poly == poly
+def test_a_routes_match_the_theorem_sum_taken_summand_by_summand(n):
+    # both routes run a Horner loop on lists of L-rows; the plain sum is already unit-normal
+    expected = closed_form_summand_by_summand(n)
+    assert apoly_theorem(n).poly == expected
+    assert apoly_substitution(n).poly == expected
 
 
 def theorem_bounds(n):

@@ -3,7 +3,7 @@
 import pytest
 
 from c2n3 import rmpoly
-from c2n3.laurent import ONE, _Rows, mono
+from c2n3.laurent import ONE, mono
 from c2n3.rmpoly import RMResult, _recursive_rows, binom_z, q_poly, rm_closed, rm_recursive
 from oracles import (as_dict, at_meridian, naive_add, naive_mul, naive_neg,
                      rm_closed_summand_by_summand, three_term_schoolbook)
@@ -100,32 +100,6 @@ def test_closed_form_matches_its_sum_taken_summand_by_summand(n):
     # rm_closed expands the base by the binomial theorem and never multiplies by it;
     # the reference multiplies by the base once per summand
     assert as_dict(rm_closed(n).poly) == rm_closed_summand_by_summand(n)
-
-
-def test_closed_form_forms_no_product_sum_or_shift_of_packed_rows(monkeypatch):
-    # each x-row is built as one int from the table of T' powers, and unpacked once
-    expected = {n: rm_recursive(n).poly for n in range(-8, 9)}
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the closed form ran an operation on packed rows")
-
-    for name in ("__mul__", "_plus", "shift"):
-        monkeypatch.setattr(_Rows, name, refuse)
-    for n, poly in expected.items():
-        assert rm_closed(n).poly == poly
-
-
-def test_recursion_forms_no_product_sum_or_shift_of_packed_rows(monkeypatch):
-    # each step builds every x-row from the ints of the rows before, and packs one value at the end
-    expected = {n: rm_closed(n).poly for n in range(-8, 9)}
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the recursion ran an operation on packed rows")
-
-    for name in ("__mul__", "_plus", "shift"):
-        monkeypatch.setattr(_Rows, name, refuse)
-    for n, poly in expected.items():
-        assert rm_recursive(n).poly == poly
 
 
 @pytest.mark.parametrize("n", [*range(-12, 13), -40, 40])
