@@ -182,6 +182,22 @@ def test_a_routes_match_the_theorem_sum_taken_summand_by_summand(n):
     assert apoly_substitution(n).poly == expected
 
 
+@pytest.mark.parametrize("route, per_n", [
+    # M^2 packed for the grid, the L-rows made into one value, and its unit-normal form
+    (apoly_theorem, lambda n: 3),
+    # the recursion's values (see test_rmpoly), num and den packed for the grid, the L-rows
+    # made into one value, and its unit-normal form
+    (apoly_substitution, lambda n: (3 if n else 1) + 4),
+])
+def test_a_routes_pack_a_fixed_number_of_values_and_unpack_once(rows_events, route, per_n):
+    # every Horner step works on the ints of a list of rows, so no packed-rows value is made per step
+    expected = {n: closed_form_summand_by_summand(n) for n in range(-8, 9)}
+    for n, poly in expected.items():
+        rows_events.clear()
+        assert route(n).poly == poly
+        assert rows_events == ["built"] * per_n(n) + ["unpack"], n
+
+
 def theorem_bounds(n):
     """The 1-norm bound of apoly_theorem's sum after each Horner step, from the top index down.
 

@@ -219,6 +219,201 @@ def test_sparse_products_stay_sparse():
         assert peak < 2**20
 
 
+# substitute forms its sum from schoolbook products: x * den^2 with x := num / den is num * den,
+# and (x^2 - 1) * den^2 is num^2 - den^2
+def _substituted_product(num, den):
+    return mono(1, x=1).substitute("x", num, den, 2)
+
+
+def _substituted_difference_of_squares(num, den):
+    return (mono(1, x=2) - ONE).substitute("x", num, den, 2)
+
+
+@given(p=row_dense_polys(), q=row_dense_polys())
+def test_substituted_products_of_row_dense_values_match_naive_oracle(p, q):
+    assume(q)
+    a, b = as_dict(p), as_dict(q)
+    assert as_dict(_substituted_product(p, q)) == naive_mul(a, b)
+    squares = naive_add(naive_mul(a, a), naive_neg(naive_mul(b, b)))
+    assert as_dict(_substituted_difference_of_squares(p, q)) == squares
+
+
+def test_products_mix_rows_whose_m_offsets_differ_in_parity():
+    # rows of a start at M-offsets of both parities, so the two operands share no M-step of 2
+    a = LaurentPoly({(l, 2 * k + l, 0): 1 for l in range(3) for k in range(4)})
+    b = LaurentPoly({(l, 2 * k, 0): k + 1 for l in range(4) for k in range(5)})
+    expected = naive_mul(as_dict(a), as_dict(b))
+    assert as_dict(a * b) == as_dict(b * a) == expected
+    assert as_dict(_substituted_product(a, b)) == expected
+    aa, bb = packed(0, a, b)
+    assert (aa.stride, bb.stride) == (1, 1) and (aa.unpack(), bb.unpack()) == (a, b)
+
+
+def test_products_hold_the_largest_possible_coefficient():
+    # the M^0 coefficient is 8 * 2^30 * 2^30 = 2^63, one product per term of either side, all alike
+    ramp = LaurentPoly({(0, k, 0): 2**30 for k in range(8)})
+    mirror = LaurentPoly({(0, -k, 0): 2**30 for k in range(8)})
+    for a, b in ((ramp, mirror), (-ramp, mirror)):
+        expected = naive_mul(as_dict(a), as_dict(b))
+        assert abs(expected[(0, 0, 0)]) == 2**63
+        assert as_dict(a * b) == as_dict(_substituted_product(a, b)) == expected
+        # packed at its own 1-norm of 2^66, the product reads back from 72-bit slots
+        (rows,) = packed(0, a * b)
+        assert rows.width == 72 and as_dict(rows.unpack()) == expected
+
+
+def test_products_drop_cancelled_terms():
+    geometric = LaurentPoly({(-1, k - 3, 2): 1 for k in range(8)})
+    factor = ONE - mono(1, m=1)
+    telescoped = mono(1, l=-1, m=-3, x=2) - mono(1, l=-1, m=5, x=2)
+    assert geometric * factor == _substituted_product(geometric, factor) == telescoped
+    big = 2**130 + 1
+    lhs = mono(big, m=-2) + mono(-big, x=-1)
+    expected = (mono(big, l=-1, m=-5, x=2) - mono(big, l=-1, m=3, x=2)
+                - mono(big, l=-1, m=-3, x=1) + mono(big, l=-1, m=5, x=1))
+    for product in (lhs * telescoped, _substituted_product(lhs, geometric * factor)):
+        assert product == expected
+        assert all(product._terms.values())
+
+
+def test_products_and_sums_cancel_to_zero():
+    p = LaurentPoly({(0, k, 0): (-1) ** (k % 2) * (2**64 - 1) for k in range(-5, 6)})
+    q = mono(2**64 - 1, l=1, m=3, x=-1) + mono(5, m=-1)
+    assert (p * q - q * p).is_zero() and not (p + p * -1)._terms
+    assert _substituted_difference_of_squares(p, p).is_zero()
+    low_half = LaurentPoly({m: c for m, c in p.terms() if m[1] < 0})
+    kept = p - low_half
+    assert kept.min_exp("M") == 0
+    # packed, the row of what is left starts at its lowest remaining term
+    assert packed(0, kept)[0].rows[(0, 0)][0] == 0
+
+
+def test_differences_match_naive_oracle_row_by_row():
+    a = LaurentPoly({(0, k, 0): 2**70 + k for k in range(4, 10)}) + mono(5, l=1, m=2, x=1)
+    lower = LaurentPoly({(0, k, 0): k - 9 for k in range(6)})  # its row starts below a's
+    cancel = mono(5, l=1, m=2, x=1)  # the whole row (1, 1) of a
+    lacking = mono(-7, l=-2, m=-4, x=3)  # a row that a lacks
+    for b in (lower, cancel, lacking, lower + cancel + lacking, a):
+        assert as_dict(a - b) == naive_add(as_dict(a), naive_neg(as_dict(b)))
+        assert as_dict(b - a) == naive_add(as_dict(b), naive_neg(as_dict(a)))
+        assert packed(0, a - b)[0].unpack() == a - b
+    assert (1, 1) not in packed(0, a - cancel)[0].rows and (1, 1) in packed(0, a + cancel)[0].rows
+    assert not packed(0, a - a)[0].rows
+
+
+def test_times_one_is_the_polynomial_and_times_minus_one_its_negation():
+    p = LaurentPoly({(0, 2 * k, 0): 2**40 - k for k in range(5)}) + mono(-3, l=1, m=-2, x=2)
+    assert p * 1 == 1 * p == p and p * -1 == -1 * p == -p
+    assert (p * -1) * -1 == p and (p * 0).is_zero()
+    # packed, p and -p normalize to the same rows with opposite signs
+    (q, unit, sign), (nq, nunit, nsign) = (packed(0, v)[0].normalize_unit() for v in (p, -p))
+    assert (q.unpack(), unit) == (nq.unpack(), nunit) and sign == -nsign
+    assert (q.unpack(), unit, sign) == p.normalize_unit()
+
+
+def test_substituted_products_take_rows_on_different_m_steps():
+    # rows on M-steps 2 and 3 at offsets of both parities, all on the grid of stride 1
+    a = LaurentPoly({(0, 2 * k, 0): k + 1 for k in range(10)}) + LaurentPoly(
+        {(1, 3 * k + 1, 0): -(k + 2) for k in range(10)})
+    b = LaurentPoly({(1, 2 * k + 1, 0): 2**40 + k for k in range(10)}) + mono(7, m=5)
+    assert packed(0, a)[0].stride == packed(0, b)[0].stride == 1
+    for lhs, rhs in ((a, b), (b, a), (a, a), (b, b)):
+        assert as_dict(_substituted_product(lhs, rhs)) == naive_mul(as_dict(lhs), as_dict(rhs))
+        assert (mono(1, x=1) + ONE).substitute("x", lhs, rhs, 1) == lhs + rhs
+    even = LaurentPoly({(0, 2 * k, 0): k + 1 for k in range(10)}) + mono(-3, l=1, m=-6, x=2)
+    # packed alone even lands on M-steps of 2, and beside an odd exponent on steps of 1
+    (on_two,), (on_one, _) = packed(0, even), packed(0, even, mono(1, m=1))
+    assert (on_two.stride, on_one.stride) == (2, 1)
+    assert on_two.unpack() == on_one.unpack() == even
+
+
+# The thick operand of the +-1 products below: two rows of 2^130-sized coefficients, (0, 0)
+# from M^10 and (1, 0) from M^-6.  Each product runs both ways round, as a product and as
+# the num * den that substitute forms.
+THICK = LaurentPoly({(0, 10 + 2 * k, 0): 2**130 + k for k in range(6)}) + LaurentPoly(
+    {(1, 2 * k - 6, 0): -(2**129) - 3 * k for k in range(6)})
+
+
+def _assert_thick_products(thick, thin):
+    expected = naive_mul(as_dict(thick), as_dict(thin))
+    assert as_dict(thick * thin) == as_dict(thin * thick) == expected
+    assert as_dict(_substituted_product(thick, thin)) == expected
+    assert as_dict(_substituted_product(thin, thick)) == expected
+
+
+@pytest.mark.parametrize("thin", [
+    # whole one-term rows, entering below and above the rows of THICK they meet
+    -ONE - mono(1, l=1, m=2),
+    ONE + mono(1, l=1, m=-30),
+    mono(1, m=2) - mono(1, l=1, m=-30),
+    # rows of two to eight terms with +-1 coefficients, entering first, above and below
+    ONE - mono(1, m=2) + mono(1, m=6),
+    (ONE - mono(1, m=2)) * (ONE + mono(1, l=1)),
+    (mono(1, m=2) - ONE) * (ONE + mono(1, l=1)),
+    LaurentPoly({(0, 2 * k, 0): (-1) ** k for k in range(8)}) - mono(1, l=1, m=-40, x=1),
+    # +-1 coefficients beside others, and a row of nine terms
+    ONE - mono(3, m=2) + mono(1, l=1, m=4),
+    LaurentPoly({(0, 2 * k, 0): 1 for k in range(9)}) - mono(1, l=1),
+])
+def test_products_with_unit_digits_match_naive_oracle(thin):
+    _assert_thick_products(THICK, thin)
+
+
+@st.composite
+def unit_thin_polys(draw):
+    """One to three rows of one to eight M-steps, every coefficient +-1, at offsets in [-20, 20]."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        l, x, start = draw(st.integers(-2, 2)), draw(st.integers(-1, 1)), draw(st.integers(-20, 20))
+        for k in range(draw(st.integers(1, 8))):
+            terms[(l, start + k, x)] = draw(st.sampled_from([1, -1]))
+    return LaurentPoly(terms)
+
+
+@given(thick=row_dense_polys(), thin=unit_thin_polys())
+def test_products_with_unit_digits_match_naive_oracle_by_hypothesis(thick, thin):
+    assume(thick)
+    _assert_thick_products(thick, thin)
+
+
+# two +-1 monomials: each sign of each term, terms keyed by L and by x, negative M-exponents
+BINOMIALS = [sa * mono(1, m=2) + sb * mono(1, l=1, m=-6) for sa in (1, -1) for sb in (1, -1)] + [
+    mono(1, x=1, m=-4) - mono(1, m=10),
+    mono(-1, l=-1, m=-2) + mono(1, x=2, m=-8),
+    mono(1, l=1, m=3) - mono(1, x=1),
+]
+NOT_BINOMIALS = [
+    ONE + mono(1, l=1) - mono(1, x=1),  # three terms
+    mono(2, m=2) - mono(1, l=1, m=-4),  # a coefficient of 2
+    mono(-2, m=2) + mono(1, x=1),  # a coefficient of -2
+    ONE - mono(1, m=2),  # one row of two terms
+]
+
+
+@pytest.mark.parametrize("top", [0, 1, 5])
+@pytest.mark.parametrize("poly", BINOMIALS + NOT_BINOMIALS)
+def test_substitute_takes_powers_of_num_and_den_as_repeated_products(poly, top):
+    # num's powers come from Horner's rule and den's from one product each; both are poly^top
+    expected = naive_pow(as_dict(poly), top)
+    assert as_dict(poly**top) == expected
+    assert as_dict(mono(1, x=top).substitute("x", poly, ONE, top)) == expected
+    assert as_dict(ONE.substitute("x", mono(1, l=7), poly, top)) == expected
+    # every power of x in (x + 1)^top: the sum is (poly + 1)^top
+    shifted = (mono(1, x=1) + ONE) ** top
+    assert as_dict(shifted.substitute("x", poly, ONE, top)) == naive_pow(
+        naive_add(as_dict(poly), {(0, 0, 0): 1}), top)
+
+
+@pytest.mark.parametrize("poly", BINOMIALS + NOT_BINOMIALS)
+def test_row_normalize_unit_matches_normalize_unit_on_powers(poly):
+    # content in L, M and x, and either sign of the least term, at growing widths
+    for j in range(1, 5):
+        for power in (poly**j, -(poly**j)):
+            (rows,) = packed(0, power)
+            q, unit, sign = rows.normalize_unit()
+            assert (q.unpack(), unit, sign) == power.normalize_unit()
+
+
 # Magnitudes at the edges of whole-byte slot widths, mixed with arbitrary ones.
 limit_coefficients = st.one_of(
     st.sampled_from([7, 8, 15, 16, 31, 32, 63, 64, 65, 130]).flatmap(
@@ -243,6 +438,29 @@ def packable_polys(draw, stride=1):
         for k in range(draw(st.integers(1, 12))):
             terms[(l, stride * (start + step * k), x)] = draw(limit_coefficients)
     return LaurentPoly(terms)
+
+
+@given(stride=st.sampled_from([1, 2, 3]), data=st.data(), c=limit_coefficients)
+def test_packed_rows_read_back_on_the_drawn_stride_and_substitute_matches_naive_oracle(
+        stride, data, c):
+    # every M-exponent on multiples of the drawn stride; the values packed together share a grid
+    p, q, r = (data.draw(packable_polys(stride)) for _ in range(3))
+    a, b, d = as_dict(p), as_dict(q), as_dict(r)
+    pp, qq, rr = packed(0, p, q, r)
+    if any(e[1] for e in (*a, *b, *d)):
+        assert pp.stride % stride == 0
+    else:
+        assert pp.stride == 1
+    assert (pp.stride, pp.width) == (qq.stride, qq.width) == (rr.stride, rr.width)
+    assert (as_dict(pp.unpack()), as_dict(qq.unpack()), as_dict(rr.unpack())) == (a, b, d)
+    # x^2 + c x + r0, r0 being r with its x-exponents set to 0, with x := p / q, cleared by
+    # q^2: p^2 + c p q + r0 q^2
+    assume(q)
+    r0 = LaurentPoly([((l, m, 0), v) for (l, m, _), v in r.terms()])
+    got = (mono(1, x=2) + mono(c, x=1) + r0).substitute("x", p, q, 2)
+    expected = naive_add(naive_add(naive_mul(a, a), naive_mul({(0, 0, 0): c}, naive_mul(a, b))),
+                         naive_mul(as_dict(r0), naive_mul(b, b)))
+    assert as_dict(got) == expected
 
 
 @pytest.mark.parametrize("bits", [7, 8, 15, 16, 31, 32, 63, 64, 127, 128])
@@ -470,8 +688,7 @@ def test_substitute_examples():
 
 
 def test_substitute_takes_a_numerator_wider_than_the_sum():
-    # with no power of var, num never reaches the sum, so its 1-norm can outgrow the sum's
-    # bound; it is packed with the rest all the same and must share their slot width
+    # with no power of var, num never reaches the sum, however large its coefficients
     big = mono(1000, m=2)
     assert ONE.substitute("x", big, ONE, 0) == ONE
     assert mono(1, l=1).substitute("x", big, ONE, 0) == mono(1, l=1)

@@ -102,6 +102,27 @@ def test_closed_form_matches_its_sum_taken_summand_by_summand(n):
     assert as_dict(rm_closed(n).poly) == rm_closed_summand_by_summand(n)
 
 
+def test_closed_form_packs_t_prime_and_its_rows_once_and_unpacks_once(rows_events):
+    # each x-row is built as one int from the table of T' powers: T' is packed for its digits,
+    # the rows are made into one value at the end and read back once, whatever n is
+    expected = {n: rm_recursive(n).poly for n in range(-8, 9)}
+    for n, poly in expected.items():
+        rows_events.clear()
+        assert rm_closed(n).poly == poly
+        assert rows_events == ["built", "built", "unpack"], n
+
+
+def test_recursion_packs_its_seeds_and_its_rows_once_and_unpacks_once(rows_events):
+    # each step builds every x-row from the ints of the rows before: P_2 and P_0 (or P_-2 and
+    # M^-2) are packed together, the rows of P_2n are made into one value, and read back once;
+    # P_0 = 1 is that value alone
+    expected = {n: rm_closed(n).poly for n in range(-8, 9)}
+    for n, poly in expected.items():
+        rows_events.clear()
+        assert rm_recursive(n).poly == poly
+        assert rows_events == ["built"] * (3 if n else 1) + ["unpack"], n
+
+
 @pytest.mark.parametrize("n", [*range(-12, 13), -40, 40])
 def test_recursion_rows_match_the_recursion_taken_by_schoolbook_products(n):
     seeds = ({(0, 0, 0): 1}, as_dict(P2)) if n >= 0 else ({(0, -2, 0): 1}, as_dict(PM2))
