@@ -13,8 +13,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import (LaurentPoly, ONE, UNIT_MONOMIAL, ZERO, _add_binomial_power, _digits, _fits,
-                      _joined, _Rows, _times_binomial, mono, packed)
+from .laurent import (LaurentPoly, ONE, UNIT_MONOMIAL, ZERO, _add_binomial_power, _fits,
+                      _read_slots, _Rows, _slot_digits, _times_binomial, _write_slots, mono,
+                      packed)
 from .rmpoly import _recursive_rows, summation_indices
 
 
@@ -100,23 +101,28 @@ def apoly_substitution(n: int) -> APolyResult:
     apoly_theorem beyond the exact kernel of laurent.py.  The x-degree D of
     P_2n is used as the clearing degree, so the result is a Laurent
     polynomial in L and M, which is then unit-normalized.  The whole route
-    runs on packed rows: the recursion's rows of P_2n, keyed by their power
-    of x, are read slot by slot once and written at the width the
-    substitution needs.  The sum, sum_k P[x^k] * num^k * den^(D - k), runs
-    by Horner's rule in num on a list of rows indexed by the power of L:
-    num = -(1 + L*M^(6+4n)) is applied by _times_binomial, its sign going
-    into the summands as (-1)^k, and each P[x^k] * den^(D - k) is added
-    by _add_binomial_power, so no big-int product by a factor and no
-    packed-rows value is formed per step.  The loop carries the 1-norm
-    bound of the sum so far and raises OverflowError at the first step it
-    would not fit the width.  One _Rows is unit-normalized at the end, and
-    the result is unpacked once.
+    runs on packed rows: the slots of the recursion's rows of P_2n, keyed
+    by their power of x, are read in one numpy pass (_read_slots), which
+    gives their 1-norms, and each row is moved to the width the
+    substitution needs by sign-extending its slots' bytes, one
+    int.from_bytes per row (_write_slots).  The sum, sum_k P[x^k] * num^k
+    * den^(D - k), runs by Horner's rule in num on a list of rows indexed
+    by the power of L: num = -(1 + L*M^(6+4n)) is applied by
+    _times_binomial, its sign going into the summands as (-1)^k, and each
+    P[x^k] * den^(D - k) is added by _add_binomial_power, so no big-int
+    product by a factor and no packed-rows value is formed per step.  The
+    loop carries the 1-norm bound of the sum so far and raises
+    OverflowError at the first step it would not fit the width.  One _Rows
+    is unit-normalized at the end, and the result is unpacked once.
     """
     p = _recursive_rows(n)
     num, den = substitution_x(n)
-    parts = {k: (lo, _digits(value, p.width)) for (_, k), (lo, value) in p.rows.items()}
-    deg = max(parts)
-    norms = {k: sum(map(abs, digits)) for k, (_, digits) in parts.items()}
+    slots, counts = _read_slots([value for _, value in p.rows.values()], p.width)
+    digits, norms, at = _slot_digits(slots), {}, 0
+    for (_, k), count in zip(p.rows, counts):
+        norms[k] = sum(map(abs, digits[at:at + count]))
+        at += count
+    deg = max(norms)
     # the bound of the whole sum bounds every Horner intermediate; |num|_1 = |den|_1 = 2,
     # so the summand of k is bounded by |P[x^k]|_1 * 2^D
     room = sum(norms.values()) << deg
@@ -124,6 +130,11 @@ def apoly_substitution(n: int) -> APolyResult:
     # the parts keep the recursion's grid, on which num's and den's exponents lie
     assert grid.stride == p.stride, "num and den are off the grid of P_2n's rows"
     stride, width = p.stride, grid.width
+    # the rows of P_2n, their slots sign-extended from the recursion's width to this one; a
+    # row's 1-norm is in the bound of its step, so the loop's _fits raises before it is added
+    # if its digits outgrow the width
+    parts = {k: (lo, value) for ((_, k), (lo, _)), value
+             in zip(p.rows.items(), _write_slots(slots, counts, width))}
     # num's sign enters the summands as num_sign^k; den's is +1
     (num_e, num_f, num_sign), (den_e, den_f, den_sign) = map(_l_binomial, (num, den))
     assert den_sign == 1, "den is not M^e + L*M^f"
@@ -133,9 +144,7 @@ def apoly_substitution(n: int) -> APolyResult:
         _fits(bound, width)
         rows = _times_binomial(rows, num_e, 1, num_f, stride, width)
         if k in parts:
-            lo, digits = parts[k]
-            _add_binomial_power(rows, num_sign**k, (lo, _joined(digits, width)), den_e, den_f,
-                                deg - k, stride, width)
+            _add_binomial_power(rows, num_sign**k, parts[k], den_e, den_f, deg - k, stride, width)
     rows = {(l, 0): row for l, row in enumerate(rows) if row[1]}
     normalized, _, _ = _Rows(rows, stride, width, bound).normalize_unit()
     return APolyResult(n, normalized.unpack(), "substitution")

@@ -15,6 +15,8 @@ import re
 from itertools import compress, repeat
 from typing import Iterable, Mapping
 
+import numpy as np
+
 VARIABLES = ("L", "M", "x")
 _VAR_INDEX = {"L": 0, "M": 1, "x": 2}
 
@@ -344,23 +346,78 @@ def _biases(count: int, width: int) -> int:
     return int.from_bytes((1 << (width - 1)).to_bytes(width // 8, "little") * count, "little")
 
 
-def _joined(digits: list[int], width: int) -> int:
-    """The packed int whose slots hold the signed values digits, lowest first."""
-    half, w = 1 << (width - 1), width // 8
-    data = b"".join(map(int.to_bytes, [d + half for d in digits], repeat(w), repeat("little")))
-    return int.from_bytes(data, "little") - _biases(len(digits), width)
+def _read_slots(values: list[int], width: int) -> tuple[np.ndarray, list[int]]:
+    """The slots of packed ints as one (slots, width // 8) array of two's-complement bytes.
 
-
-def _digits(value: int, width: int) -> list[int]:
-    """The signed slot values of a packed int, lowest first, to its top nonzero slot or one past."""
-    # a packed int whose top nonzero slot is slot k has bit length at least width * k - 1
-    count = (value.bit_length() + 1) // width + 1
+    Each int gives its slots lowest first, to its top nonzero slot or one
+    past, and counts says how many; _write_slots takes the array back.
+    """
     w = width // 8
-    biases = _biases(count, width)
-    # each slot of value + biases holds digit + 2^(width - 1) with no carry between slots;
-    # flipping the top bit leaves the digit in two's complement
-    data = ((value + biases) ^ biases).to_bytes(count * w, "little")
-    return [int.from_bytes(data[at:at + w], "little", signed=True) for at in range(0, len(data), w)]
+    chunks, counts = [], []
+    for value in values:
+        # a packed int whose top nonzero slot is slot k has bit length at least width * k - 1
+        count = (value.bit_length() + 1) // width + 1
+        biases = _biases(count, width)
+        # each slot of value + biases holds digit + 2^(width - 1) with no carry between slots;
+        # flipping the top bit leaves the digit in two's complement
+        chunks.append(((value + biases) ^ biases).to_bytes(count * w, "little"))
+        counts.append(count)
+    return np.frombuffer(b"".join(chunks), np.uint8).reshape(-1, w), counts
+
+
+def _write_slots(slots: np.ndarray, counts: list[int], width: int) -> list[int]:
+    """The packed ints whose width-bit slots hold the values of slots, counts slots to an int.
+
+    slots are two's-complement bytes as _read_slots gives them, at any
+    width: each is sign-extended (or cut) to width // 8 bytes, which keeps
+    every value that fits, and each int is one int.from_bytes.
+    """
+    w = width // 8
+    have = slots.shape[1]
+    if have != w:
+        keep = min(have, w)
+        out = np.empty((len(slots), w), np.uint8)
+        out[:, :keep] = slots[:, :keep]
+        out[:, keep:] = (slots[:, keep - 1:keep] >> 7) * np.uint8(0xFF)  # the sign fill
+        slots = out
+    data = slots.tobytes()
+    values, at = [], 0
+    for count in counts:
+        biases = _biases(count, width)
+        values.append((int.from_bytes(data[at:at + count * w], "little") ^ biases) - biases)
+        at += count * w
+    return values
+
+
+def _int64_slots(slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(low, wide) for slots as _read_slots gives them.
+
+    low holds each slot's low 8 bytes (all of them, if fewer) as a
+    sign-extended int64; wide marks the slots whose bytes above those are
+    more than sign fill, the only ones whose value low does not hold.
+    """
+    k = min(slots.shape[1], 8)
+    top = np.zeros((len(slots), 8), np.uint8)
+    top[:, 8 - k:] = slots[:, :k]
+    low = top.view("<i8").ravel() >> (64 - 8 * k)
+    wide = (slots[:, 8:].view(np.int8) != (low >> 63).astype(np.int8)[:, None]).any(axis=1)
+    return low, wide
+
+
+def _slot_digits(slots: np.ndarray) -> list[int]:
+    """The values of slots as _read_slots gives them, as plain ints in order.
+
+    Every slot is read by one int64 tolist(); only the wide ones of
+    _int64_slots take an int.from_bytes each.
+    """
+    low, wide = _int64_slots(slots)
+    digits = low.tolist()
+    if wide.any():
+        w, data, at = slots.shape[1], slots.tobytes(), np.flatnonzero(wide)
+        from_bytes = int.from_bytes
+        for k, start in zip(at.tolist(), (at * w).tolist()):
+            digits[k] = from_bytes(data[start:start + w], "little", signed=True)
+    return digits
 
 
 def _fits(bound: int, width: int) -> None:
@@ -380,22 +437,30 @@ def packed(room: int, *polys: LaurentPoly) -> list["_Rows"]:
     gcd (1 if every one is 0), and the slot width holds room and every
     operand's 1-norm.  A loop takes the grid from here, keeps it, and
     carries its bound itself; the rows give normalize_unit and unpack,
-    which gives the LaurentPoly back.
+    which gives the LaurentPoly back.  Each coefficient is written as its
+    slot's two's-complement bytes, and _write_slots makes the row ints
+    from them, one int.from_bytes per row.
     """
     stride = math.gcd(*(m[1] for poly in polys for m in poly._terms)) or 1
     width = _width(max(room, *map(LaurentPoly.norm1, polys)))
+    w = width // 8
     out = []
     for poly in polys:
         grouped: dict[tuple[int, int], dict[int, int]] = {}
         for m, c in poly._terms.items():
             grouped.setdefault((m[0], m[2]), {})[m[1]] = c
-        rows = {}
-        for key, row in grouped.items():
+        lows, chunks, counts = [], [], []
+        for row in grouped.values():
             lo = min(row)
             digits = [0] * ((max(row) - lo) // stride + 1)
             for e, c in row.items():
                 digits[(e - lo) // stride] = c
-            rows[key] = (lo, _joined(digits, width))
+            lows.append(lo)
+            chunks.extend(d.to_bytes(w, "little", signed=True) for d in digits)
+            counts.append(len(digits))
+        slots = np.frombuffer(b"".join(chunks), np.uint8).reshape(-1, w)
+        values = _write_slots(slots, counts, width)
+        rows = dict(zip(grouped, zip(lows, values)))
         out.append(_Rows(rows, stride, width, poly.norm1()))
     return out
 
@@ -414,6 +479,9 @@ class _Rows:
     the rows of one value line up.  bound is an upper bound on the 1-norm
     of the polynomial, hence on every coefficient; a bound that would not
     fit the width raises OverflowError, so no slot is ever read back wrong.
+    _read_slots and _write_slots are the one pair that converts between
+    row ints and their slots' two's-complement bytes, on which unpack
+    reads every digit of a value in one numpy pass.
     """
 
     __slots__ = ("rows", "stride", "width", "bound")
@@ -426,12 +494,21 @@ class _Rows:
         self.bound = bound
 
     def unpack(self) -> LaurentPoly:
-        """The polynomial itself, read slot by slot; zero slots are not terms."""
-        width, stride = self.width, self.stride
+        """The polynomial itself; zero slots are not terms.
+
+        The slots of every row are read in one numpy pass (_read_slots,
+        _slot_digits), so only a slot beyond int64 costs an int.from_bytes;
+        the keys are built row by row, lowest slot first.
+        """
+        stride = self.stride
+        slots, counts = _read_slots([value for _, value in self.rows.values()], self.width)
+        digits = _slot_digits(slots)
         out: dict[tuple, int] = {}
-        for (l, x), (lo, value) in self.rows.items():
-            coeffs = _digits(value, width)
-            keys = zip(repeat(l), range(lo, lo + len(coeffs) * stride, stride), repeat(x))
+        at = 0
+        for ((l, x), (lo, _)), count in zip(self.rows.items(), counts):
+            coeffs = digits[at:at + count]
+            at += count
+            keys = zip(repeat(l), range(lo, lo + count * stride, stride), repeat(x))
             out.update(compress(zip(keys, coeffs), coeffs))
         return LaurentPoly._raw(out)
 

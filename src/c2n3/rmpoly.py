@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, ONE, _digits, _fits, _Rows, _width, mono, packed
+from .laurent import (LaurentPoly, ONE, _fits, _read_slots, _Rows, _slot_digits, _width, mono,
+                      packed)
 
 
 def binom_z(a: int, b: int) -> int:
@@ -198,7 +199,7 @@ def rm_closed(n: int) -> RMResult:
     room = sum(abs(c) * _BASE.norm1() ** i for i, _, c in indices)
     (t,) = packed(room, mono(1, m=2) * (_BASE - mono(1, x=1)))
     width = t.width
-    digits = _digits(t.rows[(0, 0)][1], width)
+    digits = _slot_digits(_read_slots([t.rows[(0, 0)][1]], width)[0])
     table = [1]  # T'^e as packed ints on the stride-2 grid, lowest slot M^0
     for _ in range(indices[-1][0]):
         table.append(sum(d * (table[-1] << k * width) for k, d in enumerate(digits)))

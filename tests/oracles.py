@@ -103,6 +103,39 @@ def three_term_schoolbook(q: dict, p0: dict, p1: dict, k: int) -> dict:
     return cur
 
 
+def slot_digits_one_by_one(value: int, width: int) -> list[int]:
+    """The signed width-bit slots of a packed int, lowest first, to its top nonzero slot or one past.
+
+    Each slot is read by its own int.from_bytes: the bias 2^(width - 1) is
+    added to every slot, so no slot borrows from the next, and flipping
+    each slot's top bit leaves its digit in two's complement.
+    """
+    count = (value.bit_length() + 1) // width + 1
+    w = width // 8
+    biases = int.from_bytes((1 << (width - 1)).to_bytes(w, "little") * count, "little")
+    data = ((value + biases) ^ biases).to_bytes(count * w, "little")
+    return [int.from_bytes(data[at:at + w], "little", signed=True) for at in range(0, len(data), w)]
+
+
+def slot_packed(digits: list[int], width: int) -> int:
+    """The packed int whose width-bit slots hold the signed digits, lowest first."""
+    return sum(d << (width * k) for k, d in enumerate(digits))
+
+
+def unpack_slot_by_slot(rows) -> dict:
+    """The terms of packed rows as a dict in the order a row-by-row, slot-by-slot read inserts them.
+
+    rows is a c2n3.laurent._Rows; keys are (expL, lowest expM + stride * slot,
+    expX) for every nonzero slot, rows in their dict order.
+    """
+    out = {}
+    for (l, x), (lo, value) in rows.rows.items():
+        for k, c in enumerate(slot_digits_one_by_one(value, rows.width)):
+            if c:
+                out[(l, lo + rows.stride * k, x)] = c
+    return out
+
+
 # -- numeric layer ------------------------------------------------------------
 
 

@@ -17,8 +17,8 @@ from c2n3.apoly import (
     newton_polygon,
     substitution_x,
 )
-from c2n3.laurent import LaurentPoly, ONE, UNIT_MONOMIAL, ZERO, mono
-from c2n3.rmpoly import rm_closed, rm_recursive, summation_indices
+from c2n3.laurent import LaurentPoly, ONE, UNIT_MONOMIAL, ZERO, mono, packed
+from c2n3.rmpoly import _recursive_rows, rm_closed, rm_recursive, summation_indices
 from oracles import as_dict, naive_add, naive_mul, naive_pow
 
 # A_-2, derived by hand: the n = -1 knot is the figure-eight knot, whose
@@ -196,6 +196,28 @@ def test_a_routes_pack_a_fixed_number_of_values_and_unpack_once(rows_events, rou
         rows_events.clear()
         assert route(n).poly == poly
         assert rows_events == ["built"] * per_n(n) + ["unpack"], n
+
+
+@pytest.mark.parametrize("n", [5, -5, 14, -14, 17, -17, 24, -24])
+def test_substitution_sign_extends_the_rows_of_p2n_to_the_rows_packed_writes(monkeypatch, n):
+    # the recursion's rows of P_2n are moved to the width of the substitution's sum by
+    # sign-extending each slot; each must be the row packed() writes for P_2n at that width.
+    # The recursion's width is the narrower, and some rows are negative ints: their top digit is
+    p = rm_recursive(n).poly
+    (expected,) = packed(p.norm1() << p.degree("x"), p)
+    assert _recursive_rows(n).width < expected.width
+    assert any(value < 0 for _, value in expected.rows.values())
+    parts = []
+    real = apoly._add_binomial_power
+
+    def recorded(rows, c, part, *rest):
+        parts.append(part)
+        return real(rows, c, part, *rest)
+
+    monkeypatch.setattr(apoly, "_add_binomial_power", recorded)
+    apoly_substitution(n)
+    # the Horner loop adds P[x^k] from the top power of x down
+    assert parts == [expected.rows[(0, k)] for k in sorted((k for _, k in expected.rows), reverse=True)]
 
 
 def theorem_bounds(n):

@@ -22,7 +22,8 @@ from c2n3.laurent import (
     packed,
 )
 from c2n3.rmpoly import rm_closed, rm_recursive
-from oracles import as_dict, at_meridian, naive_add, naive_mul, naive_neg, naive_pow
+from oracles import (as_dict, at_meridian, naive_add, naive_mul, naive_neg, naive_pow,
+                     slot_digits_one_by_one, slot_packed, unpack_slot_by_slot)
 
 exponents = st.integers(min_value=-3, max_value=3)
 monomials = st.tuples(exponents, exponents, exponents)
@@ -502,6 +503,78 @@ def test_packed_derives_the_stride_and_width_from_its_operands():
     for room, width in ((0, 16), (255, 16), (2**15 - 1, 16), (2**15, 24), (2**40, 48)):
         assert [r.width for r in packed(room, small, big)] == [width, width]
     assert [r.bound for r in packed(2**40, small, big)] == [3, 255]
+
+
+@st.composite
+def slot_rows(draw):
+    """(width, rows): a slot width of 8 to 136 bits and one to four lists of signed digits.
+
+    The digits come from the whole signed range of the width, with its ends
+    and those of int64 drawn often.
+    """
+    width = 8 * draw(st.integers(1, 17))
+    half = 1 << (width - 1)
+    ends = [d for d in (-half, half - 1, 0, -(2**63), 2**63 - 1, 2**63, -(2**63) - 1)
+            if -half <= d < half]
+    digit = st.one_of(st.integers(-half, half - 1), st.sampled_from(ends))
+    return width, draw(st.lists(st.lists(digit, max_size=10), min_size=1, max_size=4))
+
+
+@given(drawn=slot_rows())
+def test_slot_reads_match_the_one_by_one_reference(drawn):
+    width, rows = drawn
+    values = [slot_packed(digits, width) for digits in rows]
+    expected = [slot_digits_one_by_one(value, width) for value in values]
+    slots, counts = laurent._read_slots(values, width)
+    assert counts == list(map(len, expected))
+    digits = laurent._slot_digits(slots)
+    assert digits == [d for row in expected for d in row]
+    assert all(type(d) is int for d in digits)
+    # a slot takes the int64 path exactly when its digit lies in int64
+    assert laurent._int64_slots(slots)[1].tolist() == [not -(2**63) <= d < 2**63 for d in digits]
+    # written back at its own width, sign-extended to wider ones, and cut to the narrowest that holds it
+    narrowest = laurent._width(max(map(abs, digits), default=0))
+    for to in (width, width + 8, width + 64, narrowest):
+        assert laurent._write_slots(slots, counts, to) == [slot_packed(row, to) for row in expected]
+
+
+@pytest.mark.parametrize("width, digit, wide", [
+    *[(width, digit, False) for width in (64, 72, 128) for digit in (-(2**63), 2**63 - 1)],
+    *[(width, digit, True) for width in (72, 128)
+      for digit in (2**63, -(2**63) - 1, 2 ** (width - 1) - 1, 1 - 2 ** (width - 1))],
+])
+def test_slot_reads_take_the_int64_path_exactly_at_int64_digits(width, digit, wide):
+    value = slot_packed([5, digit, -1], width)
+    slots, _ = laurent._read_slots([value], width)
+    assert laurent._int64_slots(slots)[1].tolist() == [False, wide, False]
+    assert laurent._slot_digits(slots) == [5, digit, -1] == slot_digits_one_by_one(value, width)
+
+
+def _assert_unpacks_as_the_slot_by_slot_read(rows):
+    poly = rows.unpack()
+    # the same terms in the same order, and only plain ints
+    assert list(poly._terms.items()) == list(unpack_slot_by_slot(rows).items())
+    assert all(type(c) is int and all(type(e) is int for e in m) for m, c in poly._terms.items())
+    return poly
+
+
+def test_unpack_reads_a_row_of_both_kinds_of_slot_and_drops_zero_slots():
+    digits = [0, 3, 2**63 - 1, 0, 2**63, -(2**63), -(2**63) - 1, 0, -(2**79), 2**70, -7]
+    rows = laurent._Rows({(1, -2): (-4, slot_packed(digits, 80)),
+                          (0, 0): (6, slot_packed([0, -1, 0, 1], 80))}, 2, 80, 0)
+    poly = _assert_unpacks_as_the_slot_by_slot_read(rows)
+    assert as_dict(poly) == {**{(1, 2 * k - 4, -2): d for k, d in enumerate(digits) if d},
+                             (0, 8, 0): -1, (0, 12, 0): 1}
+
+
+@given(drawn=slot_rows(), stride=st.sampled_from([1, 2, 3]), data=st.data())
+def test_unpack_matches_the_slot_by_slot_read_term_for_term_and_in_order(drawn, stride, data):
+    width, digit_rows = drawn
+    keys = data.draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 2)), unique=True,
+                              min_size=len(digit_rows), max_size=len(digit_rows)))
+    rows = {key: (stride * data.draw(st.integers(-6, 6)), slot_packed(digits, width))
+            for key, digits in zip(keys, digit_rows)}
+    _assert_unpacks_as_the_slot_by_slot_read(laurent._Rows(rows, stride, width, 0))
 
 
 @st.composite
