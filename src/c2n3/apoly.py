@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .laurent import (LaurentPoly, ONE, UNIT_MONOMIAL, ZERO, _add_binomial_power, _fits,
-                      _read_slots, _Rows, _slot_digits, _times_binomial, _write_slots, mono,
-                      packed)
+                      _read_slots, _Rows, _slot_digits, _times_binomial, _width, _write_slots,
+                      mono)
 from .rmpoly import _recursive_rows, summation_indices
 
 
@@ -39,6 +39,7 @@ def _l_binomial(poly: LaurentPoly) -> tuple[int, int, int]:
     """(e, f, s) for poly = s * (M^e + L*M^f) with s = +-1, the shape of num and den."""
     ((l0, e, x0), s), ((l1, f, x1), t) = poly.terms()
     assert (l0, x0, l1, x1) == (0, 0, 1, 0) and s == t in (1, -1), "not +-(M^e + L*M^f)"
+    assert e % 2 == f % 2 == 0, "M^e + L*M^f is off the M^2 grid of packed rows"
     return e, f, s
 
 
@@ -49,14 +50,14 @@ def apoly_theorem(n: int) -> APolyResult:
     L*M^2 + M^(-4n) for n < 0) that stays nonnegative across the summation
     range, so denominators never actually appear.  The sum runs by Horner's
     rule on a list of rows, (lowest expM, packed int) indexed by the power
-    of L: base_num = +-(1 - M^2) * (M^a - L*M^b), x_num * M^-2
-    and the den are +-1 binomials in L, so each step applies its factors by
-    shifts and adds (_times_binomial, _add_binomial_power) and forms no
-    big-int product and no packed-rows value.  The loop carries the 1-norm
-    bound of the sum so far and raises OverflowError at the first step it
-    would not fit the width.  The result of the sum is already
-    unit-normal; both facts are asserted, the second on the rows before
-    the one unpack.
+    of L, at the slot width _width(room), with nothing packed to start:
+    base_num = +-(1 - M^2) * (M^a - L*M^b), x_num * M^-2 and the den are
+    +-1 binomials in L, so each step applies its factors by shifts and adds
+    (_times_binomial, _add_binomial_power) and forms no big-int product and
+    no packed-rows value.  The loop carries the 1-norm bound of the sum so
+    far and raises OverflowError at the first step it would not fit the
+    width.  The result of the sum is already unit-normal; both facts are
+    asserted, the second on the rows before the one unpack.
     """
     if n >= 0:
         # base_num = (L*M^4n - 1) * (1 - M^2) = (M^2 - 1) * (1 - L*M^4n), x_num = 1 + L*M^(6+4n)
@@ -71,9 +72,7 @@ def apoly_theorem(n: int) -> APolyResult:
     # the sum run on 1-norms bounds every value it takes; |base_num|_1 = 4 and
     # |x_num|_1 = |den|_1 = 2, so the summand of i is bounded by |c| * 2^(2i + j + agg)
     room = sum(abs(c) << (i + top_agg) for i, _, c in indices)
-    # every M-exponent here is even: the grid of stride 2, one slot per M^2
-    (grid,) = packed(room, mono(1, m=2))
-    stride, width = grid.stride, grid.width
+    width = _width(room)
     acc, bound = [], 0
     # Horner's rule from the top index down: i + j at the top is top_agg, so
     # the top summand takes den^0 and no den power is left over at the end;
@@ -83,13 +82,13 @@ def apoly_theorem(n: int) -> APolyResult:
         assert agg >= 0, "aggregate denominator exponent went negative"
         bound = (bound * 8 if (i + 1) % 2 else bound * 4) + (abs(c) << agg)
         _fits(bound, width)
-        acc = _times_binomial(acc, base[0], -1, base[1], stride, width)
+        acc = _times_binomial(acc, base[0], -1, base[1], width)
         acc = [(lo, v - (v << width) if quad > 0 else (v << width) - v) for lo, v in acc]
         if (i + 1) % 2:
-            acc = _times_binomial(acc, x_step[0], 1, x_step[1], stride, width)
-        _add_binomial_power(acc, c, (0, 1), *den, agg, stride, width)
+            acc = _times_binomial(acc, x_step[0], 1, x_step[1], width)
+        _add_binomial_power(acc, c, (0, 1), *den, agg, width)
     rows = {(l, 0): (lo + m_top, v) for l, (lo, v) in enumerate(acc) if v}
-    normalized, unit, sign = _Rows(rows, stride, width, bound).normalize_unit()
+    normalized, unit, sign = _Rows(rows, width, bound).normalize_unit()
     assert unit == UNIT_MONOMIAL and sign == 1, "closed-form A-polynomial was not unit-normal"
     return APolyResult(n, normalized.unpack(), "theorem")
 
@@ -103,8 +102,8 @@ def apoly_substitution(n: int) -> APolyResult:
     polynomial in L and M, which is then unit-normalized.  The whole route
     runs on packed rows: the slots of the recursion's rows of P_2n, keyed
     by their power of x, are read in one numpy pass (_read_slots), which
-    gives their 1-norms, and each row is moved to the width the
-    substitution needs by sign-extending its slots' bytes, one
+    gives their 1-norms and so the width _width(room), and each row is
+    moved to that width by sign-extending its slots' bytes, one
     int.from_bytes per row (_write_slots).  The sum, sum_k P[x^k] * num^k
     * den^(D - k), runs by Horner's rule in num on a list of rows indexed
     by the power of L: num = -(1 + L*M^(6+4n)) is applied by
@@ -126,10 +125,7 @@ def apoly_substitution(n: int) -> APolyResult:
     # the bound of the whole sum bounds every Horner intermediate; |num|_1 = |den|_1 = 2,
     # so the summand of k is bounded by |P[x^k]|_1 * 2^D
     room = sum(norms.values()) << deg
-    (grid, _) = packed(room, num, den)
-    # the parts keep the recursion's grid, on which num's and den's exponents lie
-    assert grid.stride == p.stride, "num and den are off the grid of P_2n's rows"
-    stride, width = p.stride, grid.width
+    width = _width(room)
     # the rows of P_2n, their slots sign-extended from the recursion's width to this one; a
     # row's 1-norm is in the bound of its step, so the loop's _fits raises before it is added
     # if its digits outgrow the width
@@ -142,11 +138,11 @@ def apoly_substitution(n: int) -> APolyResult:
     for k in range(deg, -1, -1):
         bound = 2 * bound + (norms[k] << (deg - k) if k in parts else 0)
         _fits(bound, width)
-        rows = _times_binomial(rows, num_e, 1, num_f, stride, width)
+        rows = _times_binomial(rows, num_e, 1, num_f, width)
         if k in parts:
-            _add_binomial_power(rows, num_sign**k, parts[k], den_e, den_f, deg - k, stride, width)
+            _add_binomial_power(rows, num_sign**k, parts[k], den_e, den_f, deg - k, width)
     rows = {(l, 0): row for l, row in enumerate(rows) if row[1]}
-    normalized, _, _ = _Rows(rows, stride, width, bound).normalize_unit()
+    normalized, _, _ = _Rows(rows, width, bound).normalize_unit()
     return APolyResult(n, normalized.unpack(), "substitution")
 
 

@@ -10,7 +10,6 @@ serialization, and the sign convention of unit normalization.
 from __future__ import annotations
 
 import json
-import math
 import re
 from itertools import compress, repeat
 from typing import Iterable, Mapping
@@ -428,40 +427,38 @@ def _fits(bound: int, width: int) -> None:
 
 
 def packed(room: int, *polys: LaurentPoly) -> list["_Rows"]:
-    """polys as packed rows on one grid, for a loop on their ints unpacked once at its end.
+    """polys as packed rows on the M^2 grid, for a loop on their ints unpacked once at its end.
 
-    Every route builder runs such a loop: the recursion of P_2n applies
-    its one factor T' by shifts, and both A_2n routes apply their +-1
-    binomials in L by _times_binomial and _add_binomial_power.  The grid
-    comes from the operands: slots step through the M-exponents by their
-    gcd (1 if every one is 0), and the slot width holds room and every
-    operand's 1-norm.  A loop takes the grid from here, keeps it, and
-    carries its bound itself; the rows give normalize_unit and unpack,
-    which gives the LaurentPoly back.  Each coefficient is written as its
-    slot's two's-complement bytes, and _write_slots makes the row ints
-    from them, one int.from_bytes per row.
+    The recursion of P_2n is the one loop that starts from packed values;
+    the other route builders make their rows' ints themselves.  The slot
+    width holds room and every operand's 1-norm.  Every M-exponent must be
+    even, as every one of P_2n is, and an odd one raises ValueError.  Each
+    coefficient is written as its slot's two's-complement bytes, and
+    _write_slots makes the row ints from them, one int.from_bytes per row.
     """
-    stride = math.gcd(*(m[1] for poly in polys for m in poly._terms)) or 1
     width = _width(max(room, *map(LaurentPoly.norm1, polys)))
     w = width // 8
     out = []
     for poly in polys:
         grouped: dict[tuple[int, int], dict[int, int]] = {}
         for m, c in poly._terms.items():
+            if m[1] % 2:
+                raise ValueError(f"term {mono(c, *m).to_text()} has an odd M-exponent, "
+                                 "off the M^2 grid of packed rows")
             grouped.setdefault((m[0], m[2]), {})[m[1]] = c
         lows, chunks, counts = [], [], []
         for row in grouped.values():
             lo = min(row)
-            digits = [0] * ((max(row) - lo) // stride + 1)
+            digits = [0] * ((max(row) - lo) // 2 + 1)
             for e, c in row.items():
-                digits[(e - lo) // stride] = c
+                digits[(e - lo) // 2] = c
             lows.append(lo)
             chunks.extend(d.to_bytes(w, "little", signed=True) for d in digits)
             counts.append(len(digits))
         slots = np.frombuffer(b"".join(chunks), np.uint8).reshape(-1, w)
         values = _write_slots(slots, counts, width)
         rows = dict(zip(grouped, zip(lows, values)))
-        out.append(_Rows(rows, stride, width, poly.norm1()))
+        out.append(_Rows(rows, width, poly.norm1()))
     return out
 
 
@@ -469,27 +466,25 @@ class _Rows:
     """A polynomial as packed rows: {(expL, expX): (lowest expM, packed int)}.
 
     Slot k of a row's int, bits width * k up to width * (k + 1), holds the
-    coefficient of M^(lowest + stride * k) as a signed digit, so the int is
-    the row evaluated at M^stride = 2^width (Kronecker substitution).  That
-    evaluation is a ring homomorphism, so sums, shifts and products of the
-    ints are exact whatever the width; only reading the slots back needs
-    every coefficient inside [-2^(width-1), 2^(width-1)).  packed() fixes
-    the width and the stride for all the values of one call.  The slot
-    grid is anchored at M^0: every M-exponent is a multiple of stride, so
-    the rows of one value line up.  bound is an upper bound on the 1-norm
-    of the polynomial, hence on every coefficient; a bound that would not
-    fit the width raises OverflowError, so no slot is ever read back wrong.
-    _read_slots and _write_slots are the one pair that converts between
-    row ints and their slots' two's-complement bytes, on which unpack
-    reads every digit of a value in one numpy pass.
+    coefficient of M^(lowest + 2k) as a signed digit, so the int is the row
+    evaluated at M^2 = 2^width (Kronecker substitution).  That evaluation
+    is a ring homomorphism, so sums, shifts and products of the ints are
+    exact whatever the width; only reading the slots back needs every
+    coefficient inside [-2^(width-1), 2^(width-1)).  The grid is fixed at
+    M^2, since every M-exponent of P_2n and A_2n is even, so the rows of
+    one value line up; packed() refuses an odd exponent.  bound is an upper
+    bound on the 1-norm of the polynomial, hence on every coefficient; a
+    bound that would not fit the width raises OverflowError, so no slot is
+    ever read back wrong.  _read_slots and _write_slots are the one pair
+    that converts between row ints and their slots' two's-complement
+    bytes, on which unpack reads every digit of a value in one numpy pass.
     """
 
-    __slots__ = ("rows", "stride", "width", "bound")
+    __slots__ = ("rows", "width", "bound")
 
-    def __init__(self, rows: dict, stride: int, width: int, bound: int):
+    def __init__(self, rows: dict, width: int, bound: int):
         _fits(bound, width)
         self.rows = rows
-        self.stride = stride
         self.width = width
         self.bound = bound
 
@@ -500,7 +495,6 @@ class _Rows:
         _slot_digits), so only a slot beyond int64 costs an int.from_bytes;
         the keys are built row by row, lowest slot first.
         """
-        stride = self.stride
         slots, counts = _read_slots([value for _, value in self.rows.values()], self.width)
         digits = _slot_digits(slots)
         out: dict[tuple, int] = {}
@@ -508,7 +502,7 @@ class _Rows:
         for ((l, x), (lo, _)), count in zip(self.rows.items(), counts):
             coeffs = digits[at:at + count]
             at += count
-            keys = zip(repeat(l), range(lo, lo + count * stride, stride), repeat(x))
+            keys = zip(repeat(l), range(lo, lo + 2 * count, 2), repeat(x))
             out.update(compress(zip(keys, coeffs), coeffs))
         return LaurentPoly._raw(out)
 
@@ -522,11 +516,11 @@ class _Rows:
         """
         if not self.rows:
             raise ValueError("cannot unit-normalize the zero polynomial")
-        width, stride = self.width, self.stride
+        width = self.width
         lowest = {}  # (expL, expX): (index of the lowest nonzero slot, its M-exponent)
         for key, (lo, value) in self.rows.items():
             k = ((value & -value).bit_length() - 1) // width
-            lowest[key] = (k, lo + k * stride)
+            lowest[key] = (k, lo + 2 * k)
         unit = (min(l for l, _ in lowest), min(m for _, m in lowest.values()),
                 min(x for _, x in lowest))
         # the least term is the lowest slot of the row least in (expL, its lowest expM, expX)
@@ -536,17 +530,17 @@ class _Rows:
         l0, m0, x0 = unit
         rows = {(l - l0, x - x0): (lo - m0, value * sign)
                 for (l, x), (lo, value) in self.rows.items()}
-        return _Rows(rows, stride, width, self.bound), unit, sign
+        return _Rows(rows, width, self.bound), unit, sign
 
 
-def _times_binomial(rows: list, e0: int, s1: int, e1: int, stride: int, width: int) -> list:
+def _times_binomial(rows: list, e0: int, s1: int, e1: int, width: int) -> list:
     """rows * (M^e0 + s1 * L * M^e1), for s1 = 1 or -1, in one pass.
 
     rows are (lowest expM, packed int) indexed by the power of L, all on
-    one grid of packed() and a zero int an empty row.  Row l of the
-    product is M^e0 * rows[l] + s1 * M^e1 * rows[l - 1]: the two ints are
-    lined up by the lower of their lowest exponents and added or
-    subtracted, so no big-int product is formed.  e0 and e1 lie on the grid.
+    the M^2 grid at width bits a slot, and a zero int an empty row.  Row l
+    of the product is M^e0 * rows[l] + s1 * M^e1 * rows[l - 1]: the two
+    ints are lined up by the lower of their lowest exponents and added or
+    subtracted, so no big-int product is formed.  e0 and e1 are even.
     """
     out = []
     minus = s1 < 0
@@ -560,23 +554,23 @@ def _times_binomial(rows: list, e0: int, s1: int, e1: int, stride: int, width: i
         elif not v0:
             out.append((lo1, -v1 if minus else v1))
         elif lo0 <= lo1:
-            moved = v1 << (lo1 - lo0) // stride * width
+            moved = v1 << (lo1 - lo0) // 2 * width
             out.append((lo0, v0 - moved if minus else v0 + moved))
         else:
-            moved = v0 << (lo0 - lo1) // stride * width
+            moved = v0 << (lo0 - lo1) // 2 * width
             out.append((lo1, moved - v1 if minus else moved + v1))
         lo1, v1 = row
     return out
 
 
 def _add_binomial_power(rows: list, c: int, part: tuple[int, int], e: int, f: int, j: int,
-                        stride: int, width: int) -> None:
+                        width: int) -> None:
     """rows += c * part * (M^e + L * M^f)^j in place, for part one row (lowest expM, packed int).
 
     rows are as _times_binomial takes them, and grow to j + 1 rows if
     shorter.  By Pascal's rule row l gains c * C(j, l) * part at
     M^(e * (j - l) + f * l): one shifted term per row, and no power of the
-    binomial is formed.  part, e and f lie on the grid of rows.
+    binomial is formed.  part, e and f lie on the M^2 grid.
     """
     lo, value = part
     if len(rows) <= j:
@@ -589,9 +583,9 @@ def _add_binomial_power(rows: list, c: int, part: tuple[int, int], e: int, f: in
         if not v:
             rows[l] = (at, term)
         elif at >= have:
-            rows[l] = (have, v + (term << (at - have) // stride * width))
+            rows[l] = (have, v + (term << (at - have) // 2 * width))
         else:
-            rows[l] = (at, (v << (have - at) // stride * width) + term)
+            rows[l] = (at, (v << (have - at) // 2 * width) + term)
         k = k * (j - l) // (l + 1)
 
 

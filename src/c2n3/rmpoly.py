@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .laurent import (LaurentPoly, ONE, _fits, _read_slots, _Rows, _slot_digits, _width, mono,
-                      packed)
+from .laurent import LaurentPoly, ONE, _fits, _Rows, _width, mono, packed
 
 
 def binom_z(a: int, b: int) -> int:
@@ -105,16 +104,16 @@ def _recursive_rows(n: int) -> _Rows:
     is ever read back wrong.
     """
     if n == 0:
-        # one slot, on the grid of stride 2 that every value of the recursion lies on
-        return _Rows({(0, 0): (0, 1)}, 2, _width(1), 1)
+        # one slot, at M^0
+        return _Rows({(0, 0): (0, 1)}, _width(1), 1)
     prev, cur = (_P0_UP, _P_PLUS2) if n > 0 else (_P0_DOWN, _P_MINUS2)
     # the recursion run on 1-norms bounds every value it takes
     lower, room = prev.norm1(), cur.norm1()
     for _ in range(abs(n) - 1):
         lower, room = room, _Q.norm1() * room + lower
     prev, cur = packed(room, prev, cur)
-    width, stride, lower, bound = cur.width, cur.stride, prev.bound, cur.bound
-    bits = width // stride  # bits per unit of M-exponent: M^2 is one slot
+    width, lower, bound = cur.width, prev.bound, cur.bound
+    bits = width // 2  # bits per unit of M-exponent: M^2 is one slot
     # a zero row; a step raises a lowest exponent by at most 8, from at most 8, so this
     # one lies above every nonzero row's and never sets the lowest exponent of a sum
     zero = (8 * abs(n) + 16, 0)
@@ -147,7 +146,7 @@ def _recursive_rows(n: int) -> _Rows:
                      - (v_p << (lo_p - lo) * bits if lo_p > lo else v_p))
             new.append((lo, value))
         prev, cur = cur, new
-    return _Rows({(0, x): row for x, row in enumerate(cur) if row[1]}, stride, width, bound)
+    return _Rows({(0, x): row for x, row in enumerate(cur) if row[1]}, width, bound)
 
 
 def rm_recursive(n: int) -> RMResult:
@@ -186,7 +185,8 @@ def rm_closed(n: int) -> RMResult:
     theorem expands each summand into
     sum_e C * (-1)^j * s^i * C(i, e) * x^(i-e+j) * M^(p-2e) * T'^e,
     so every x-row is a sum of integer multiples of packed powers of T',
-    each built once by shifts and adds.  Each row is one int, and no
+    each built once by shifts and adds from T''s digits [1, -1, 1], one
+    slot per M^2, at the width _width(room).  Each row is one int, and no
     product, sum or shift of packed rows is formed per summand.
     """
     if n >= 0:
@@ -197,12 +197,11 @@ def rm_closed(n: int) -> RMResult:
     # the sum run on 1-norms bounds every value it takes; since |T'^e|_1 <= 3^e, the
     # contributions to one x-row from the summand of i are bounded by |C| * 4^i too
     room = sum(abs(c) * _BASE.norm1() ** i for i, _, c in indices)
-    (t,) = packed(room, mono(1, m=2) * (_BASE - mono(1, x=1)))
-    width = t.width
-    digits = _slot_digits(_read_slots([t.rows[(0, 0)][1]], width)[0])
-    table = [1]  # T'^e as packed ints on the stride-2 grid, lowest slot M^0
+    width = _width(room)
+    table = [1]  # T'^e as packed ints, lowest slot M^0, by T' = 1 - M^2 + M^4
     for _ in range(indices[-1][0]):
-        table.append(sum(d * (table[-1] << k * width) for k, d in enumerate(digits)))
+        t = table[-1]
+        table.append(t - (t << width) + (t << 2 * width))
     # x-exponent: {e: the integer multiple of M^(prefactor - 2e) * T'^e}; within a row
     # each e comes from one summand, since i + j grows strictly with i
     parts: dict[int, dict[int, int]] = {}
@@ -215,4 +214,4 @@ def rm_closed(n: int) -> RMResult:
         top = max(multiples)
         rows[(0, a)] = (prefactor - 2 * top,
                         sum((d * table[e]) << (top - e) * width for e, d in multiples.items()))
-    return RMResult(n, _Rows(rows, t.stride, width, room).unpack(), "closed")
+    return RMResult(n, _Rows(rows, width, room).unpack(), "closed")

@@ -125,14 +125,14 @@ def slot_packed(digits: list[int], width: int) -> int:
 def unpack_slot_by_slot(rows) -> dict:
     """The terms of packed rows as a dict in the order a row-by-row, slot-by-slot read inserts them.
 
-    rows is a c2n3.laurent._Rows; keys are (expL, lowest expM + stride * slot,
+    rows is a c2n3.laurent._Rows; keys are (expL, lowest expM + 2 * slot,
     expX) for every nonzero slot, rows in their dict order.
     """
     out = {}
     for (l, x), (lo, value) in rows.rows.items():
         for k, c in enumerate(slot_digits_one_by_one(value, rows.width)):
             if c:
-                out[(l, lo + rows.stride * k, x)] = c
+                out[(l, lo + 2 * k, x)] = c
     return out
 
 

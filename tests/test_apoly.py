@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from c2n3 import apoly
+from c2n3 import apoly, laurent
 from c2n3.apoly import (
     APolyResult,
     NewtonPolygon,
+    _l_binomial,
     apoly_substitution,
     apoly_theorem,
     c_sum,
@@ -20,6 +21,7 @@ from c2n3.apoly import (
 from c2n3.laurent import LaurentPoly, ONE, UNIT_MONOMIAL, ZERO, mono, packed
 from c2n3.rmpoly import _recursive_rows, rm_closed, rm_recursive, summation_indices
 from oracles import as_dict, naive_add, naive_mul, naive_pow
+from test_rmpoly import room_recursion
 
 # A_-2, derived by hand: the n = -1 knot is the figure-eight knot, whose
 # A-polynomial is the classical -M^4 + L(1 - M^2 - 2M^4 - M^6 + M^8) - L^2 M^4
@@ -183,11 +185,11 @@ def test_a_routes_match_the_theorem_sum_taken_summand_by_summand(n):
 
 
 @pytest.mark.parametrize("route, per_n", [
-    # M^2 packed for the grid, the L-rows made into one value, and its unit-normal form
-    (apoly_theorem, lambda n: 3),
-    # the recursion's values (see test_rmpoly), num and den packed for the grid, the L-rows
-    # made into one value, and its unit-normal form
-    (apoly_substitution, lambda n: (3 if n else 1) + 4),
+    # the L-rows made into one value, and its unit-normal form
+    (apoly_theorem, lambda n: 2),
+    # the recursion's values (see test_rmpoly), the L-rows made into one value, and its
+    # unit-normal form
+    (apoly_substitution, lambda n: (3 if n else 1) + 2),
 ])
 def test_a_routes_pack_a_fixed_number_of_values_and_unpack_once(rows_events, route, per_n):
     # every Horner step works on the ints of a list of rows, so no packed-rows value is made per step
@@ -220,6 +222,15 @@ def test_substitution_sign_extends_the_rows_of_p2n_to_the_rows_packed_writes(mon
     assert parts == [expected.rows[(0, k)] for k in sorted((k for _, k in expected.rows), reverse=True)]
 
 
+def test_l_binomial_takes_only_binomials_on_the_m2_grid():
+    # num and den are applied by shifts of whole slots without being packed, so this is
+    # where their exponents are checked against the M^2 grid of the rows they act on
+    assert _l_binomial(mono(1, m=2) + mono(1, l=1, m=4)) == (2, 4, 1)
+    assert _l_binomial(-(ONE + mono(1, l=1, m=-6))) == (0, -6, -1)
+    for odd in (mono(1, m=1) + mono(1, l=1, m=2), ONE + mono(1, l=1, m=3)):
+        with pytest.raises(AssertionError, match="off the M\\^2 grid"):
+            _l_binomial(odd)
+
 def theorem_bounds(n):
     """The 1-norm bound of apoly_theorem's sum after each Horner step, from the top index down.
 
@@ -247,25 +258,42 @@ def substitution_bounds(n):
                                            (apoly_substitution, substitution_bounds)])
 @pytest.mark.parametrize("n", [3, -3, 12, -12])
 def test_a_routes_raise_at_the_first_step_that_outgrows_their_slots(monkeypatch, route, bounds, n):
-    # with room 1 the width holds only the packed factors' 1-norms, so some step's bound
-    # outgrows it; P_2n's recursion keeps its own packing and width
-    real_packed = apoly.packed
-    widths = []
-
-    def narrow(room, *polys):
-        rows = real_packed(1, *polys)
-        widths.append(rows[0].width)
-        return rows
-
-    monkeypatch.setattr(apoly, "packed", narrow)
+    # with the width of room 1, some step's bound outgrows it; P_2n's recursion keeps its
+    # own packing and width
+    width = laurent._width(1)
+    monkeypatch.setattr(apoly, "_width", lambda room: width)
     with pytest.raises(OverflowError, match="outgrows") as raised:
         route(n)
     steps = list(bounds(n))
-    first = next(b for b in steps if b.bit_length() >= widths[0])
+    first = next(b for b in steps if b.bit_length() >= width)
     # the last bound, which the one packed value at the end checks, is longer: only a check
     # inside the loop raises with this one
     assert first.bit_length() < steps[-1].bit_length()
     assert f"bound of {first.bit_length()} bits" in str(raised.value)
+
+
+@pytest.mark.parametrize("n", [*range(-12, 13), -40, 40])
+def test_every_route_ends_in_rows_as_wide_as_its_own_room_needs(monkeypatch, n):
+    # each builder takes its slot width from its room alone, and its one read-back value
+    # carries that room as its bound; the rooms are worked out here from their definitions
+    rooms = {
+        rm_closed: sum(abs(c) * 4**i for i, _, c in summation_indices(n)),
+        rm_recursive: room_recursion(n)[-1],
+        apoly_theorem: list(theorem_bounds(n))[-1],
+        apoly_substitution: list(substitution_bounds(n))[-1],
+    }
+    finals = []
+    real = laurent._Rows.unpack
+
+    def recorded(rows):
+        finals.append((rows.width, rows.bound))
+        return real(rows)
+
+    monkeypatch.setattr(laurent._Rows, "unpack", recorded)
+    for route, room in rooms.items():
+        finals.clear()
+        route(n)
+        assert finals == [(laurent._width(room), room)], route.__name__
 
 
 @pytest.mark.parametrize("n", [k for k in range(-6, 7) if k != 0])

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 import tracemalloc
 from collections import namedtuple
 
@@ -11,8 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from c2n3 import apoly, laurent, rmpoly
-from c2n3.apoly import apoly_substitution, apoly_theorem
+from c2n3 import laurent
 from c2n3.laurent import (
     ONE,
     UNIT_MONOMIAL,
@@ -21,7 +21,6 @@ from c2n3.laurent import (
     mono,
     packed,
 )
-from c2n3.rmpoly import rm_closed, rm_recursive
 from oracles import (as_dict, at_meridian, naive_add, naive_mul, naive_neg, naive_pow,
                      slot_digits_one_by_one, slot_packed, unpack_slot_by_slot)
 
@@ -42,6 +41,11 @@ polys_x_nonneg = st.dictionaries(monomials_x_nonneg, coefficients, max_size=4).m
 wide_coefficients = st.sampled_from([3, 70, 130]).flatmap(
     lambda bits: st.integers(-(2**bits), 2**bits)
 )
+
+
+def m_squared(poly):
+    """poly with M replaced by M^2: its image on the M^2 grid of packed rows, every M-exponent even."""
+    return LaurentPoly({(l, 2 * m, x): c for (l, m, x), c in poly.terms()})
 
 
 @st.composite
@@ -181,7 +185,7 @@ def test_add_and_mul_match_naive_oracle(p, q):
 
 
 def test_every_key_is_a_plain_int_tuple():
-    rows = LaurentPoly({(l, m, 0): m + 1 for l in range(3) for m in range(6)})
+    rows = LaurentPoly({(l, 2 * m, 0): m + 1 for l in range(3) for m in range(6)})
     point = namedtuple("point", "l m x")
     normalized, unit, _ = (mono(-1, m=-2, x=1) + mono(1, l=1)).normalize_unit()
     built = {
@@ -246,8 +250,6 @@ def test_products_mix_rows_whose_m_offsets_differ_in_parity():
     expected = naive_mul(as_dict(a), as_dict(b))
     assert as_dict(a * b) == as_dict(b * a) == expected
     assert as_dict(_substituted_product(a, b)) == expected
-    aa, bb = packed(0, a, b)
-    assert (aa.stride, bb.stride) == (1, 1) and (aa.unpack(), bb.unpack()) == (a, b)
 
 
 def test_products_hold_the_largest_possible_coefficient():
@@ -258,9 +260,9 @@ def test_products_hold_the_largest_possible_coefficient():
         expected = naive_mul(as_dict(a), as_dict(b))
         assert abs(expected[(0, 0, 0)]) == 2**63
         assert as_dict(a * b) == as_dict(_substituted_product(a, b)) == expected
-        # packed at its own 1-norm of 2^66, the product reads back from 72-bit slots
-        (rows,) = packed(0, a * b)
-        assert rows.width == 72 and as_dict(rows.unpack()) == expected
+        # packed at its own 1-norm of 2^66, the product's M^2 image reads back from 72-bit slots
+        (rows,) = packed(0, m_squared(a * b))
+        assert rows.width == 72 and rows.unpack() == m_squared(a * b)
 
 
 def test_products_drop_cancelled_terms():
@@ -285,8 +287,8 @@ def test_products_and_sums_cancel_to_zero():
     low_half = LaurentPoly({m: c for m, c in p.terms() if m[1] < 0})
     kept = p - low_half
     assert kept.min_exp("M") == 0
-    # packed, the row of what is left starts at its lowest remaining term
-    assert packed(0, kept)[0].rows[(0, 0)][0] == 0
+    # packed as its M^2 image, the row of what is left starts at its lowest remaining term
+    assert packed(0, m_squared(kept))[0].rows[(0, 0)][0] == 0
 
 
 def test_differences_match_naive_oracle_row_by_row():
@@ -297,9 +299,11 @@ def test_differences_match_naive_oracle_row_by_row():
     for b in (lower, cancel, lacking, lower + cancel + lacking, a):
         assert as_dict(a - b) == naive_add(as_dict(a), naive_neg(as_dict(b)))
         assert as_dict(b - a) == naive_add(as_dict(b), naive_neg(as_dict(a)))
-        assert packed(0, a - b)[0].unpack() == a - b
-    assert (1, 1) not in packed(0, a - cancel)[0].rows and (1, 1) in packed(0, a + cancel)[0].rows
-    assert not packed(0, a - a)[0].rows
+        # and packed as its M^2 image
+        assert packed(0, m_squared(a - b))[0].unpack() == m_squared(a - b)
+    assert ((1, 1) not in packed(0, m_squared(a - cancel))[0].rows
+            and (1, 1) in packed(0, m_squared(a + cancel))[0].rows)
+    assert not packed(0, m_squared(a - a))[0].rows
 
 
 def test_times_one_is_the_polynomial_and_times_minus_one_its_negation():
@@ -313,19 +317,15 @@ def test_times_one_is_the_polynomial_and_times_minus_one_its_negation():
 
 
 def test_substituted_products_take_rows_on_different_m_steps():
-    # rows on M-steps 2 and 3 at offsets of both parities, all on the grid of stride 1
+    # rows on M-steps 2 and 3 at offsets of both parities
     a = LaurentPoly({(0, 2 * k, 0): k + 1 for k in range(10)}) + LaurentPoly(
         {(1, 3 * k + 1, 0): -(k + 2) for k in range(10)})
     b = LaurentPoly({(1, 2 * k + 1, 0): 2**40 + k for k in range(10)}) + mono(7, m=5)
-    assert packed(0, a)[0].stride == packed(0, b)[0].stride == 1
     for lhs, rhs in ((a, b), (b, a), (a, a), (b, b)):
         assert as_dict(_substituted_product(lhs, rhs)) == naive_mul(as_dict(lhs), as_dict(rhs))
         assert (mono(1, x=1) + ONE).substitute("x", lhs, rhs, 1) == lhs + rhs
     even = LaurentPoly({(0, 2 * k, 0): k + 1 for k in range(10)}) + mono(-3, l=1, m=-6, x=2)
-    # packed alone even lands on M-steps of 2, and beside an odd exponent on steps of 1
-    (on_two,), (on_one, _) = packed(0, even), packed(0, even, mono(1, m=1))
-    assert (on_two.stride, on_one.stride) == (2, 1)
-    assert on_two.unpack() == on_one.unpack() == even
+    assert packed(0, even)[0].unpack() == even
 
 
 # The thick operand of the +-1 products below: two rows of 2^130-sized coefficients, (0, 0)
@@ -407,7 +407,10 @@ def test_substitute_takes_powers_of_num_and_den_as_repeated_products(poly, top):
 
 @pytest.mark.parametrize("poly", BINOMIALS + NOT_BINOMIALS)
 def test_row_normalize_unit_matches_normalize_unit_on_powers(poly):
-    # content in L, M and x, and either sign of the least term, at growing widths
+    # content in L, M and x, and either sign of the least term, at growing widths; a binomial
+    # with an odd power of M is packed as its M^2 image
+    if any(m % 2 for (_, m, _), _ in poly.terms()):
+        poly = m_squared(poly)
     for j in range(1, 5):
         for power in (poly**j, -(poly**j)):
             (rows,) = packed(0, power)
@@ -425,10 +428,11 @@ limit_coefficients = st.one_of(
 
 
 @st.composite
-def packable_polys(draw, stride=1):
+def packable_polys(draw, stride=2):
     """Rows of one to twelve terms, each row on its own M-offset and step, every exponent signed.
 
-    Every M-exponent is a multiple of stride.
+    Every M-exponent is a multiple of stride, so by default every one lies
+    on the M^2 grid of packed rows.
     """
     terms = {}
     for _ in range(draw(st.integers(0, 3))):
@@ -444,16 +448,14 @@ def packable_polys(draw, stride=1):
 @given(stride=st.sampled_from([1, 2, 3]), data=st.data(), c=limit_coefficients)
 def test_packed_rows_read_back_on_the_drawn_stride_and_substitute_matches_naive_oracle(
         stride, data, c):
-    # every M-exponent on multiples of the drawn stride; the values packed together share a grid
+    # every M-exponent on multiples of the drawn stride; the values' M^2 images, packed
+    # together, share a width and read back
     p, q, r = (data.draw(packable_polys(stride)) for _ in range(3))
     a, b, d = as_dict(p), as_dict(q), as_dict(r)
-    pp, qq, rr = packed(0, p, q, r)
-    if any(e[1] for e in (*a, *b, *d)):
-        assert pp.stride % stride == 0
-    else:
-        assert pp.stride == 1
-    assert (pp.stride, pp.width) == (qq.stride, qq.width) == (rr.stride, rr.width)
-    assert (as_dict(pp.unpack()), as_dict(qq.unpack()), as_dict(rr.unpack())) == (a, b, d)
+    images = [m_squared(v) for v in (p, q, r)]
+    pp, qq, rr = packed(0, *images)
+    assert pp.width == qq.width == rr.width
+    assert [pp.unpack(), qq.unpack(), rr.unpack()] == images
     # x^2 + c x + r0, r0 being r with its x-exponents set to 0, with x := p / q, cleared by
     # q^2: p^2 + c p q + r0 q^2
     assume(q)
@@ -474,7 +476,7 @@ def test_packed_slots_hold_a_coefficient_equal_to_the_bound(bits):
 
 
 def test_packed_rows_hold_what_their_room_allows_and_refuse_the_rest():
-    p = LaurentPoly({(0, k, 0): k + 1 for k in range(12)}) + mono(-3, l=1, m=5)
+    p = LaurentPoly({(0, 2 * k, 0): k + 1 for k in range(12)}) + mono(-3, l=1, m=10)
     norm = p.norm1()
     assert norm == 81
     # the width holds the room, and the rows read back at every width
@@ -482,27 +484,34 @@ def test_packed_rows_hold_what_their_room_allows_and_refuse_the_rest():
         (pp,) = packed(room, p)
         assert pp.width == width and pp.unpack() == p
     # packed at its own 1-norm only, p has 8-bit slots: a bound of 2^7 - 1 is the most they hold
-    assert laurent._Rows(pp.rows, pp.stride, 8, 2**7 - 1).unpack() == p
+    assert laurent._Rows(pp.rows, 8, 2**7 - 1).unpack() == p
     with pytest.raises(OverflowError, match="outgrows 8-bit slots"):
-        laurent._Rows(pp.rows, pp.stride, 8, 2**7)
+        laurent._Rows(pp.rows, 8, 2**7)
 
 
-def test_packed_derives_the_stride_and_width_from_its_operands():
-    cases = [
-        ((mono(1, m=-6), mono(1, m=9)), 3),
-        ((mono(1, m=3) + mono(1, m=5),), 1),  # the grid is anchored at M^0
-        ((ZERO, ONE), 1),
-        ((mono(-2, l=1, m=-4, x=3), mono(5, m=6) - mono(1, m=10)), 2),
-    ]
-    for polys, stride in cases:
+def test_packed_derives_the_width_from_its_operands():
+    # an operand with no terms or only M^0 packs beside others at 8 bits, and each reads back
+    for polys in ((ZERO, ONE), (mono(-2, l=1, m=-4, x=3), mono(5, m=6) - mono(1, m=10))):
         rows = packed(0, *polys)
-        assert [(r.stride, r.width) for r in rows] == [(stride, 8)] * len(polys)
+        assert [r.width for r in rows] == [8] * len(polys)
         assert [r.unpack() for r in rows] == list(polys)
     # the width holds the largest of the room and every operand's 1-norm, in whole bytes
     small, big = mono(3, m=2), mono(200, m=4) - mono(55, x=1)
     for room, width in ((0, 16), (255, 16), (2**15 - 1, 16), (2**15, 24), (2**40, 48)):
         assert [r.width for r in packed(room, small, big)] == [width, width]
     assert [r.bound for r in packed(2**40, small, big)] == [3, 255]
+
+
+@pytest.mark.parametrize("polys, term", [
+    ((mono(1, m=3),), "M^3"),
+    ((ONE, mono(1, m=-1)), "M^-1"),
+    ((mono(2, l=1, m=4) - mono(5, l=-1, m=7, x=2),), "-5*L^-1*M^7*x^2"),
+])
+def test_packed_refuses_an_odd_power_of_m_and_names_its_term(polys, term):
+    # slot k holds M^(lowest + 2k): an odd exponent has no slot, and would otherwise be
+    # floor-divided into the one below it
+    with pytest.raises(ValueError, match=rf"^term {re.escape(term)} has an odd M-exponent"):
+        packed(0, *polys)
 
 
 @st.composite
@@ -561,20 +570,20 @@ def _assert_unpacks_as_the_slot_by_slot_read(rows):
 def test_unpack_reads_a_row_of_both_kinds_of_slot_and_drops_zero_slots():
     digits = [0, 3, 2**63 - 1, 0, 2**63, -(2**63), -(2**63) - 1, 0, -(2**79), 2**70, -7]
     rows = laurent._Rows({(1, -2): (-4, slot_packed(digits, 80)),
-                          (0, 0): (6, slot_packed([0, -1, 0, 1], 80))}, 2, 80, 0)
+                          (0, 0): (6, slot_packed([0, -1, 0, 1], 80))}, 80, 0)
     poly = _assert_unpacks_as_the_slot_by_slot_read(rows)
     assert as_dict(poly) == {**{(1, 2 * k - 4, -2): d for k, d in enumerate(digits) if d},
                              (0, 8, 0): -1, (0, 12, 0): 1}
 
 
-@given(drawn=slot_rows(), stride=st.sampled_from([1, 2, 3]), data=st.data())
-def test_unpack_matches_the_slot_by_slot_read_term_for_term_and_in_order(drawn, stride, data):
+@given(drawn=slot_rows(), data=st.data())
+def test_unpack_matches_the_slot_by_slot_read_term_for_term_and_in_order(drawn, data):
     width, digit_rows = drawn
     keys = data.draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 2)), unique=True,
                               min_size=len(digit_rows), max_size=len(digit_rows)))
-    rows = {key: (stride * data.draw(st.integers(-6, 6)), slot_packed(digits, width))
+    rows = {key: (2 * data.draw(st.integers(-6, 6)), slot_packed(digits, width))
             for key, digits in zip(keys, digit_rows)}
-    _assert_unpacks_as_the_slot_by_slot_read(laurent._Rows(rows, stride, width, 0))
+    _assert_unpacks_as_the_slot_by_slot_read(laurent._Rows(rows, width, 0))
 
 
 @st.composite
@@ -585,10 +594,9 @@ def normalizable_rows(draw):
     lowest term of a row of two or more terms is dropped, and that row is
     written from its old lowest M-exponent, so it holds a zero in its lowest slot.
     """
-    stride = draw(st.sampled_from([1, 2, 3]))
-    poly = draw(packable_polys(stride))
+    poly = draw(packable_polys())
     l, m, x = draw(st.tuples(exponents, exponents, exponents))
-    poly = poly * mono(draw(st.sampled_from([1, -1])), l, stride * m, x)
+    poly = poly * mono(draw(st.sampled_from([1, -1])), l, 2 * m, x)
     rows_of: dict = {}
     for (el, em, ex), c in poly.terms():
         rows_of.setdefault((el, ex), []).append((em, c))
@@ -603,8 +611,8 @@ def normalizable_rows(draw):
     rows = dict(pp.rows)
     if cut:
         lo, value = rows[(el, ex)]
-        rows[(el, ex)] = (em, value << (lo - em) // pp.stride * pp.width)
-    return laurent._Rows(rows, pp.stride, pp.width, pp.bound), poly - cut
+        rows[(el, ex)] = (em, value << (lo - em) // 2 * pp.width)
+    return laurent._Rows(rows, pp.width, pp.bound), poly - cut
 
 
 @given(drawn=normalizable_rows())
@@ -614,21 +622,21 @@ def test_row_normalize_unit_matches_normalize_unit(drawn):
     assert rows.unpack() == poly
     q, unit, sign = rows.normalize_unit()
     assert (q.unpack(), unit, sign) == poly.normalize_unit()
-    assert (q.stride, q.width) == (rows.stride, rows.width)
+    assert q.width == rows.width
 
 
 def test_row_normalize_unit_examples():
-    # -L^2 M^-4 x^-1 (1 - 2M + M^3 x): content in all three variables, a negative least term,
-    # and a row written from M^-5, one zero slot below its lowest term
-    poly = mono(-1, l=2, m=-4, x=-1) * (1 - mono(2, m=1) + mono(1, m=3, x=1))
+    # -L^2 M^-8 x^-1 (1 - 2M^2 + M^6 x): content in all three variables, a negative least
+    # term, and a row written from M^-10, one zero slot below its lowest term
+    poly = mono(-1, l=2, m=-8, x=-1) * (1 - mono(2, m=2) + mono(1, m=6, x=1))
     (pp,) = packed(0, poly)
     lo, value = pp.rows[(2, -1)]
-    assert lo == -4
-    rows = laurent._Rows({**pp.rows, (2, -1): (-5, value << pp.width)}, 1, pp.width, pp.bound)
+    assert lo == -8
+    rows = laurent._Rows({**pp.rows, (2, -1): (-10, value << pp.width)}, pp.width, pp.bound)
     assert rows.unpack() == poly
     q, unit, sign = rows.normalize_unit()
-    assert (unit, sign) == ((2, -4, -1), -1)
-    assert q.unpack() == ONE - mono(2, m=1) + mono(1, m=3, x=1)
+    assert (unit, sign) == ((2, -8, -1), -1)
+    assert q.unpack() == ONE - mono(2, m=2) + mono(1, m=6, x=1)
     assert (q.unpack(), unit, sign) == poly.normalize_unit()
     # unit-normal already: the same polynomial, unit and sign
     q, unit, sign = packed(0, ONE - mono(1, l=1))[0].normalize_unit()
@@ -644,23 +652,23 @@ even = st.integers(-4, 4).map(lambda e: 2 * e)
 
 
 def _l_rows(poly, room, empty_lo):
-    """poly as the list of rows by power of L that the helpers take, on the stride-2 grid.
+    """poly as the list of rows by power of L that the helpers take, on the M^2 grid.
 
-    M^2 rides along to fix the stride; a power of L with no terms is the zero int at empty_lo.
+    A power of L with no terms is the zero int at empty_lo.
     """
-    value, _ = packed(room, poly, mono(1, m=2))
+    (value,) = packed(room, poly)
     top = poly.degree("L") if poly else -1
     return [value.rows.get((l, 0), (empty_lo, 0)) for l in range(top + 1)], value.width
 
 
 def _from_l_rows(rows, width):
-    return laurent._Rows({(l, 0): row for l, row in enumerate(rows) if row[1]}, 2, width, 0).unpack()
+    return laurent._Rows({(l, 0): row for l, row in enumerate(rows) if row[1]}, width, 0).unpack()
 
 
 @given(poly=polys_lm, e0=even, s1=st.sampled_from([1, -1]), e1=even, empty_lo=even)
 def test_times_binomial_is_the_product_with_the_binomial(poly, e0, s1, e1, empty_lo):
     rows, width = _l_rows(poly, 2 * poly.norm1(), empty_lo)
-    out = laurent._times_binomial(rows, e0, s1, e1, 2, width)
+    out = laurent._times_binomial(rows, e0, s1, e1, width)
     assert len(out) == len(rows) + 1
     assert _from_l_rows(out, width) == poly * (mono(1, m=e0) + mono(s1, l=1, m=e1))
 
@@ -672,29 +680,9 @@ def test_add_binomial_power_adds_the_multiple_of_the_power(poly, part, c, e, f, 
     rows, width = _l_rows(poly, room, empty_lo)
     part_rows, _ = _l_rows(part, room, 0)
     part_row = part_rows[0] if part_rows else (empty_lo, 0)
-    laurent._add_binomial_power(rows, c, part_row, e, f, j, 2, width)
+    laurent._add_binomial_power(rows, c, part_row, e, f, j, width)
     assert len(rows) == max(len(_l_rows(poly, room, 0)[0]), j + 1)
     assert _from_l_rows(rows, width) == poly + c * part * (mono(1, m=e) + mono(1, l=1, m=f)) ** j
-
-
-def test_route_builders_pack_every_operand_at_stride_two(monkeypatch):
-    # every M-exponent the four routes meet is even, so every packed() call lands on M-steps of 2
-    grids = []
-
-    def recorded(room, *polys):
-        rows = packed(room, *polys)  # this module's own name for it is left unpatched
-        grids.append({(r.stride, r.width) for r in rows})
-        return rows
-
-    for module in (laurent, rmpoly, apoly):
-        monkeypatch.setattr(module, "packed", recorded)
-    for n in range(-12, 13):
-        for route in (rm_closed, rm_recursive, apoly_theorem, apoly_substitution):
-            route(n)
-    # one call per loop: apoly_substitution runs two (rm_recursive's and its own sum's), and
-    # rm_recursive(0) runs none, as P_0 needs no loop
-    assert len(grids) == 24 * 5 + 3
-    assert all(len(grid) == 1 and next(iter(grid))[0] == 2 for grid in grids)
 
 
 @given(p=polys, q=polys, r=polys)
